@@ -32,8 +32,8 @@ import numpy as np
 
 from .closure import fl_closure
 from .construct import (
-    Budget, Stuck, build, extract_model, finish_deferral, saturate_backward,
-    saturate_forward,
+    Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
+    saturate,
 )
 from .network import (
     Network, NetworkContext, amalgamate, compute_timeouts, downgen, equp,
@@ -634,7 +634,7 @@ def _amalgam_candidates(rng, ctx):
     offset = (max(base.nodes) + 1) * 10
     for u in heads[:2]:
         try:
-            ext = saturate_forward(base, u)
+            ext = saturate(base, u, 'F')
         except Stuck:
             continue
         ext = _shift_fresh(base, ext, offset)
@@ -706,25 +706,20 @@ def _extension_pair(rng, ctx):
         return None
     mode = rng.randrange(3)
     try:
-        if mode == 0:
-            heads = [u for u in base.nodes if u not in base.sat_f]
+        if mode < 2:
+            direction = 'FB'[mode]
+            heads = [u for u in base.nodes
+                     if not base.saturated(u, direction)]
             if not heads:
                 return None
-            ext = saturate_forward(base, rng.choice(heads))
-        elif mode == 1:
-            heads = [u for u in base.nodes if u not in base.sat_p]
-            if not heads:
-                return None
-            ext = saturate_backward(base, rng.choice(heads))
+            ext = saturate(base, rng.choice(heads), direction)
         else:
             open_pairs = compute_timeouts(base).unfinished_pairs()
             if not open_pairs:
                 return None
             u, did = rng.choice(open_pairs)
             ext = finish_deferral(base, u, did, Budget(60, 4, 4))
-    except Stuck:
-        return None
-    except Exception:
+    except (Stuck, BudgetExceeded):
         return None
     if not is_subnetwork(base, ext) or base.structure() == ext.structure():
         return None

@@ -165,14 +165,17 @@ def _load_network(path):
 
 def _cmd_net(args):
     n = _load_network(args.network)
+    problems = validate(n)
     if args.query == 'validate':
-        problems = validate(n)
         if not problems:
             print('ok')
             return 0
         for line in problems:
             print(line)
         return 2
+    if problems:
+        raise _CliError('%s: not a network: %s'
+                        % (args.network, '; '.join(problems)))
     if args.query == 'defects':
         defects = find_defects(n)
         if not defects:

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 from .closure import is_atom
 from .network import (
-    Network, amalgamate, compute_timeouts, eqdown, equp, find_defects,
-    is_anticonfluent, is_down_cofinal, is_subnetwork, is_up_cofinal,
-    network_to_json,
+    Network, amalgamate, compute_timeouts, cones, extension_fault,
+    find_defects, is_anticonfluent, network_to_json,
 )
 from .semantics import KripkeModel
 from .syntax import DAnd, DFree, DNabla, DOr, DX, Var, to_string
@@ -78,39 +77,21 @@ def _least_family_atom(ctx, bits, child_i, direction):
     return None
 
 
-def _reach_maps(nodes, edges):
-    succ = {x: [] for x in nodes}
-    pred = {x: [] for x in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        pred[b].append(a)
-    down = {}
-    up = {}
-
-    def go(x, nbrs, out):
-        if x in out:
-            return out[x]
-        out[x] = acc = {x}
-        for y in nbrs[x]:
-            acc |= go(y, nbrs, out)
-        return acc
-
-    for x in nodes:
-        go(x, succ, down)
-        go(x, pred, up)
-    return succ, pred, down, up
-
-
 def _keeps_separation(nodes, edges):
     """Cones of distinct neighbours of any node must not meet.
 
     Stronger than anticonfluence: it is what keeps per-neighbour
-    extensions amalgamable, in both directions.
+    extensions amalgamable, in both directions. A cycle fails too.
     """
-    succ, pred, down, up = _reach_maps(nodes, edges)
-    for z in nodes:
-        for nbrs, cone in ((succ, down), (pred, up)):
-            ws = sorted(set(nbrs[z]))
+    try:
+        down, up = cones(nodes, edges)
+    except ValueError:
+        return False
+    for cone, side in ((down, 0), (up, 1)):
+        nbrs = {}
+        for e in edges:
+            nbrs.setdefault(e[side], []).append(e[1 - side])
+        for ws in nbrs.values():
             for i, v in enumerate(ws):
                 for v2 in ws[i + 1:]:
                     if cone[v] & cone[v2]:
@@ -164,10 +145,6 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
                     continue
                 if n.label[w] != family:
                     continue
-                _, _, down, _ = _reach_maps(nodes, edges)
-                cycle = u in down[w] if direction == 'F' else w in down[u]
-                if cycle:
-                    continue
                 e = (u, w) if direction == 'F' else (w, u)
                 if not _keeps_separation(nodes, edges | {e}):
                     continue
@@ -187,23 +164,9 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
     return Network(ctx, tuple(nodes), frozenset(edges), label, sat_f, sat_p)
 
 
-def saturate_forward(n, u, budget=None):
-    return _saturate(n, u, 'F', _Ids(max(n.nodes) + 1), budget)
-
-
-def saturate_backward(n, u, budget=None):
-    return _saturate(n, u, 'B', _Ids(max(n.nodes) + 1), budget)
-
-
-def normalize_heads(n, direction, budget=None):
-    """Saturate interior nodes until only leaves lack the direction flag."""
-    ids = _Ids(max(n.nodes) + 1)
-    while True:
-        pending = [u for u in n.nodes
-                   if not n.saturated(u, direction) and n.neighbors(u, direction)]
-        if not pending:
-            return n
-        n = _saturate(n, pending[0], direction, ids, budget)
+def saturate(n, u, direction, budget=None):
+    """Complete the witness families of u in direction ('F' or 'B')."""
+    return _saturate(n, u, direction, _Ids(max(n.nodes) + 1), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +546,7 @@ def finish_deferral(n, u, did, budget=None):
         raise Stuck('%s has no disjunctive reading' % table.describe(did))
     ids = _Ids(max(n.nodes) + 1)
     out = _finish(n, u, did, direction, budget, ids, {}, frozenset())
-    assert is_subnetwork(n, out)
-    if direction == 'F':
-        assert equp(n, out, u) and is_down_cofinal(n, out)
-    else:
-        assert eqdown(n, out, u) and is_up_cofinal(n, out)
+    assert extension_fault(n, out, u, direction) is None
     assert compute_timeouts(out).finished(u, did)
     assert is_anticonfluent(out)
     return out
@@ -602,14 +561,11 @@ def repair_all(n, budget=None):
     budget = budget or Budget()
     todo = n.nodes
     log = []
-    for u in todo:
-        if u not in n.sat_f:
-            n = _saturate(n, u, 'F', _Ids(max(n.nodes) + 1), budget)
-            log.append('satF %d' % u)
-    for u in todo:
-        if u not in n.sat_p:
-            n = _saturate(n, u, 'B', _Ids(max(n.nodes) + 1), budget)
-            log.append('satB %d' % u)
+    for direction in ('F', 'B'):
+        for u in todo:
+            if not n.saturated(u, direction):
+                n = saturate(n, u, direction, budget)
+                log.append('sat%s %d' % (direction, u))
     table = n.ctx.table
     for u in todo:
         for did in range(len(table)):

@@ -100,6 +100,40 @@ class NetworkContext:
                             key=lambda a: (duty(a), a)))
 
 
+def cones(nodes, edges):
+    """Reflexive reachability of a relation, as (down, up).
+
+    down[x] holds x and every node reachable from x along edges (the
+    upward cone of upgen), up[x] holds x and every node that reaches x.
+    Every edge must join two of the nodes. Raises ValueError when the
+    relation has a cycle.
+    """
+    succ = {x: [] for x in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    order = [x for x in indeg if not indeg[x]]
+    for x in order:
+        for y in succ[x]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                order.append(y)
+    if len(order) != len(indeg):
+        raise ValueError('relation has a cycle')
+    down = {}
+    for x in reversed(order):
+        acc = {x}
+        for y in succ[x]:
+            acc |= down[y]
+        down[x] = frozenset(acc)
+    up = {x: {x} for x in order}
+    for x in order:
+        for y in succ[x]:
+            up[y] |= up[x]
+    return down, {x: frozenset(acc) for x, acc in up.items()}
+
+
 @dataclass(eq=False)
 class Network:
     ctx: NetworkContext
@@ -146,43 +180,9 @@ class Network:
         return u in (self.sat_f if direction == 'F' else self.sat_p)
 
     @cached_property
-    def descendants(self):
-        """node -> frozenset of strictly reachable nodes."""
-        out = {}
-        for u in reversed(self._topo_order()):
-            acc = set()
-            for v in self.succ[u]:
-                acc.add(v)
-                acc |= out[v]
-            out[u] = frozenset(acc)
-        return out
-
-    @cached_property
-    def ancestors(self):
-        out = {u: set() for u in self.nodes}
-        for u in self._topo_order():
-            for v in self.succ[u]:
-                out[v].add(u)
-                out[v] |= out[u]
-        return {u: frozenset(a) for u, a in out.items()}
-
-    def _topo_order(self):
-        indeg = {u: 0 for u in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        ready = sorted(u for u, k in indeg.items() if k == 0)
-        order = []
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            for v in self.succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
-        if len(order) != len(self.nodes):
-            raise ValueError('relation has a cycle')
-        return order
+    def cones(self):
+        """cones(nodes, edges) of this network; raises on a cycle."""
+        return cones(self.nodes, self.edges)
 
     def structure(self):
         return (self.nodes, self.edges,
@@ -249,10 +249,10 @@ def validate(n: Network):
     out = []
     sigma = n.ctx.sigma
     for u in n.nodes:
-        if not is_atom(n.label[u], sigma):
+        if n.label[u] >> len(sigma) or not is_atom(n.label[u], sigma):
             out.append('label of %d is not an atom' % u)
     try:
-        n._topo_order()
+        n.cones
     except ValueError:
         out.append('relation has a cycle')
     for a, b in sorted(n.edges):
@@ -274,13 +274,12 @@ def is_anticonfluent(n: Network) -> bool:
     forbidden shape is a genuine diamond, two paths that part ways and
     meet again.
     """
-    desc = n.descendants
-    anc = n.ancestors
+    down, up = n.cones
     for i, v in enumerate(n.nodes):
         for v2 in n.nodes[i + 1:]:
-            if v2 in desc[v] or v in desc[v2]:
+            if v2 in down[v] or v in down[v2]:
                 continue
-            if desc[v] & desc[v2] and anc[v] & anc[v2]:
+            if down[v] & down[v2] and up[v] & up[v2]:
                 return False
     return True
 
@@ -353,76 +352,90 @@ def _node_set(xs):
     return set(xs)
 
 
-def upgen(n: Network, xs) -> frozenset:
-    seed = _node_set(xs)
-    out = set(seed)
-    for u in seed:
-        out |= n.descendants[u]
+def _gen(n: Network, xs, direction) -> frozenset:
+    down, up = n.cones
+    cone = down if direction == 'F' else up
+    out = set()
+    for u in _node_set(xs):
+        out |= cone[u]
     return frozenset(out)
+
+
+def upgen(n: Network, xs) -> frozenset:
+    """xs and every node reachable from them: their upward cone."""
+    return _gen(n, xs, 'F')
 
 
 def downgen(n: Network, xs) -> frozenset:
-    seed = _node_set(xs)
-    out = set(seed)
-    for u in seed:
-        out |= n.ancestors[u]
-    return frozenset(out)
+    """xs and every node that reaches them: their downward cone."""
+    return _gen(n, xs, 'B')
+
+
+def _eq_outside(a: Network, b: Network, xs, direction) -> bool:
+    _same_ctx(a, b)
+    ra = restrict(a, set(a.nodes) - _gen(a, xs, direction))
+    rb = restrict(b, set(b.nodes) - _gen(b, xs, direction))
+    return ra.structure() == rb.structure()
 
 
 def equp(a: Network, b: Network, xs) -> bool:
     """Equality of the two networks outside the upward cones of xs."""
-    _same_ctx(a, b)
-    ra = restrict(a, set(a.nodes) - upgen(a, xs))
-    rb = restrict(b, set(b.nodes) - upgen(b, xs))
-    return ra.structure() == rb.structure()
+    return _eq_outside(a, b, xs, 'F')
 
 
 def eqdown(a: Network, b: Network, xs) -> bool:
+    """Equality of the two networks outside the downward cones of xs."""
+    return _eq_outside(a, b, xs, 'B')
+
+
+def _is_cofinal(a: Network, b: Network, direction) -> bool:
     _same_ctx(a, b)
-    ra = restrict(a, set(a.nodes) - downgen(a, xs))
-    rb = restrict(b, set(b.nodes) - downgen(b, xs))
-    return ra.structure() == rb.structure()
+    if not _is_contained(a, b):
+        return False
+    here = set(a.nodes)
+    return all(v in here for u in a.nodes for v in b.neighbors(u, direction))
 
 
 def is_down_cofinal(a: Network, b: Network) -> bool:
     """Inside b, nothing sits strictly below a outside of a."""
-    _same_ctx(a, b)
-    if not _is_contained(a, b):
-        return False
-    here = set(a.nodes)
-    return all(v in here for u in a.nodes for v in b.pred[u])
+    return _is_cofinal(a, b, 'B')
 
 
 def is_up_cofinal(a: Network, b: Network) -> bool:
-    _same_ctx(a, b)
-    if not _is_contained(a, b):
-        return False
-    here = set(a.nodes)
-    return all(v in here for u in a.nodes for v in b.succ[u])
+    """Inside b, nothing sits strictly above a outside of a."""
+    return _is_cofinal(a, b, 'F')
 
 
-def _check_amalgamation(base: Network, pairs, forward: bool):
-    cones = []
+def extension_fault(base: Network, ext: Network, u, direction):
+    """Why ext does not grow base only inside u's cone in direction, or None.
+
+    Forward growth keeps everything outside u's upward cone and adds no
+    ancestors to base; backward growth is the mirror image.
+    """
+    forward = direction == 'F'
+    if not is_subnetwork(base, ext):
+        return 'base is not a subnetwork of the extension at %s' % u
+    if not (equp if forward else eqdown)(base, ext, u):
+        return 'extension at %s edits outside its %s cone' % (
+            u, 'upward' if forward else 'downward')
+    if not (is_down_cofinal if forward else is_up_cofinal)(base, ext):
+        return 'extension at %s adds %s the base' % (
+            u, 'ancestors below' if forward else 'descendants above')
+    return None
+
+
+def _check_amalgamation(base: Network, pairs, direction):
+    grown = []
     for u, ext in pairs:
         if u not in base.nodes:
             return 'node %s missing from the base' % u
-        if not is_subnetwork(base, ext):
-            return 'base is not a subnetwork of the extension at %s' % u
-        if forward:
-            if not equp(base, ext, u):
-                return 'extension at %s edits outside its upward cone' % u
-            if not is_down_cofinal(base, ext):
-                return 'extension at %s adds ancestors below the base' % u
-            cones.append(upgen(ext, u))
-        else:
-            if not eqdown(base, ext, u):
-                return 'extension at %s edits outside its downward cone' % u
-            if not is_up_cofinal(base, ext):
-                return 'extension at %s adds descendants above the base' % u
-            cones.append(downgen(ext, u))
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            if cones[i] & cones[j]:
+        fault = extension_fault(base, ext, u, direction)
+        if fault is not None:
+            return fault
+        grown.append(_gen(ext, u, direction))
+    for i in range(len(grown)):
+        for j in range(i + 1, len(grown)):
+            if grown[i] & grown[j]:
                 return 'cones %d and %d overlap' % (i, j)
     return None
 
@@ -436,15 +449,13 @@ def amalgamate(base: Network, pairs) -> Network:
     pairs = list(pairs)
     if not pairs:
         return base
-    fwd = _check_amalgamation(base, pairs, True)
-    if fwd is None:
-        out = union([base] + [ext for _, ext in pairs])
-    else:
-        bwd = _check_amalgamation(base, pairs, False)
+    fwd = _check_amalgamation(base, pairs, 'F')
+    if fwd is not None:
+        bwd = _check_amalgamation(base, pairs, 'B')
         if bwd is not None:
             raise ValueError('amalgamation preconditions fail: %s / %s'
                              % (fwd, bwd))
-        out = union([base] + [ext for _, ext in pairs])
+    out = union([base] + [ext for _, ext in pairs])
     assert is_subnetwork(base, out)
     for _, ext in pairs:
         assert is_subnetwork(ext, out)

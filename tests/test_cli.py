@@ -164,6 +164,31 @@ def test_net_timeouts_lists_the_active_pairs(capsys, network_path):
     assert all('deferral' in line for line in out.splitlines())
 
 
+@pytest.fixture
+def self_loop_path(tmp_path):
+    p = tmp_path / 'loop.json'
+    p.write_text(json.dumps({
+        'closure': {'formula': 'p', 'connectives': []},
+        'nodes': [{'id': 0, 'atom': []}], 'edges': [[0, 0]],
+        'satF': [], 'satP': []}))
+    return str(p)
+
+
+def test_net_validate_lists_what_a_self_loop_breaks(capsys, self_loop_path):
+    code, out, _ = run(capsys, 'net', 'validate', self_loop_path)
+    assert code == 2
+    assert out.splitlines() == ['label of 0 is not an atom',
+                                'relation has a cycle']
+
+
+@pytest.mark.parametrize('query', ['defects', 'timeouts'])
+def test_net_queries_refuse_a_non_network(capsys, self_loop_path, query):
+    code, out, err = run(capsys, 'net', query, self_loop_path)
+    assert code == 1 and out == ''
+    assert len(err.splitlines()) == 1
+    assert 'not a network' in err and 'relation has a cycle' in err
+
+
 # -- build ----------------------------------------------------------------------
 
 def test_build_is_byte_deterministic(capsys, defs_path):

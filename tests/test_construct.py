@@ -9,7 +9,7 @@ from flatmu.network import (
 )
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
-    normalize_heads, repair_all, saturate_backward, saturate_forward,
+    repair_all, saturate,
 )
 from flatmu.semantics import eval
 from flatmu.syntax import (
@@ -75,7 +75,7 @@ def test_budget_rejects_nonpositive_limits():
 
 def test_saturate_forward_picks_the_least_coherent_atom():
     n = mk(CTX_P, {0: A_SRC})
-    out = saturate_forward(n, 0)
+    out = saturate(n, 0, 'F')
     assert out.nodes == (0, 1)
     assert out.label[1] == A_SNK
     assert out.edges == {(0, 1)}
@@ -86,7 +86,7 @@ def test_saturate_forward_picks_the_least_coherent_atom():
 def test_saturate_forward_reuses_existing_witnesses():
     kid = atom_with(CTX_P, [Neg(P), Dia('B', Neg(BOT))])
     n = mk(CTX_P, {0: A_SRC, 1: kid}, [(0, 1)])
-    out = saturate_forward(n, 0)
+    out = saturate(n, 0, 'F')
     assert out.nodes == n.nodes
     assert out.edges == n.edges
     assert out.sat_f == {0}
@@ -99,7 +99,7 @@ def test_saturate_tops_up_reused_groups_to_multiplicity():
                   no=[Dia('F', Neg(FOCUS1))])
     kid = next(b for b in CTX_CHI1.atoms if CTX_CHI1.coherent(u, b))
     n = mk(CTX_CHI1, {0: u, 1: kid}, [(0, 1)])
-    out = saturate_forward(n, 0)
+    out = saturate(n, 0, 'F')
     assert out.nodes == (0, 1, 2, 3)
     assert out.label[2] == kid and out.label[3] == kid
     assert {(0, 2), (0, 3)} <= out.edges
@@ -113,7 +113,7 @@ def validate_families(n, u):
 
 def test_saturate_backward_mirrors():
     n = mk(CTX_P, {0: A_SNK})
-    out = saturate_backward(n, 0)
+    out = saturate(n, 0, 'B')
     assert out.nodes == (0, 1)
     assert out.edges == {(1, 0)}
     assert out.sat_p == {0}
@@ -122,7 +122,7 @@ def test_saturate_backward_mirrors():
 
 def test_saturate_forward_links_to_an_existing_witness():
     n = mk(CTX_P, {0: A_SRC, 1: A_SRC, 2: A_SNK}, [(0, 2)], sat_f=[0])
-    out = saturate_forward(n, 1)
+    out = saturate(n, 1, 'F')
     assert out.nodes == (0, 1, 2)
     assert (1, 2) in out.edges
 
@@ -133,31 +133,34 @@ def test_saturate_backward_borrows_parents_made_for_a_sibling():
     kid = atom_with(CTX_CHI1, [FOCUS1, Q, box('F', BOT), Dia('B', Neg(BOT))])
     n = mk(CTX_CHI1, {0: u, 1: kid, 2: kid, 3: kid},
            [(0, 1), (0, 2), (0, 3)], sat_f=[0])
-    one = saturate_backward(n, 1)
+    one = saturate(n, 1, 'B')
     assert one.nodes == (0, 1, 2, 3, 4, 5)
     assert one.label[4] == u and one.label[5] == u
-    two = saturate_backward(one, 2)
+    two = saturate(one, 2, 'B')
     assert two.nodes == one.nodes   # 4 and 5 are borrowed, nothing fresh
     assert {(4, 2), (5, 2)} <= two.edges
-    three = saturate_backward(two, 3)
+    three = saturate(two, 3, 'B')
     assert three.nodes == one.nodes
     assert {(4, 3), (5, 3)} <= three.edges
+
+
+def test_saturate_links_no_witness_that_closes_a_cycle():
+    # node 0 carries the label node 2 wants as its <F><F>p witness; the
+    # fresh dead end 4 answers node 2's other diamond, <F>~_|_
+    ctx = ctx_for(parse('<F><F>p', {}))
+    labels = {0: 1656, 1: 1008, 2: 1889}
+    chain = saturate(mk(ctx, labels, [(0, 1), (1, 2)]), 2, 'F')
+    assert chain.edges == {(0, 1), (1, 2), (2, 3), (2, 4)}
+    assert chain.label[3] == labels[0]
+    apart = saturate(mk(ctx, labels, [(1, 2)]), 2, 'F')
+    assert (2, 0) in apart.edges
 
 
 def test_saturation_stuck_on_a_bottom_diamond():
     doomed = atom_with(CTX_REACH, [Dia('F', BOT)])
     n = mk(CTX_REACH, {0: doomed})
     with pytest.raises(Stuck):
-        saturate_forward(n, 0)
-
-
-def test_normalize_heads_flags_every_interior_node():
-    n = mk(CTX_P, {0: A_SRC, 1: A_SNK}, [(0, 1)])
-    out = normalize_heads(n, 'F')
-    assert out.sat_f == {0}
-    assert all(u in out.sat_f or not out.succ[u] for u in out.nodes)
-    again = normalize_heads(out, 'F')
-    assert again.structure() == out.structure()
+        saturate(n, 0, 'F')
 
 
 # -- finishing a deferral -----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from flatmu.closure import fl_closure
 from flatmu.network import (
     Defect, Network, NetworkContext, NetworkContextError, amalgamate,
-    compute_timeouts, downgen, eqdown, equp, find_defects, is_anticonfluent,
+    compute_timeouts, cones, downgen, eqdown, equp, find_defects, is_anticonfluent,
     is_down_cofinal, is_subnetwork, is_up_cofinal, network_from_json,
     network_to_json, restrict, to_dot, union, upgen, validate,
 )
@@ -73,6 +73,9 @@ def test_isolated_dead_end_atom_is_perfect():
 def test_validate_flags_broken_labels_edges_and_cycles():
     bad_label = mk(CTX_P, {0: 0})
     assert validate(bad_label) == ['label of 0 is not an atom']
+
+    outside = mk(CTX_P, {0: A_SRC | 1 << len(CTX_P.sigma)})
+    assert validate(outside) == ['label of 0 is not an atom']
 
     cyclic = mk(CTX_P, {0: A_SRC, 1: A_SRC}, [(0, 1), (1, 0)])
     assert 'relation has a cycle' in validate(cyclic)
@@ -205,6 +208,14 @@ def test_upgen_and_downgen_match_reachability():
         xs = {u for u in n.nodes if rng.random() < 0.4}
         assert upgen(n, xs) == xs | {v for u in xs for v in reach[u]}
         assert downgen(n, xs) == xs | {v for u in xs for v in back[u]}
+
+
+def test_cones_are_reflexive_and_refuse_cycles():
+    down, up = cones((0, 1, 2), {(0, 1), (1, 2)})
+    assert down == {0: {0, 1, 2}, 1: {1, 2}, 2: {2}}
+    assert up == {0: {0}, 1: {0, 1}, 2: {0, 1, 2}}
+    with pytest.raises(ValueError, match='relation has a cycle'):
+        cones((0, 1, 2), {(0, 1), (1, 0), (1, 2)})
 
 
 def test_upgen_of_a_head_is_itself():
