@@ -714,7 +714,9 @@ def _extension_pair(rng, ctx):
                 return None
             ext = saturate(base, rng.choice(heads), direction)
         else:
-            open_pairs = compute_timeouts(base).unfinished_pairs()
+            open_pairs = sorted(pair for pair, steps
+                                in compute_timeouts(base).items()
+                                if steps is None)
             if not open_pairs:
                 return None
             u, did = rng.choice(open_pairs)
@@ -744,18 +746,18 @@ def check_stay_finished():
             continue
         base, ext = got
         told, tnew = compute_timeouts(base), compute_timeouts(ext)
-        for (u, did), v in sorted(told.entries.items()):
+        for (u, did), v in sorted(told.items()):
             if v is None:
                 continue
             finished_triples += 1
-            if not tnew.finished(u, did):
+            if tnew.get((u, did)) is None:
                 _fail('9', 'deferral %d at node %d lost its finish under '
                       'extension (pair %d)' % (did, u, pairs))
-            if tnew.value(u, did) > v:
+            if tnew[u, did] > v:
                 _fail('9', 'deferral %d at node %d slowed from %d to %d '
                       'under extension'
-                      % (did, u, v, tnew.value(u, did)))
-            if tnew.value(u, did) < v:
+                      % (did, u, v, tnew[u, did]))
+            if tnew[u, did] < v:
                 drops += 1
         pairs += 1
     if finished_triples == 0:

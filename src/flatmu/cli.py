@@ -184,8 +184,7 @@ def _cmd_net(args):
         for d in defects:
             print(d.describe(n.ctx))
         return 2
-    tt = compute_timeouts(n)
-    for (u, did), steps in sorted(tt.entries.items()):
+    for (u, did), steps in sorted(compute_timeouts(n).items()):
         print('node %d  deferral %d (%s): %s'
               % (u, did, n.ctx.table.describe(did),
                  'unfinished' if steps is None else steps))
@@ -347,5 +346,9 @@ def main(argv=None):
     except Stuck as exc:
         print('flatmu: stuck: %s' % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print('flatmu: error: input is nested too deeply to process',
+              file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 1

@@ -222,15 +222,46 @@ def coherent(a_bits: int, b_bits: int, sigma: ClosureSet) -> bool:
 
 @dataclass(frozen=True)
 class Deferral:
-    """One x-containing position of a host's body, with its instantiation."""
+    """One x-containing position of a host's body, resolved in the closure.
+
+    children holds one pair per immediate grammar child of dnode: where
+    the child's instantiation sits in the closure, and its own deferral
+    unless the child is x-free. An x position also records where
+    chi(_|_, args) sits and the deferral of the whole body it unfolds to;
+    other positions hold None there.
+    """
     host: object          # the Sharp formula in the closure
     body_part: object     # source subformula of the connective body
     instantiation: object # body_part[x -> host, q -> args]
     dnode: object         # grammar position (None when the body is not disjunctive)
+    index: int            # closure index of the instantiation
+    direction: object     # direction of the host's disjunctive form, or None
+    children: tuple       # (closure index, deferral id or None) per child
+    bottom: object        # x only: closure index of chi(_|_, args)
+    body: object          # x only: deferral id of the whole body
+
+
+def _grammar_children(node):
+    if isinstance(node, DOr):
+        return (node.left, node.right)
+    if isinstance(node, DAnd):
+        return (node.child,)
+    if isinstance(node, DNabla):
+        return node.components
+    return ()
+
+
+def _dform_walk(node):
+    yield node
+    for child in _grammar_children(node):
+        yield from _dform_walk(child)
 
 
 class DeferralTable:
     """Indexed deferrals of a closure, host-major then body preorder.
+
+    Every grammar position is resolved against the closure once, here, so
+    readers of a Deferral deal in closure indices and deferral ids only.
 
     d counts the deferrals. Saturation always wants at least one witness
     per diamond, so the multiplicity used by network operations is
@@ -238,43 +269,38 @@ class DeferralTable:
     """
 
     def __init__(self, sigma: ClosureSet):
-        self.sigma = sigma
         deferrals = []
-        by_host = {}
-        pos_inst = {}     # (host, src) -> closure index, all grammar positions
-        bottom_inst = {}  # host -> closure index of chi(_|_, args)
         for i in sigma.sharp_indices:
             host = sigma.formulas[i]
             chi = host.connective
             mapping = {'x': host}
             for k, a in enumerate(host.args):
                 mapping['q%d' % (k + 1)] = a
-            bottom_inst[host] = sigma.index_of(
-                chi.instantiate(Bottom(), host.args))
             df = disjunctive_form(chi)
-            slots = {}
-            if df is not None:
-                for node in _dform_walk(df[1]):
-                    inst = substitute(node.src, mapping)
-                    pos_inst[(host, node.src)] = sigma.index_of(inst)
-                    if not isinstance(node, DFree) and node.src not in slots:
-                        slots[node.src] = node
+            direction = None if df is None else df[0]
+            if df is None:
+                slots = dict.fromkeys(part for part in subformulas(chi.body)
+                                      if 'x' in free_vars(part))
             else:
-                for part in subformulas(chi.body):
-                    if 'x' in free_vars(part):
-                        pos_inst[(host, part)] = sigma.index_of(
-                            substitute(part, mapping))
-                        if part not in slots:
-                            slots[part] = None
-            by_host[host] = {}
+                slots = {}
+                for node in _dform_walk(df[1]):
+                    if not isinstance(node, DFree):
+                        slots.setdefault(node.src, node)
+            ids = {src: len(deferrals) + k for k, src in enumerate(slots)}
+
+            def resolve(child):
+                inst = sigma.index_of(substitute(child.src, mapping))
+                return inst, None if isinstance(child, DFree) else ids[child.src]
+
+            bottom = sigma.sharp_unfoldings[i][1]
             for src, node in slots.items():
-                by_host[host][src] = len(deferrals)
+                at_x = isinstance(node, DX)
+                inst = substitute(src, mapping)
                 deferrals.append(Deferral(
-                    host, src, substitute(src, mapping), node))
+                    host, src, inst, node, sigma.index_of(inst), direction,
+                    tuple(resolve(c) for c in _grammar_children(node)),
+                    bottom if at_x else None, ids[chi.body] if at_x else None))
         self.deferrals = tuple(deferrals)
-        self.by_host = by_host
-        self.pos_inst = pos_inst
-        self.bottom_inst = bottom_inst
         self.d = len(deferrals)
 
     @property
@@ -284,35 +310,7 @@ class DeferralTable:
     def __len__(self):
         return len(self.deferrals)
 
-    def index_of(self, host, body_part) -> int:
-        return self.by_host[host][body_part]
-
-    def inst_index(self, did: int) -> int:
-        dfl = self.deferrals[did]
-        return self.pos_inst[(dfl.host, dfl.body_part)]
-
-    def direction(self, did: int):
-        """Direction of the host's disjunctive form, or None."""
-        df = disjunctive_form(self.deferrals[did].host.connective)
-        return None if df is None else df[0]
-
     def describe(self, did: int) -> str:
         dfl = self.deferrals[did]
         return '%d: %s at %s' % (did, to_string(dfl.body_part),
                                  to_string(dfl.host))
-
-
-def _dform_walk(node):
-    yield node
-    if isinstance(node, DOr):
-        yield from _dform_walk(node.left)
-        yield from _dform_walk(node.right)
-    elif isinstance(node, DAnd):
-        yield from _dform_walk(node.child)
-    elif isinstance(node, DNabla):
-        for c in node.components:
-            yield from _dform_walk(c)
-
-
-def deferral_table(sigma: ClosureSet) -> DeferralTable:
-    return DeferralTable(sigma)

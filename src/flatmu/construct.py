@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from .closure import is_atom
 from .network import (
     Network, amalgamate, compute_timeouts, cones, extension_fault,
-    find_defects, is_anticonfluent, network_to_json,
+    find_defects, is_anticonfluent, network_to_json, orient,
 )
 from .semantics import KripkeModel
-from .syntax import DAnd, DFree, DNabla, DOr, DX, Var, to_string
+from .syntax import DAnd, DNabla, DOr, DX, Var, to_string
 
 
 class Stuck(Exception):
@@ -66,17 +66,6 @@ class _Ids:
 # ---------------------------------------------------------------------------
 # saturation
 
-def _least_family_atom(ctx, bits, child_i, direction):
-    for cand in ctx.atoms_by_duty:
-        if not cand >> child_i & 1:
-            continue
-        ok = ctx.coherent(bits, cand) if direction == 'F' \
-            else ctx.coherent(cand, bits)
-        if ok:
-            return cand
-    return None
-
-
 def _keeps_separation(nodes, edges):
     """Cones of distinct neighbours of any node must not meet.
 
@@ -97,6 +86,15 @@ def _keeps_separation(nodes, edges):
                     if cone[v] & cone[v2]:
                         return False
     return True
+
+
+def _grown(n, nodes, edges, label, flagged, direction):
+    """n grown to nodes, edges and label, with the direction's saturation
+    flag added at the flagged nodes."""
+    sat = {'F': n.sat_f, 'B': n.sat_p}
+    sat[direction] = sat[direction] | flagged
+    return Network(n.ctx, tuple(nodes), frozenset(edges), label,
+                   sat['F'], sat['B'])
 
 
 def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
@@ -120,6 +118,8 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
     edges = set(n.edges)
     nodes = list(n.nodes)
     frozen = n.sat_p if direction == 'F' else n.sat_f
+    # neighbours of u among the nodes of n; later links go into linked
+    taken = set(n.neighbors(u, direction))
     linked = set()
     for _, child_i in ctx.dia_members(n.label[u], direction):
         family = None
@@ -131,13 +131,11 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
                 pool[bits] = pool[bits][have:]
                 break
         if family is None:
-            family = _least_family_atom(ctx, n.label[u], child_i, direction)
+            family = next(ctx.witnesses(n.label[u], child_i, direction), None)
             if family is None:
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
         if not fresh_only and have < d:
-            taken = {b for a, b in edges if a == u} if direction == 'F' \
-                else {a for a, b in edges if b == u}
             for w in n.nodes:
                 if have >= d:
                     break
@@ -145,7 +143,7 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
                     continue
                 if n.label[w] != family:
                     continue
-                e = (u, w) if direction == 'F' else (w, u)
+                e = orient(u, w, direction)
                 if not _keeps_separation(nodes, edges | {e}):
                     continue
                 edges.add(e)
@@ -155,13 +153,11 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
             w = ids.take()
             nodes.append(w)
             label[w] = family
-            edges.add((u, w) if direction == 'F' else (w, u))
+            edges.add(orient(u, w, direction))
     if budget is not None and len(nodes) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while saturating %d'
                              % (budget.max_nodes, u))
-    sat_f = n.sat_f | {u} if direction == 'F' else n.sat_f
-    sat_p = n.sat_p | {u} if direction == 'B' else n.sat_p
-    return Network(ctx, tuple(nodes), frozenset(edges), label, sat_f, sat_p)
+    return _grown(n, nodes, edges, label, {u}, direction)
 
 
 def saturate(n, u, direction, budget=None):
@@ -171,18 +167,21 @@ def saturate(n, u, direction, budget=None):
 
 # ---------------------------------------------------------------------------
 # finishing deferrals: tree templates for fresh growth
+#
+# A component is a (closure index, deferral id or None) pair from a
+# Deferral's children: it holds at an atom when the index is in it, and
+# it is done there at once when it has no deferral of its own.
 
 @dataclass(frozen=True)
 class _Tree:
-    """Plan for a grafted subtree: an atom, whether the root gets the
-    direction's saturation flag, and one witness family per diamond."""
+    """Plan for a grafted subtree: an atom and one witness family per
+    diamond. A root with families gets the direction's saturation flag."""
     atom: int
-    sat: bool
     families: tuple  # (child index, family atom, d copies) per member
 
 
 def _leaf(bits):
-    return _Tree(bits, False, ())
+    return _Tree(bits, ())
 
 
 def _tree_size(tpl):
@@ -190,7 +189,7 @@ def _tree_size(tpl):
                for _, _, copies in tpl.families for sub in copies)
 
 
-def _finish_tree(ctx, bits, did, direction, depth, memo):
+def _finish_tree(ctx, bits, did, depth, memo):
     """Search for a tree of fresh atoms finishing the deferral at its root.
 
     Successes are cached unconditionally; failures remember the depth they
@@ -204,7 +203,7 @@ def _finish_tree(ctx, bits, did, direction, depth, memo):
             return tpl
         if depth <= failed_at:
             return None
-    tpl = _search_tree(ctx, bits, did, direction, depth, memo, frozenset())
+    tpl = _search_tree(ctx, bits, did, depth, memo, frozenset())
     old = memo.get(key)
     if tpl is not None:
         memo[key] = (tpl, None)
@@ -214,60 +213,56 @@ def _finish_tree(ctx, bits, did, direction, depth, memo):
     return tpl
 
 
-def _component_tree(ctx, bits, comp, host, direction, depth, memo):
-    table = ctx.table
-    if not bits >> table.pos_inst[(host, comp.src)] & 1:
+def _component_tree(ctx, bits, comp, depth, memo):
+    inst, cid = comp
+    if not bits >> inst & 1:
         return None
-    if isinstance(comp, DFree):
+    if cid is None:
         return _leaf(bits)
-    return _finish_tree(ctx, bits, table.index_of(host, comp.src),
-                        direction, depth, memo)
+    return _finish_tree(ctx, bits, cid, depth, memo)
 
 
-def _search_component(ctx, bits, comp, host, direction, depth, memo, seen):
-    table = ctx.table
-    if not bits >> table.pos_inst[(host, comp.src)] & 1:
+def _search_component(ctx, bits, comp, depth, memo, seen):
+    inst, cid = comp
+    if not bits >> inst & 1:
         return None
-    if isinstance(comp, DFree):
+    if cid is None:
         return _leaf(bits)
-    return _search_tree(ctx, bits, table.index_of(host, comp.src),
-                        direction, depth, memo, seen)
+    return _search_tree(ctx, bits, cid, depth, memo, seen)
 
 
-def _row_filler(ctx, cand, node, host, direction, depth, memo):
+def _row_filler(ctx, cand, comps, depth, memo):
     """A subtree letting one family copy satisfy the cover duty of a full
     expansion: a free component already in the atom, else the first
     component whose own finish works out."""
-    table = ctx.table
-    for comp in node.components:
-        if isinstance(comp, DFree) and \
-                cand >> table.pos_inst[(host, comp.src)] & 1:
+    for inst, cid in comps:
+        if cid is None and cand >> inst & 1:
             return _leaf(cand)
-    for comp in node.components:
-        if isinstance(comp, DFree):
+    for comp in comps:
+        if comp[1] is None:
             continue
-        sub = _component_tree(ctx, cand, comp, host, direction, depth, memo)
+        sub = _component_tree(ctx, cand, comp, depth, memo)
         if sub is not None:
             return sub
     return None
 
 
-def _family_copies(ctx, cand, node, dedicated, host, direction, depth, memo):
+def _family_copies(ctx, cand, dfl, dedicated, depth, memo):
     d = ctx.table.multiplicity
-    if node.kind == 'box':
-        sub = _component_tree(ctx, cand, node.components[0], host,
-                              direction, depth, memo)
+    kind = dfl.dnode.kind
+    if kind == 'box':
+        sub = _component_tree(ctx, cand, dfl.children[0], depth, memo)
         return None if sub is None else (sub,) * d
     copies = []
     for comp in dedicated:
-        sub = _component_tree(ctx, cand, comp, host, direction, depth, memo)
+        sub = _component_tree(ctx, cand, comp, depth, memo)
         if sub is None:
             return None
         copies.append(sub)
     if len(copies) > d:
         return None
-    if node.kind == 'nabla':
-        filler = _row_filler(ctx, cand, node, host, direction, depth, memo)
+    if kind == 'nabla':
+        filler = _row_filler(ctx, cand, dfl.children, depth, memo)
         if filler is None:
             return None
         pad = filler
@@ -277,32 +272,26 @@ def _family_copies(ctx, cand, node, dedicated, host, direction, depth, memo):
     return tuple(copies)
 
 
-def _search_tree(ctx, bits, did, direction, depth, memo, seen):
-    table = ctx.table
+def _search_tree(ctx, bits, did, depth, memo, seen):
     if did in seen:
         return None
     seen = seen | {did}
-    dfl = table.deferrals[did]
+    dfl = ctx.table.deferrals[did]
     node = dfl.dnode
-    host = dfl.host
     if node is None:
         return None
     if isinstance(node, DX):
-        if bits >> table.bottom_inst[host] & 1:
+        if bits >> dfl.bottom & 1:
             return _leaf(bits)
-        root_did = table.index_of(host, host.connective.body)
-        return _search_tree(ctx, bits, root_did, direction, depth, memo, seen)
-    if isinstance(node, DOr):
-        for branch in (node.left, node.right):
-            tpl = _search_component(ctx, bits, branch, host, direction,
-                                    depth, memo, seen)
+        return _search_tree(ctx, bits, dfl.body, depth, memo, seen)
+    if not isinstance(node, DNabla):
+        # a disjunction or a guarded conjunct: its first finishable component
+        for comp in dfl.children:
+            tpl = _search_component(ctx, bits, comp, depth, memo, seen)
             if tpl is not None:
                 return tpl
         return None
-    if isinstance(node, DAnd):
-        return _search_component(ctx, bits, node.child, host, direction,
-                                 depth, memo, seen)
-    assert isinstance(node, DNabla)
+    direction = dfl.direction
     if node.kind == 'box' and \
             bits >> ctx.sigma.box_bottom_index[direction] & 1:
         return _leaf(bits)
@@ -314,30 +303,23 @@ def _search_tree(ctx, bits, did, direction, depth, memo, seen):
     # each modal component is homed at the diamond over its instance
     dedicated = {}
     if node.kind != 'box':
-        for comp in node.components:
-            if not isinstance(comp, DFree):
-                inst = table.pos_inst[(host, comp.src)]
-                dedicated.setdefault(inst, []).append(comp)
+        for comp in dfl.children:
+            if comp[1] is not None:
+                dedicated.setdefault(comp[0], []).append(comp)
     families = []
     for dia_i, child_i in members:
         picked = None
-        for cand in ctx.atoms_by_duty:
-            if not cand >> child_i & 1:
-                continue
-            ok = ctx.coherent(bits, cand) if direction == 'F' \
-                else ctx.coherent(cand, bits)
-            if not ok:
-                continue
-            copies = _family_copies(ctx, cand, node,
-                                    dedicated.get(child_i, ()), host,
-                                    direction, depth - 1, memo)
+        for cand in ctx.witnesses(bits, child_i, direction):
+            copies = _family_copies(ctx, cand, dfl,
+                                    dedicated.get(child_i, ()),
+                                    depth - 1, memo)
             if copies is not None:
                 picked = (child_i, cand, copies)
                 break
         if picked is None:
             return None
         families.append(picked)
-    return _Tree(bits, True, tuple(families))
+    return _Tree(bits, tuple(families))
 
 
 def _graft(n, u, tpl, direction, budget, ids):
@@ -353,57 +335,55 @@ def _graft(n, u, tpl, direction, budget, ids):
     flagged = set()
 
     def place(parent, tree):
-        if tree.sat:
+        if tree.families:
             flagged.add(parent)
         for _, atom, copies in tree.families:
             for sub in copies:
                 w = ids.take()
                 nodes.append(w)
                 label[w] = atom
-                edges.add((parent, w) if direction == 'F' else (w, parent))
+                edges.add(orient(parent, w, direction))
                 place(w, sub)
 
     place(u, tpl)
-    sat_f = n.sat_f | flagged if direction == 'F' else n.sat_f
-    sat_p = n.sat_p | flagged if direction == 'B' else n.sat_p
-    return Network(n.ctx, tuple(nodes), frozenset(edges), label, sat_f, sat_p)
+    return _grown(n, nodes, edges, label, flagged, direction)
 
 
 # ---------------------------------------------------------------------------
 # finishing deferrals: recursion over the existing structure
 
-def _component_done(n, w, host, comp):
-    table = n.ctx.table
-    if not n.label[w] >> table.pos_inst[(host, comp.src)] & 1:
+def _finished(n, u, did):
+    return compute_timeouts(n).get((u, did)) is not None
+
+
+def _component_done(n, w, comp):
+    inst, cid = comp
+    if not n.label[w] >> inst & 1:
         return False
-    if isinstance(comp, DFree):
-        return True
-    return compute_timeouts(n).finished(w, table.index_of(host, comp.src))
+    return cid is None or _finished(n, w, cid)
 
 
-def _finish_component(n, w, comp, host, direction, budget, ids, memo):
-    table = n.ctx.table
-    if not n.label[w] >> table.pos_inst[(host, comp.src)] & 1:
+def _finish_component(n, w, comp, budget, ids, memo):
+    inst, cid = comp
+    if not n.label[w] >> inst & 1:
         raise Stuck('%s is absent at node %d'
-                    % (to_string(table.sigma.formulas[
-                        table.pos_inst[(host, comp.src)]]), w))
-    if isinstance(comp, DFree):
+                    % (to_string(n.ctx.sigma.formulas[inst]), w))
+    if cid is None:
         return n
-    return _finish(n, w, table.index_of(host, comp.src), direction,
-                   budget, ids, memo, frozenset())
+    return _finish(n, w, cid, budget, ids, memo, frozenset())
 
 
-def _fold(n, exts, direction):
+def _fold(n, exts):
     pairs = [(w, ext) for w, ext in sorted(exts.items()) if ext is not n]
     if not pairs:
         return n
     return amalgamate(n, pairs)
 
 
-def _finish(n, u, did, direction, budget, ids, memo, seen):
+def _finish(n, u, did, budget, ids, memo, seen):
     """Grow n inside u's cone until the deferral resolves at u."""
     table = n.ctx.table
-    if compute_timeouts(n).finished(u, did):
+    if _finished(n, u, did):
         return n
     if (u, did) in seen:
         raise Stuck('self-supporting unfolding of %s at node %d'
@@ -411,19 +391,17 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
     seen = seen | {(u, did)}
     dfl = table.deferrals[did]
     node = dfl.dnode
-    host = dfl.host
+    comps = dfl.children
     if node is None:
         raise Stuck('%s has no disjunctive reading' % table.describe(did))
     if isinstance(node, DX):
-        # the 0-step escape was the finished() check above
-        root_did = table.index_of(host, host.connective.body)
-        return _finish(n, u, root_did, direction, budget, ids, memo, seen)
+        # the 0-step escape was the finished check above
+        return _finish(n, u, dfl.body, budget, ids, memo, seen)
     if isinstance(node, DOr):
-        for branch in (node.left, node.right):
+        for branch in comps:
             trial = ids.clone()
             try:
-                out = _finish_component(n, u, branch, host, direction,
-                                        budget, trial, memo)
+                out = _finish_component(n, u, branch, budget, trial, memo)
             except Stuck:
                 continue
             ids.adopt(trial)
@@ -431,13 +409,12 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
         raise Stuck('no disjunct of %s resolves at node %d'
                     % (table.describe(did), u))
     if isinstance(node, DAnd):
-        return _finish_component(n, u, node.child, host, direction,
-                                 budget, ids, memo)
+        return _finish_component(n, u, comps[0], budget, ids, memo)
     assert isinstance(node, DNabla)
+    direction = dfl.direction
     if not n.saturated(u, direction):
         if not n.neighbors(u, direction):
-            tpl = _finish_tree(n.ctx, n.label[u], did, direction,
-                               budget.max_depth, memo)
+            tpl = _finish_tree(n.ctx, n.label[u], did, budget.max_depth, memo)
             if tpl is None:
                 raise Stuck('no finishing tree for %s below node %d'
                             % (table.describe(did), u))
@@ -450,24 +427,21 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
     if node.kind == 'box':
         exts = {}
         for w in sorted(nbrs):
-            if _component_done(n, w, host, node.components[0]):
+            if _component_done(n, w, comps[0]):
                 continue
-            exts[w] = _finish_component(n, w, node.components[0], host,
-                                        direction, budget, ids, memo)
-        return _fold(n, exts, direction)
+            exts[w] = _finish_component(n, w, comps[0], budget, ids, memo)
+        return _fold(n, exts)
     if node.kind == 'dia':
-        comp = node.components[0]
-        inst = table.pos_inst[(host, comp.src)]
+        comp = comps[0]
         for w in sorted(nbrs):
-            if _component_done(n, w, host, comp):
+            if _component_done(n, w, comp):
                 return n
         for w in sorted(nbrs):
-            if not n.label[w] >> inst & 1:
+            if not n.label[w] >> comp[0] & 1:
                 continue
             trial = ids.clone()
             try:
-                out = _finish_component(n, w, comp, host, direction,
-                                        budget, trial, memo)
+                out = _finish_component(n, w, comp, budget, trial, memo)
             except Stuck:
                 continue
             ids.adopt(trial)
@@ -481,18 +455,17 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
     def net_at(w):
         return exts.get(w, n)
 
-    for comp in node.components:
-        inst = table.pos_inst[(host, comp.src)]
-        if any(_component_done(net_at(w), w, host, comp) for w in nbrs):
+    for comp, part in zip(comps, node.components):
+        if any(_component_done(net_at(w), w, comp) for w in nbrs):
             continue
         placed = False
         for w in sorted(nbrs):
-            if not n.label[w] >> inst & 1:
+            if not n.label[w] >> comp[0] & 1:
                 continue
             trial = ids.clone()
             try:
-                out = _finish_component(net_at(w), w, comp, host, direction,
-                                        budget, trial, memo)
+                out = _finish_component(net_at(w), w, comp, budget, trial,
+                                        memo)
             except Stuck:
                 continue
             ids.adopt(trial)
@@ -501,21 +474,18 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
             break
         if not placed:
             raise Stuck('component %s of %s has no home below node %d'
-                        % (to_string(comp.src), table.describe(did), u))
+                        % (to_string(part.src), table.describe(did), u))
     for w in sorted(nbrs):
-        if any(_component_done(net_at(w), w, host, c)
-               for c in node.components):
+        if any(_component_done(net_at(w), w, c) for c in comps):
             continue
         placed = False
-        for comp in node.components:
-            if isinstance(comp, DFree):
-                continue
-            if not n.label[w] >> table.pos_inst[(host, comp.src)] & 1:
+        for comp in comps:
+            if comp[1] is None or not n.label[w] >> comp[0] & 1:
                 continue
             trial = ids.clone()
             try:
-                out = _finish_component(net_at(w), w, comp, host, direction,
-                                        budget, trial, memo)
+                out = _finish_component(net_at(w), w, comp, budget, trial,
+                                        memo)
             except Stuck:
                 continue
             ids.adopt(trial)
@@ -525,7 +495,7 @@ def _finish(n, u, did, direction, budget, ids, memo, seen):
         if not placed:
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
-    return _fold(n, exts, direction)
+    return _fold(n, exts)
 
 
 def finish_deferral(n, u, did, budget=None):
@@ -537,17 +507,17 @@ def finish_deferral(n, u, did, budget=None):
     budget = budget or Budget()
     table = n.ctx.table
     tt = compute_timeouts(n)
-    if not tt.is_active(u, did):
+    if (u, did) not in tt:
         raise ValueError('deferral %d is not active at node %d' % (did, u))
-    if tt.finished(u, did):
+    if tt[u, did] is not None:
         return n
-    direction = table.direction(did)
+    direction = table.deferrals[did].direction
     if direction is None:
         raise Stuck('%s has no disjunctive reading' % table.describe(did))
     ids = _Ids(max(n.nodes) + 1)
-    out = _finish(n, u, did, direction, budget, ids, {}, frozenset())
+    out = _finish(n, u, did, budget, ids, {}, frozenset())
     assert extension_fault(n, out, u, direction) is None
-    assert compute_timeouts(out).finished(u, did)
+    assert _finished(out, u, did)
     assert is_anticonfluent(out)
     return out
 
@@ -570,7 +540,7 @@ def repair_all(n, budget=None):
     for u in todo:
         for did in range(len(table)):
             tt = compute_timeouts(n)
-            if not tt.is_active(u, did) or tt.finished(u, did):
+            if (u, did) not in tt or tt[u, did] is not None:
                 continue
             n = finish_deferral(n, u, did, budget)
             log.append('mu %d/%d' % (u, did))

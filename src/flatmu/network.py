@@ -18,14 +18,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import (
-    ClosureSet, coherent, deferral_table, enumerate_atoms, fl_closure, is_atom,
+    ClosureSet, DeferralTable, coherent, enumerate_atoms, fl_closure, is_atom,
 )
 from .syntax import (
-    DAnd, DFree, DNabla, DOr, DX, Sharp, connectives_from_json, parse,
-    subformulas, to_string,
+    DNabla, DX, Sharp, connectives_from_json, parse, subformulas, to_string,
 )
 
 INF = math.inf
+
+
+def orient(u, w, direction):
+    """The pair (u, w) read as an edge from u to its neighbour w in
+    direction: (u, w) forward, (w, u) backward. Coherence of labels is
+    oriented the same way."""
+    return (u, w) if direction == 'F' else (w, u)
 
 
 class NetworkContextError(ValueError):
@@ -37,7 +43,7 @@ class NetworkContext:
 
     def __init__(self, sigma: ClosureSet):
         self.sigma = sigma
-        self.table = deferral_table(sigma)
+        self.table = DeferralTable(sigma)
 
     @cached_property
     def atoms(self):
@@ -51,27 +57,23 @@ class NetworkContext:
         return [(i, c) for i, c in self.sigma.dia_pairs[direction]
                 if bits >> i & 1]
 
+    def witnesses(self, bits, child_i, direction, among=None):
+        """Atoms a direction-neighbour of a node labeled bits may carry to
+        witness its diamond over child_i: those of among that hold the
+        child and cohere, in order. among defaults to atoms_by_duty."""
+        for b in self.atoms_by_duty if among is None else among:
+            if b >> child_i & 1 and self.coherent(*orient(bits, b, direction)):
+                yield b
+
     @cached_property
     def _viable(self):
         alive = set(self.atoms)
         while True:
-            dropped = set()
-            for a in alive:
-                for direction in ('F', 'B'):
-                    for dia_i, child_i in self.sigma.dia_pairs[direction]:
-                        if not a >> dia_i & 1:
-                            continue
-                        if direction == 'F':
-                            found = any(b >> child_i & 1 and self.coherent(a, b)
-                                        for b in alive)
-                        else:
-                            found = any(b >> child_i & 1 and self.coherent(b, a)
-                                        for b in alive)
-                        if not found:
-                            dropped.add(a)
-                            break
-                    if a in dropped:
-                        break
+            dropped = {a for a in alive if any(
+                a >> dia_i & 1 and
+                next(self.witnesses(a, child_i, direction, alive), None) is None
+                for direction in ('F', 'B')
+                for dia_i, child_i in self.sigma.dia_pairs[direction])}
             if not dropped:
                 return frozenset(alive)
             alive -= dropped
@@ -465,67 +467,28 @@ def amalgamate(base: Network, pairs) -> Network:
 # ---------------------------------------------------------------------------
 # timeouts
 
-class TimeoutTable:
-    """(node, deferral) -> steps to resolution, None when unresolved.
-
-    Keys exist exactly for the active pairs: the deferral's instantiation
-    is in the node's label.
-    """
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
-
-    def value(self, u, did):
-        return self.entries[(u, did)]
-
-    def finished(self, u, did) -> bool:
-        return self.entries.get((u, did), None) is not None
-
-    def is_active(self, u, did) -> bool:
-        return (u, did) in self.entries
-
-    def unfinished_pairs(self):
-        return sorted(k for k, v in self.entries.items() if v is None)
-
-    def __eq__(self, other):
-        return isinstance(other, TimeoutTable) and self.entries == other.entries
-
-    def __repr__(self):
-        done = sum(1 for v in self.entries.values() if v is not None)
-        return 'TimeoutTable(%d active, %d finished)' % (len(self.entries), done)
-
-
-def _component_value(n, values, host, w, comp):
-    table = n.ctx.table
-    inst = table.pos_inst[(host, comp.src)]
+def _component_value(n, values, w, comp):
+    inst, cid = comp
     if not n.label[w] >> inst & 1:
         return INF
-    if isinstance(comp, DFree):
+    if cid is None:
         return 0
-    return values.get((w, table.index_of(host, comp.src)), INF)
+    return values.get((w, cid), INF)
 
 
-def _clause_value(n: Network, values, u, did):
-    table = n.ctx.table
-    dfl = table.deferrals[did]
-    if dfl.dnode is None:
-        return INF
-    host = dfl.host
+def _clause_value(n: Network, values, u, dfl):
     node = dfl.dnode
+    if node is None:
+        return INF
     if isinstance(node, DX):
         best = INF
-        if n.label[u] >> table.bottom_inst[host] & 1:
+        if n.label[u] >> dfl.bottom & 1:
             best = 0
-        root = values.get((u, table.index_of(host, host.connective.body)), INF)
-        return min(best, root + 1)
-    if isinstance(node, DOr):
-        best = INF
-        for branch in (node.left, node.right):
-            best = min(best, _component_value(n, values, host, u, branch))
-        return best
-    if isinstance(node, DAnd):
-        return _component_value(n, values, host, u, node.child)
-    assert isinstance(node, DNabla)
+        return min(best, values.get((u, dfl.body), INF) + 1)
+    comps = dfl.children
+    if not isinstance(node, DNabla):
+        # a disjunction or a guarded conjunct: its best component
+        return min(_component_value(n, values, u, c) for c in comps)
     direction = node.direction
     if node.kind == 'box':
         best = INF
@@ -535,8 +498,7 @@ def _clause_value(n: Network, values, u, did):
             nbrs = n.neighbors(u, direction)
             if nbrs:
                 best = min(best, max(
-                    _component_value(n, values, host, w, node.components[0])
-                    for w in nbrs))
+                    _component_value(n, values, w, comps[0]) for w in nbrs))
         return best
     if not n.saturated(u, direction):
         return INF
@@ -544,36 +506,38 @@ def _clause_value(n: Network, values, u, did):
     if not nbrs:
         return INF
     if node.kind == 'dia':
-        return min(_component_value(n, values, host, w, node.components[0])
-                   for w in nbrs)
-    rows = [[_component_value(n, values, host, w, c) for c in node.components]
-            for w in nbrs]
+        return min(_component_value(n, values, w, comps[0]) for w in nbrs)
+    rows = [[_component_value(n, values, w, c) for c in comps] for w in nbrs]
     covered = max(min(row) for row in rows)
     used = max(min(rows[i][j] for i in range(len(nbrs)))
-               for j in range(len(node.components)))
+               for j in range(len(comps)))
     return max(covered, used)
 
 
-def compute_timeouts(n: Network) -> TimeoutTable:
+def compute_timeouts(n: Network):
+    """{(node, deferral id): steps to resolution, or None when unresolved}.
+
+    Keys exist exactly for the active pairs: the deferral's instantiation
+    is in the node's label. The dict is cached on n; callers only read it.
+    """
     cached = getattr(n, '_timeouts', None)
     if cached is not None:
         return cached
-    table = n.ctx.table
-    active = [(u, did) for u in n.nodes for did in range(len(table))
-              if n.label[u] >> table.inst_index(did) & 1]
+    deferrals = n.ctx.table.deferrals
+    active = [(u, did) for u in n.nodes for did, dfl in enumerate(deferrals)
+              if n.label[u] >> dfl.index & 1]
     values = {pair: INF for pair in active}
     changed = True
     while changed:
         changed = False
-        for pair in active:
-            v = _clause_value(n, values, pair[0], pair[1])
-            if v < values[pair]:
-                values[pair] = v
+        for u, did in active:
+            v = _clause_value(n, values, u, deferrals[did])
+            if v < values[u, did]:
+                values[u, did] = v
                 changed = True
-    cap = len(n.nodes) * table.d + 1
-    out = TimeoutTable({
-        pair: (int(v) if v is not INF and v <= cap else None)
-        for pair, v in values.items()})
+    cap = len(n.nodes) * len(deferrals) + 1
+    out = {pair: (int(v) if v is not INF and v <= cap else None)
+           for pair, v in values.items()}
     n._timeouts = out
     return out
 
@@ -601,8 +565,8 @@ class Defect:
 def find_defects(n: Network):
     out = [Defect('diaF', u) for u in n.nodes if u not in n.sat_f]
     out += [Defect('diaB', u) for u in n.nodes if u not in n.sat_p]
-    tt = compute_timeouts(n)
-    out += [Defect('mu', u, did) for (u, did) in tt.unfinished_pairs()]
+    out += [Defect('mu', u, did)
+            for (u, did), steps in compute_timeouts(n).items() if steps is None]
     out.sort(key=lambda d: (_KIND_ORDER[d.kind], d.node,
                             -1 if d.deferral is None else d.deferral))
     return out
@@ -661,8 +625,8 @@ def to_dot(n: Network, annotate: bool = True):
             marks.append('P')
         text = '%d%s' % (u, (' [%s]' % ''.join(marks)) if marks else '')
         if annotate:
-            open_ids = [str(did) for (w, did) in tt.unfinished_pairs()
-                        if w == u]
+            open_ids = [str(did) for (w, did), steps in sorted(tt.items())
+                        if w == u and steps is None]
             if open_ids:
                 text += '\\nopen: ' + ','.join(open_ids)
         style = 'filled' if u in n.sat_f and u in n.sat_p else 'solid'

@@ -267,14 +267,6 @@ class FixpointConnective:
             raise ValueError(
                 'connective %r: body is not positive in x' % self.name)
 
-    @property
-    def guarded(self) -> bool:
-        return is_guarded(self)
-
-    @property
-    def disjunctive(self) -> str:
-        return classify_disjunctive(self)
-
     def instantiate(self, x_value: Formula, args) -> Formula:
         """body[x := x_value, q_i := args[i]]."""
         args = tuple(args)
@@ -509,11 +501,6 @@ def _pp(f: Formula, ctx: int) -> str:
     if isinstance(f, Dia):
         return '<%s>%s' % (f.direction, _pp(f.child, _LEVEL_UNARY))
     raise TypeError(f)
-
-
-def sort_key(f: Formula):
-    """Deterministic total order on formulas, used wherever sets get listed."""
-    return (size(f), to_string(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -36,6 +37,19 @@ def test_parse_prints_the_canonical_form(capsys):
 def test_parse_rejects_garbage_with_exit_1(capsys):
     code, _, err = run(capsys, 'parse', 'p |')
     assert code == 1 and 'error' in err
+
+
+@pytest.mark.parametrize('argv', [
+    ('parse', '~' * 3000 + 'p'),
+    ('parse', '(' * 1200 + 'p' + ')' * 1200),
+    ('closure', '~' * 600 + 'p'),
+], ids=['parse-3000-negations', 'parse-1200-parentheses',
+        'closure-600-negations'])
+def test_deep_nesting_is_a_one_line_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and 'nested too deeply' in err
+    assert 'Traceback' not in err
 
 
 def test_closure_lists_members_one_per_line(capsys):
@@ -195,6 +209,30 @@ def test_build_is_byte_deterministic(capsys, defs_path):
     one = run(capsys, 'build', '#r(q)', '--defs', defs_path)
     two = run(capsys, 'build', '#r(q)', '--defs', defs_path)
     assert one == two and one[0] == 0
+
+
+# the connectives of perfbench/workloads.py, and the sha256 of what
+# `flatmu build --all` prints for each formula over them
+BENCH_DEFS = [
+    {'name': 'rf', 'arity': 1, 'body': 'q | <F>x'},
+    {'name': 'rb', 'arity': 1, 'body': 'q | <B>x'},
+    {'name': 'sf', 'arity': 1, 'body': '[F]x | q'},
+    {'name': 'sb', 'arity': 1, 'body': '[B]x | q'},
+]
+
+
+@pytest.mark.parametrize('formula, digest', [
+    ('#rf(p)',
+     'cb76a958ff495a3a607a6716605056e25fe6a8f529d35a27770abbc1cb0d2036'),
+    ('#sb(<F>p)',
+     'f8848d8f479a8ead1782aa502e1a12793ff6f47bcb7975de5e6775588659d9bb'),
+])
+def test_build_all_prints_the_pinned_bytes(capsys, tmp_path, formula, digest):
+    p = tmp_path / 'defs.json'
+    p.write_text(json.dumps(BENCH_DEFS))
+    code, out, _ = run(capsys, 'build', '--all', formula, '--defs', str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_build_writes_dot_with_saturation_marks(capsys, tmp_path, defs_path):

@@ -1,5 +1,5 @@
 from flatmu.closure import (
-    ClosureSet, atom_bits, atom_formulas, coherent, deferral_table,
+    ClosureSet, DeferralTable, atom_bits, atom_formulas, coherent,
     enumerate_atoms, fl_closure, is_atom,
 )
 from flatmu.syntax import (
@@ -212,7 +212,7 @@ def test_coherent_pinned_pairs():
 def test_deferral_table_of_box_or_body():
     focus = Sharp(CHI1, (Var('q'),))
     sigma = fl_closure(focus)
-    table = deferral_table(sigma)
+    table = DeferralTable(sigma)
     assert table.d == 3
     assert table.multiplicity == 3
     x = Var('x')
@@ -221,19 +221,31 @@ def test_deferral_table_of_box_or_body():
     assert {d.instantiation for d in table.deferrals} == {
         Or(box('F', focus), Var('q')), box('F', focus), focus,
     }
-    for did, d in enumerate(table.deferrals):
+    for d in table.deferrals:
         assert d.host == focus
         assert d.instantiation in sigma
-        assert table.inst_index(did) == sigma.index_of(d.instantiation)
-        assert table.direction(did) == 'F'
+        assert d.index == sigma.index_of(d.instantiation)
+        assert d.direction == 'F'
         assert d.dnode is not None
-    assert table.bottom_inst[focus] == sigma.index_of(
+    assert table.deferrals[2].bottom == sigma.index_of(
         Or(box('F', Bottom()), Var('q')))
+
+
+def test_deferral_table_resolves_every_grammar_child():
+    focus = Sharp(CHI1, (Var('q'),))
+    sigma = fl_closure(focus)
+    body, boxed, x = DeferralTable(sigma).deferrals
+    at = sigma.index_of
+    assert body.children == ((at(box('F', focus)), 1), (at(Var('q')), None))
+    assert boxed.children == ((at(focus), 2),)
+    assert x.children == ()
+    assert (x.bottom, x.body) == (at(Or(box('F', Bottom()), Var('q'))), 0)
+    assert body.bottom is None and body.body is None
 
 
 def test_deferral_table_empty_without_sharps():
     sigma = fl_closure(parse('<F>p | [B]q', {}))
-    table = deferral_table(sigma)
+    table = DeferralTable(sigma)
     assert table.d == 0
     assert table.multiplicity == 1
     assert len(table) == 0
@@ -241,18 +253,19 @@ def test_deferral_table_empty_without_sharps():
 
 def test_deferral_table_backward_body():
     sigma = fl_closure(Sharp(CHI2, (Var('q'),)))
-    table = deferral_table(sigma)
+    table = DeferralTable(sigma)
     assert table.d == 3
-    assert all(table.direction(i) == 'B' for i in range(3))
+    assert all(d.direction == 'B' for d in table.deferrals)
 
 
 def test_deferral_table_non_disjunctive_fallback():
     focus = Sharp(TANGLE, ())
     sigma = fl_closure(focus)
-    table = deferral_table(sigma)
+    table = DeferralTable(sigma)
     x = Var('x')
     assert all(d.dnode is None for d in table.deferrals)
-    assert all(table.direction(i) is None for i in range(len(table)))
+    assert all(d.direction is None for d in table.deferrals)
+    assert all(d.children == () for d in table.deferrals)
     parts = [d.body_part for d in table.deferrals]
     assert parts == [
         TANGLE.body, Or(Neg(Dia('F', x)), Neg(Dia('B', x))),
@@ -265,7 +278,7 @@ def test_deferral_table_non_disjunctive_fallback():
 def test_deferral_instantiations_use_host_arguments():
     focus = Sharp(REACH, (Neg(Var('p')),))
     sigma = fl_closure(focus)
-    table = deferral_table(sigma)
+    table = DeferralTable(sigma)
     assert [d.body_part for d in table.deferrals] == [
         REACH.body, Dia('F', Var('x')), Var('x')]
     assert table.deferrals[1].instantiation == Dia('F', focus)

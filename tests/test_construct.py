@@ -179,8 +179,8 @@ def test_finish_x_deferral_below_a_fresh_head():
     assert 0 in out.sat_f
     tt = compute_timeouts(out)
     # the unfolding chain: x steps to the body, the body rides its box
-    assert tt.value(0, 0) == tt.value(0, 1)
-    assert tt.value(0, 2) == tt.value(0, 0) + 1
+    assert tt[0, 0] == tt[0, 1]
+    assert tt[0, 2] == tt[0, 0] + 1
     assert finish_deferral(out, 0, 2) is out
 
 
@@ -188,7 +188,7 @@ def test_finish_is_a_no_op_when_the_label_already_escapes():
     withq = atom_with(CTX_CHI1, [FOCUS1, Q])
     n = mk(CTX_CHI1, {0: withq})
     assert finish_deferral(n, 0, 2) is n
-    assert compute_timeouts(n).value(0, 2) == 0
+    assert compute_timeouts(n)[0, 2] == 0
 
 
 def test_finish_rejects_inactive_pairs():
@@ -203,7 +203,7 @@ def test_finish_raises_stuck_without_a_disjunctive_reading():
     focus = Sharp(TANGLE, (Q,))
     n = mk(ctx, {0: atom_with(ctx, [focus], no=[Q])})
     active = [did for did in range(len(ctx.table))
-              if compute_timeouts(n).is_active(0, did)]
+              if (0, did) in compute_timeouts(n)]
     assert active
     with pytest.raises(Stuck):
         finish_deferral(n, 0, active[0])
@@ -213,7 +213,7 @@ def test_finish_backward_connective_grows_predecessors():
     table = CTX_CHIB.table
     x_did = next(did for did in range(len(table))
                  if table.deferrals[did].body_part == Var('x'))
-    assert table.direction(x_did) == 'B'
+    assert table.deferrals[x_did].direction == 'B'
     seed = atom_with(CTX_CHIB, [FOCUSB, Dia('B', Neg(BOT))],
                      no=[Q, Dia('B', Neg(FOCUSB))])
     n = mk(CTX_CHIB, {0: seed})
@@ -221,7 +221,7 @@ def test_finish_backward_connective_grows_predecessors():
     assert len(out.nodes) > 1
     assert all(b == 0 for _, b in out.edges)
     assert 0 in out.sat_p
-    assert compute_timeouts(out).finished(0, x_did)
+    assert compute_timeouts(out).get((0, x_did)) is not None
 
 
 # -- the round loop -----------------------------------------------------------

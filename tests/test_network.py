@@ -373,7 +373,7 @@ def test_timeouts_resolve_by_membership_alone():
     a = atom_with(CTX_CHI1, [FOCUS1, Q])
     n = mk(CTX_CHI1, {0: a})
     tt = compute_timeouts(n)
-    assert tt.entries == {(0, 0): 0, (0, 1): 0, (0, 2): 0}
+    assert tt == {(0, 0): 0, (0, 1): 0, (0, 2): 0}
     assert find_defects(n) == [Defect('diaF', 0), Defect('diaB', 0)]
 
 
@@ -381,7 +381,7 @@ def test_timeouts_unfinished_at_a_bare_node():
     a = atom_with(CTX_CHI1, [FOCUS1], no=[Q, box('F', BOT)])
     n = mk(CTX_CHI1, {0: a})
     tt = compute_timeouts(n)
-    assert tt.entries == {(0, 0): None, (0, 1): None, (0, 2): None}
+    assert tt == {(0, 0): None, (0, 1): None, (0, 2): None}
     mu = [d for d in find_defects(n) if d.kind == 'mu']
     assert mu == [Defect('mu', 0, 0), Defect('mu', 0, 1), Defect('mu', 0, 2)]
 
@@ -395,13 +395,13 @@ def test_timeouts_propagate_through_box_families():
     n = mk(CTX_CHI1, labels, [(0, 1), (0, 2), (0, 3)], sat_f=(0,))
     assert validate(n) == []
     tt = compute_timeouts(n)
-    assert tt.value(0, 0) == 0      # body resolves through its box branch
-    assert tt.value(0, 1) == 0      # [F]x: every family member is done
-    assert tt.value(0, 2) == 1      # x waits one unfolding on the body
+    assert tt[0, 0] == 0      # body resolves through its box branch
+    assert tt[0, 1] == 0      # [F]x: every family member is done
+    assert tt[0, 2] == 1      # x waits one unfolding on the body
     for w in (1, 2, 3):
-        assert tt.value(w, 0) == 0
-        assert tt.value(w, 1) == 0  # escape: the leaf refuses successors
-        assert tt.value(w, 2) == 0
+        assert tt[w, 0] == 0
+        assert tt[w, 1] == 0  # escape: the leaf refuses successors
+        assert tt[w, 2] == 0
 
 
 def test_timeouts_dia_kind_takes_the_best_successor():
@@ -416,10 +416,10 @@ def test_timeouts_dia_kind_takes_the_best_successor():
     n = mk(CTX_REACH, {0: root, 1: bad, 2: good},
            [(0, 1), (0, 2)], sat_f=(0,))
     tt = compute_timeouts(n)
-    assert tt.value(0, 1) == 0      # <F>x picks the successor holding it
-    assert tt.value(0, 2) == 1
-    assert tt.value(0, 0) == 0
-    assert not tt.is_active(1, 2)   # focus absent at the bad successor
+    assert tt[0, 1] == 0     # <F>x picks the successor holding it
+    assert tt[0, 2] == 1
+    assert tt[0, 0] == 0
+    assert (1, 2) not in tt  # focus absent at the bad successor
 
 
 def test_timeouts_need_saturation_for_modal_clauses():
@@ -430,9 +430,9 @@ def test_timeouts_need_saturation_for_modal_clauses():
                                  Dia('B', Neg(BOT))])
     n = mk(CTX_REACH, {0: root, 1: good}, [(0, 1)])
     tt = compute_timeouts(n)
-    assert tt.value(0, 1) is None
-    assert tt.value(0, 2) is None
-    assert tt.value(1, 2) == 0
+    assert tt[0, 1] is None
+    assert tt[0, 2] is None
+    assert tt[1, 2] == 0
 
 
 def test_timeouts_ignore_non_disjunctive_hosts():
@@ -441,8 +441,8 @@ def test_timeouts_ignore_non_disjunctive_hosts():
     a = atom_with(ctx, [focus], no=[Q])
     n = mk(ctx, {0: a})
     tt = compute_timeouts(n)
-    assert all(v is None for v in tt.entries.values())
-    assert tt.entries
+    assert all(v is None for v in tt.values())
+    assert tt
 
 
 def test_finished_values_never_rise_under_growth():
@@ -458,10 +458,10 @@ def test_finished_values_never_rise_under_growth():
                [(0, 1), (0, 2), (0, 3), (4, 0)], sat_f=(0,))
     assert is_subnetwork(small, grown)
     t1, t2 = compute_timeouts(small), compute_timeouts(grown)
-    for pair, v in t1.entries.items():
+    for pair, v in t1.items():
         if v is not None:
-            assert t2.entries[pair] is not None
-            assert t2.entries[pair] <= v
+            assert t2[pair] is not None
+            assert t2[pair] <= v
 
 
 # -- serialization ------------------------------------------------------------
