@@ -5,8 +5,9 @@ or a generated corpus and raises CheckFailed with the first discrepancy.
 run_all times the rows and returns CheckResult records for the CLI.
 
 The exhaustive sweeps (every digraph on up to four states, checks 1-4)
-run on a vectorized twin of the evaluator: frames are enumerated up to
-isomorphism, one numpy lane per joint valuation, truth sets as mask
+run on a vectorized twin of the evaluator. Frames come from
+semantics.frames, one model per isomorphism class, walked as the sweep
+reaches them; one numpy lane per joint valuation, truth sets as mask
 integers. The twin is never trusted alone. Scalar anchors re-evaluate a
 fixed stride of lanes through the ordinary evaluator, and the random
 half of each sweep goes through the scalar path entirely.
@@ -25,7 +26,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,7 +41,7 @@ from .network import (
 )
 from .semantics import (
     KripkeModel, approximant, axiom_instances, brute_force_sat, eval_bits,
-    eval_fixpoint_by_intersection, eval_nabla_via_relation, _frame_reps,
+    eval_fixpoint_by_intersection, eval_nabla_via_relation, frames,
 )
 from .syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, and_, box,
@@ -110,36 +110,11 @@ _PSI_SETS = (
 _STAGE_ARGS = (parse('q'), parse('p | q'))
 
 
-class _VFrame:
-    """One frame: lanes are valuations, truth sets are mask ints."""
-
-    __slots__ = ('states', 'mask', 'full', 'succ', 'pred')
-
-    def __init__(self, states, mask):
-        self.states = states
-        self.mask = mask
-        self.full = np.uint32((1 << states) - 1)
-        succ = [0] * states
-        pred = [0] * states
-        for b in range(states * states):
-            if mask >> b & 1:
-                i, j = divmod(b, states)
-                succ[i] |= 1 << j
-                pred[j] |= 1 << i
-        self.succ = succ
-        self.pred = pred
-
-    def edges(self):
-        n = self.states
-        return [divmod(b, n) for b in range(n * n) if self.mask >> b & 1]
-
-
-@lru_cache(maxsize=None)
 def _small_frames(max_states=4):
-    out = []
+    """Every frame up to max_states states, smallest first, built as the
+    sweep reaches it."""
     for n in range(1, max_states + 1):
-        out.extend(_VFrame(n, m) for m in _frame_reps(n))
-    return tuple(out)
+        yield from frames(n)
 
 
 def _lanes(states, names):
@@ -156,12 +131,12 @@ def _vec(f, fr, env):
     if isinstance(f, Var):
         return env[f.name]
     if isinstance(f, Neg):
-        return _vec(f.child, fr, env) ^ fr.full
+        return _vec(f.child, fr, env) ^ fr.full_mask
     if isinstance(f, Or):
         return _vec(f.left, fr, env) | _vec(f.right, fr, env)
     if isinstance(f, Dia):
         arg = _vec(f.child, fr, env)
-        nbrs = fr.succ if f.direction == 'F' else fr.pred
+        nbrs = fr.succ_mask if f.direction == 'F' else fr.pred_mask
         out = np.zeros_like(arg)
         for w in range(fr.states):
             hit = (arg & np.uint32(nbrs[w])) != 0
@@ -184,7 +159,7 @@ def _vec(f, fr, env):
 def _lane_model(fr, env, lane, names):
     val = {nm: {w for w in range(fr.states) if int(env[nm][lane]) >> w & 1}
            for nm in names}
-    return KripkeModel(fr.states, fr.edges(), val)
+    return KripkeModel(fr.states, fr.edges, val)
 
 
 def _random_models(count=500, seed=1729):
@@ -208,9 +183,8 @@ def _fail(ident, msg):
 # 1. diamond and box against their cover-modality expansions
 
 def check_nabla_equivalences():
-    frames = _small_frames()
     anchors = 0
-    for fi, fr in enumerate(frames):
+    for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
         for pi, phi in enumerate(_POOL):
             henv = {'h': _vec(phi, fr, env), **env}
@@ -220,9 +194,9 @@ def check_nabla_equivalences():
                 if not np.array_equal(a, b):
                     lane = int(np.nonzero(a != b)[0][0])
                     _fail('1', '%s vs its cover form differ on frame '
-                          '%d/%d states=%d lane=%d with h = %s'
-                          % (to_string(lhs), fi, len(frames), fr.states,
-                             lane, to_string(phi)))
+                          '%d states=%d lane=%d with h = %s'
+                          % (to_string(lhs), fi, fr.states, lane,
+                             to_string(phi)))
             if (fi * 31 + pi) % 977 == 0:
                 lane = (fi * 7 + pi) % len(env['p'])
                 m = _lane_model(fr, env, lane, ('p', 'q'))
@@ -244,7 +218,7 @@ def check_nabla_equivalences():
                           'cover form at h = %s'
                           % (m.states, to_string(lhs), to_string(phi)))
     return ('%d frames, %d pool formulas, 4 laws; %d random models scalar; '
-            '%d anchors' % (len(frames), len(_POOL), len(randoms), anchors))
+            '%d anchors' % (fi + 1, len(_POOL), len(randoms), anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +228,13 @@ def check_axiom_soundness():
     instances = list(axiom_instances(_AX_POOL))
     if 'corrupt-axiom' in _ACTIVE_MUTATIONS:
         instances[0] = Neg(instances[0])
-    frames = _small_frames()
     anchors = 0
-    for fi, fr in enumerate(frames):
+    for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
         for ii, inst in enumerate(instances):
             v = _vec(inst, fr, env)
-            if not np.all(v == fr.full):
-                lane = int(np.nonzero(v != fr.full)[0][0])
+            if not np.all(v == fr.full_mask):
+                lane = int(np.nonzero(v != fr.full_mask)[0][0])
                 _fail('2', 'instance %d (%s) fails on frame %d states=%d '
                       'lane=%d' % (ii, to_string(inst), fi, fr.states, lane))
             if (fi * 13 + ii) % 1381 == 0:
@@ -280,7 +253,7 @@ def check_axiom_soundness():
                       'model' % (ii, to_string(inst), m.states))
     return ('%d instances over a 4-formula pool; %d frames + %d random '
             'models; %d anchors'
-            % (len(instances), len(frames), len(randoms), anchors))
+            % (len(instances), fi + 1, len(randoms), anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +268,10 @@ def _vec_cover(members, fr, env, direction):
     for v in vecs:
         joint |= v
     out = zero
+    nbrs = fr.succ_mask if direction == 'F' else fr.pred_mask
     for w in range(fr.states):
-        nb = np.uint32((fr.succ if direction == 'F' else fr.pred)[w])
-        ok = (nb & (joint ^ fr.full)) == 0
+        nb = np.uint32(nbrs[w])
+        ok = (nb & (joint ^ fr.full_mask)) == 0
         for v in vecs:
             ok &= (nb & v) != 0
         out = out | (ok.astype(np.uint32) << np.uint32(w))
@@ -305,9 +279,8 @@ def _vec_cover(members, fr, env, direction):
 
 
 def check_nabla_relation():
-    frames = _small_frames()
     api_calls = 0
-    for fi, fr in enumerate(frames):
+    for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
         for members in _PSI_SETS:
             for d in ('F', 'B'):
@@ -349,7 +322,7 @@ def check_nabla_relation():
                               '%d-state model' % m.states)
                     api_calls += 1
     return ('%d member sets x 2 directions on %d frames; %d direct '
-            'via-relation calls' % (len(_PSI_SETS), len(frames), api_calls))
+            'via-relation calls' % (len(_PSI_SETS), fi + 1, api_calls))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +340,13 @@ def _stages():
 
 def check_approximants():
     stages = _stages()
-    frames = _small_frames()
-    for fi, fr in enumerate(frames):
+    for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
         for (chi, theta), forms in stages.items():
             fix = _vec(Sharp(chi, (theta,)), fr, env)
             for k, form in enumerate(forms[:6]):
                 ap = _vec(form, fr, env)
-                if np.any(ap & ~fix & fr.full):
+                if np.any(ap & ~fix & fr.full_mask):
                     _fail('4', 'stage %d of %s(%s) escapes the fixpoint on '
                           'frame %d' % (k + 1, chi.name, to_string(theta),
                                         fi))
@@ -400,18 +372,17 @@ def check_approximants():
                       % (m.states, chi.name, to_string(theta), m.states))
     return ('%d connective-argument pairs, stages 1..6 below and stage |W| '
             'equal, %d frames + %d random models'
-            % (len(stages), len(frames), len(randoms)))
+            % (len(stages), fi + 1, len(randoms)))
 
 
 # ---------------------------------------------------------------------------
 # 5. Kleene iteration against the prefixpoint intersection
 
 def check_kleene_oracle():
-    frames = [fr for fr in _small_frames(3)]
     combos = [(chi, theta) for chi in _STAGE_CONNS
               for theta in (parse('q'), parse('<F>p'))]
     models = 0
-    for fr in frames:
+    for fr in _small_frames(3):
         env = _lanes(fr.states, ('p', 'q'))
         for lane in range(len(env['p'])):
             m = _lane_model(fr, env, lane, ('p', 'q'))
@@ -500,7 +471,7 @@ def _disjunctive_corpus(count=50, limit=8):
 
 def check_guardification():
     corpus = _disjunctive_corpus()
-    frames = _small_frames(3)
+    splits = []
     for chi in corpus:
         res = guardify(chi)
         if not is_guarded(res.gamma2):
@@ -508,21 +479,23 @@ def check_guardification():
         if classify_disjunctive(res.gamma2) == 'none':
             _fail('7', 'gamma2 of %s left the disjunctive fragment'
                   % to_string(chi.body))
-        for fi, fr in enumerate(frames):
-            env = _lanes(fr.states, ('x', 'q1'))
-            v = _vec(res.equivalence, fr, env)
-            if not np.all(v == fr.full):
+        splits.append((chi, res.equivalence))
+    for fi, fr in enumerate(_small_frames(3)):
+        env = _lanes(fr.states, ('x', 'q1'))
+        for chi, equivalence in splits:
+            v = _vec(equivalence, fr, env)
+            if not np.all(v == fr.full_mask):
                 _fail('7', 'split of %s is not equivalent on frame %d '
                       '(%d states)' % (to_string(chi.body), fi, fr.states))
             if fr.states <= 2:
                 for lane in range(len(env['x'])):
                     m = _lane_model(fr, env, lane, ('x', 'q1'))
-                    if eval_bits(res.equivalence, m) != m.full_mask:
+                    if eval_bits(equivalence, m) != m.full_mask:
                         _fail('7', 'scalar anchor rejects the split of %s'
                               % to_string(chi.body))
     return ('%d generated connectives, body size <= 8; splits valid on %d '
             'frames under all x and q1 valuations'
-            % (len(corpus), len(frames)))
+            % (len(corpus), fi + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .closure import is_atom
 from .network import (
-    Network, amalgamate, compute_timeouts, cones, extension_fault,
-    find_defects, is_anticonfluent, network_to_json, orient,
+    InvariantError, Network, amalgamate, compute_timeouts, cones,
+    extension_fault, find_defects, is_anticonfluent, network_to_json, orient,
 )
 from .semantics import KripkeModel
 from .syntax import DAnd, DNabla, DOr, DX, Var, to_string
@@ -324,7 +324,9 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
 
 def _graft(n, u, tpl, direction, budget, ids):
     """Materialize a tree template below u with fresh node ids."""
-    assert tpl.atom == n.label[u]
+    if tpl.atom != n.label[u]:
+        raise InvariantError('the tree template does not start at the '
+                             'label of node %d' % u)
     if budget is not None and \
             len(n.nodes) + _tree_size(tpl) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while growing below %d'
@@ -410,7 +412,8 @@ def _finish(n, u, did, budget, ids, memo, seen):
                     % (table.describe(did), u))
     if isinstance(node, DAnd):
         return _finish_component(n, u, comps[0], budget, ids, memo)
-    assert isinstance(node, DNabla)
+    if not isinstance(node, DNabla):
+        raise InvariantError('unexpected grammar position %r' % (node,))
     direction = dfl.direction
     if not n.saturated(u, direction):
         if not n.neighbors(u, direction):
@@ -502,8 +505,12 @@ def finish_deferral(n, u, did, budget=None):
     """Extend n below u until the active deferral did is finished there.
 
     The result contains n, only differs inside u's cone in the deferral's
-    direction, and adds no neighbours to nodes of n on the far side.
+    direction, and adds no neighbours to nodes of n on the far side. n
+    must be anticonfluent; ValueError otherwise.
     """
+    if not is_anticonfluent(n):
+        raise ValueError('cannot finish a deferral in a network that is not '
+                         'anticonfluent')
     budget = budget or Budget()
     table = n.ctx.table
     tt = compute_timeouts(n)
@@ -516,9 +523,16 @@ def finish_deferral(n, u, did, budget=None):
         raise Stuck('%s has no disjunctive reading' % table.describe(did))
     ids = _Ids(max(n.nodes) + 1)
     out = _finish(n, u, did, budget, ids, {}, frozenset())
-    assert extension_fault(n, out, u, direction) is None
-    assert _finished(out, u, did)
-    assert is_anticonfluent(out)
+    fault = extension_fault(n, out, u, direction)
+    if fault is not None:
+        raise InvariantError('finishing deferral %d at node %d broke the '
+                             'extension shape: %s' % (did, u, fault))
+    if not _finished(out, u, did):
+        raise InvariantError('deferral %d at node %d is still open after '
+                             'finishing' % (did, u))
+    if not is_anticonfluent(out):
+        raise InvariantError('finishing deferral %d at node %d lost '
+                             'anticonfluence' % (did, u))
     return out
 
 
@@ -545,7 +559,9 @@ def repair_all(n, budget=None):
             n = finish_deferral(n, u, did, budget)
             log.append('mu %d/%d' % (u, did))
     leftovers = [d for d in find_defects(n) if d.node in set(todo)]
-    assert not leftovers, leftovers
+    if leftovers:
+        raise InvariantError('repairs left defects at the input nodes: %r'
+                             % (leftovers,))
     return n, log
 
 

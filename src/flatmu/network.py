@@ -38,6 +38,13 @@ class NetworkContextError(ValueError):
     """Operation mixed networks over different closures."""
 
 
+class InvariantError(AssertionError):
+    """A postcondition of a network operation failed: a bug, not bad input.
+
+    Raised explicitly, so the check survives `python -O`.
+    """
+
+
 class NetworkContext:
     """Closure, deferral table, and atom list shared by a family of networks."""
 
@@ -257,6 +264,9 @@ def validate(n: Network):
         n.cones
     except ValueError:
         out.append('relation has a cycle')
+    else:
+        if not is_anticonfluent(n):
+            out.append('relation is not anticonfluent')
     for a, b in sorted(n.edges):
         if not n.ctx.coherent(n.label[a], n.label[b]):
             out.append('edge (%d, %d) is not coherent' % (a, b))
@@ -458,9 +468,12 @@ def amalgamate(base: Network, pairs) -> Network:
             raise ValueError('amalgamation preconditions fail: %s / %s'
                              % (fwd, bwd))
     out = union([base] + [ext for _, ext in pairs])
-    assert is_subnetwork(base, out)
-    for _, ext in pairs:
-        assert is_subnetwork(ext, out)
+    if not is_subnetwork(base, out):
+        raise InvariantError('the base is not a subnetwork of the amalgam')
+    for u, ext in pairs:
+        if not is_subnetwork(ext, out):
+            raise InvariantError('the extension at node %s is not a '
+                                 'subnetwork of the amalgam' % u)
     return out
 
 
@@ -612,9 +625,9 @@ def network_from_json(obj, ctx: NetworkContext = None) -> Network:
                    label, frozenset(obj['satF']), frozenset(obj['satP']))
 
 
-def to_dot(n: Network, annotate: bool = True):
+def to_dot(n: Network):
     """Graphviz lines; saturation shown by style, open deferrals listed."""
-    tt = compute_timeouts(n) if annotate else None
+    tt = compute_timeouts(n)
     lines = ['digraph network {', '  rankdir=LR;',
              '  node [shape=box, fontname="monospace"];']
     for u in n.nodes:
@@ -624,11 +637,10 @@ def to_dot(n: Network, annotate: bool = True):
         if u in n.sat_p:
             marks.append('P')
         text = '%d%s' % (u, (' [%s]' % ''.join(marks)) if marks else '')
-        if annotate:
-            open_ids = [str(did) for (w, did), steps in sorted(tt.items())
-                        if w == u and steps is None]
-            if open_ids:
-                text += '\\nopen: ' + ','.join(open_ids)
+        open_ids = [str(did) for (w, did), steps in sorted(tt.items())
+                    if w == u and steps is None]
+        if open_ids:
+            text += '\\nopen: ' + ','.join(open_ids)
         style = 'filled' if u in n.sat_f and u in n.sat_p else 'solid'
         lines.append('  n%d [label="%s", style=%s];' % (u, text, style))
     for a, b in sorted(n.edges):

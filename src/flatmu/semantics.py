@@ -218,7 +218,7 @@ def _frame_reps(n: int):
     """Edge masks canonical under state permutation, ascending.
 
     Bit i*n + j stands for the edge (i, j). Only feasible for small n;
-    callers fall back to the full range beyond four states.
+    frames() scans the full range beyond four states.
     """
     import numpy as np
 
@@ -237,29 +237,35 @@ def _frame_reps(n: int):
     return tuple(int(m) for m in np.nonzero(best == masks)[0])
 
 
-def _edge_masks(n: int):
-    if n <= 4:
-        return _frame_reps(n)
-    return range(1 << (n * n))
+def frames(n: int):
+    """Every frame on n states, as an edge-only KripkeModel per edge mask.
+
+    Up to four states one frame per isomorphism class (the masks of
+    _frame_reps), beyond that every mask; ascending by mask either way.
+    Each model is built only when the caller reaches it, so a walk holds
+    one frame at a time.
+    """
+    for mask in _frame_reps(n) if n <= 4 else range(1 << (n * n)):
+        yield KripkeModel(n, [divmod(b, n) for b in range(n * n)
+                              if mask >> b & 1])
 
 
 def brute_force_sat(formula, max_states: int):
     """Search models of at most max_states states for a witness.
 
-    Frames are enumerated up to isomorphism (practical ceiling: four
-    states; beyond that the full frame space is scanned), valuations
-    exhaustively over the formula's free variables. Returns the first
-    (model, state) in the fixed enumeration order, or None.
+    Frames come from frames() (up to isomorphism through four states; the
+    full frame space beyond), valuations exhaustively over the formula's
+    free variables, overlaid on the frame through eval_bits' env. Returns
+    the first (model, state) in the fixed enumeration order, or None.
     """
     names = sorted(free_vars(formula))
     for n in range(1, max_states + 1):
-        for mask in _edge_masks(n):
-            edges = [(b // n, b % n) for b in range(n * n) if mask >> b & 1]
+        for frame in frames(n):
             for vals in product(range(1 << n), repeat=len(names)):
-                model = KripkeModel(n, edges, {
-                    name: _mask_to_set(vm, n)
-                    for name, vm in zip(names, vals)})
-                sat = eval_bits(formula, model)
+                sat = eval_bits(formula, frame, dict(zip(names, vals)))
                 if sat:
+                    model = KripkeModel(n, frame.edges, {
+                        name: _mask_to_set(vm, n)
+                        for name, vm in zip(names, vals)})
                     return model, (sat & -sat).bit_length() - 1
     return None

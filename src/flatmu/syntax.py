@@ -652,23 +652,13 @@ class GuardificationResult:
     equivalence: Formula  # body <-> (x & gamma1) | gamma2-body, all vars free
 
 
-def _dform_has_unguarded(node) -> bool:
-    if isinstance(node, DX):
-        return True
-    if isinstance(node, DOr):
-        return _dform_has_unguarded(node.left) or _dform_has_unguarded(node.right)
-    if isinstance(node, DAnd):
-        return _dform_has_unguarded(node.child)
-    return False  # DFree, DNabla
-
-
 def _split(node):
     """Split a grammar position into (unguarded part, guarded part).
 
     A subtree with no unguarded x is taken over unchanged into the guarded
     half; only Or/And spines leading to bare x get rewritten.
     """
-    if not _dform_has_unguarded(node):
+    if not _has_unguarded(node.src, 'x'):
         return (Bottom(), node.src)
     if isinstance(node, DX):
         return (top(), Bottom())
@@ -694,26 +684,3 @@ def guardify(chi: FixpointConnective) -> GuardificationResult:
     equivalence = iff(chi.body, Or(and_(Var('x'), gamma1), gamma2_body))
     return GuardificationResult(gamma1, gamma2, equivalence)
 
-
-def translate_guarded(f: Formula, mapping: dict) -> Formula:
-    """Replace every applied connective by its guardified counterpart.
-
-    mapping: FixpointConnective -> FixpointConnective. Boolean and modal
-    structure is untouched; arguments are translated recursively.
-    """
-    if isinstance(f, (Bottom, Var)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(translate_guarded(f.child, mapping))
-    if isinstance(f, Or):
-        return Or(translate_guarded(f.left, mapping),
-                  translate_guarded(f.right, mapping))
-    if isinstance(f, Dia):
-        return Dia(f.direction, translate_guarded(f.child, mapping))
-    if isinstance(f, Sharp):
-        target = mapping.get(f.connective)
-        if target is None:
-            raise ValueError('no guardified form for connective %r'
-                             % f.connective.name)
-        return Sharp(target, tuple(translate_guarded(a, mapping) for a in f.args))
-    raise TypeError(f)

@@ -203,6 +203,35 @@ def test_net_queries_refuse_a_non_network(capsys, self_loop_path, query):
     assert 'not a network' in err and 'relation has a cycle' in err
 
 
+@pytest.fixture
+def diamond_path(tmp_path):
+    # atoms for labels, coherent edges, full families and no cycle, but
+    # nodes 1 and 2 share the ancestor 0 and the descendant 3
+    p = tmp_path / 'diamond.json'
+    p.write_text(json.dumps({
+        'closure': {'formula': 'p', 'connectives': []},
+        'nodes': [{'id': 0, 'atom': [2, 3, 4, 6]},
+                  {'id': 1, 'atom': [3, 4, 5, 6]},
+                  {'id': 2, 'atom': [3, 4, 5, 6]},
+                  {'id': 3, 'atom': [1, 3, 5, 6]}],
+        'edges': [[0, 1], [0, 2], [1, 3], [2, 3]],
+        'satF': [0, 1, 2, 3], 'satP': [0, 1, 2, 3]}))
+    return str(p)
+
+
+def test_net_validate_rejects_a_diamond(capsys, diamond_path):
+    code, out, _ = run(capsys, 'net', 'validate', diamond_path)
+    assert code == 2
+    assert out.splitlines() == ['relation is not anticonfluent']
+
+
+@pytest.mark.parametrize('query', ['defects', 'timeouts'])
+def test_net_queries_refuse_a_diamond(capsys, diamond_path, query):
+    code, out, err = run(capsys, 'net', query, diamond_path)
+    assert code == 1 and out == ''
+    assert 'relation is not anticonfluent' in err
+
+
 # -- build ----------------------------------------------------------------------
 
 def test_build_is_byte_deterministic(capsys, defs_path):

@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from flatmu.acceptance import child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
-    Network, NetworkContext, compute_timeouts, find_defects, is_subnetwork,
-    validate,
+    Network, NetworkContext, compute_timeouts, find_defects, is_anticonfluent,
+    is_subnetwork, network_from_json, validate,
 )
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
@@ -222,6 +225,65 @@ def test_finish_backward_connective_grows_predecessors():
     assert all(b == 0 for _, b in out.edges)
     assert 0 in out.sat_p
     assert compute_timeouts(out).get((0, x_did)) is not None
+
+
+# Drawn by the generator behind selftest check 9 (the 239th draw of
+# acceptance._grow_network(random.Random(5), ctx, 8) over the closure of
+# #rf(p)). Nodes 1 and 3 share the ancestor 0 and the descendant 6, so it
+# is not a network, yet deferral 1 is open at node 0.
+TANGLED_DRAW = {
+    'closure': {'formula': '#rf(p)', 'connectives': [
+        {'name': 'rf', 'arity': 1, 'body': 'q1 | <F>x'}]},
+    'nodes': [{'id': 0, 'atom': [0, 3, 4, 5, 7, 8, 10, 14, 17]},
+              {'id': 1, 'atom': [0, 4, 7, 8, 9, 10, 13, 14, 17]},
+              {'id': 2, 'atom': [5, 6, 7, 8, 9, 11, 12, 14, 15]},
+              {'id': 3, 'atom': [0, 3, 4, 5, 7, 8, 12, 14, 15]},
+              {'id': 4, 'atom': [1, 5, 6, 8, 9, 11, 12, 14, 15]},
+              {'id': 5, 'atom': [0, 4, 7, 8, 9, 10, 13, 14, 17]},
+              {'id': 6, 'atom': [6, 7, 8, 9, 11, 13, 14, 15, 17]}],
+    'edges': [[0, 1], [0, 3], [0, 5], [1, 2], [1, 5], [2, 6], [3, 4],
+              [3, 6]],
+    'satF': [1, 2], 'satP': [0, 1, 3]}
+
+
+def test_finish_rejects_a_non_anticonfluent_input():
+    n = network_from_json(TANGLED_DRAW)
+    assert not is_anticonfluent(n)
+    assert compute_timeouts(n)[0, 1] is None
+    with pytest.raises(ValueError, match='not anticonfluent'):
+        finish_deferral(n, 0, 1)
+
+
+# The child plants a fault in the extension-shape check and finishes an
+# open deferral that would otherwise finish cleanly.
+PLANTED_FAULT = """
+from flatmu import construct
+from flatmu.closure import fl_closure
+from flatmu.network import Network, NetworkContext
+from flatmu.syntax import (
+    Bottom, Dia, FixpointConnective, Neg, Sharp, Var, parse)
+
+chi1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
+focus = Sharp(chi1, (Var('q'),))
+ctx = NetworkContext(fl_closure(focus))
+want = [focus, Dia('F', Neg(Bottom()))]
+avoid = [Var('q'), Dia('F', Neg(focus))]
+seed = next(a for a in ctx.atoms
+            if all(a >> ctx.sigma.index_of(f) & 1 for f in want)
+            and not any(a >> ctx.sigma.index_of(f) & 1 for f in avoid))
+n = Network(ctx, (0,), frozenset(), {0: seed}, frozenset(), frozenset())
+construct.extension_fault = lambda *args: 'planted fault'
+construct.finish_deferral(n, 0, 2)
+"""
+
+
+def test_postconditions_hold_under_python_O():
+    run = subprocess.run([sys.executable, '-O', '-c', PLANTED_FAULT],
+                         capture_output=True, text=True, env=child_env())
+    assert run.returncode == 1, run.stderr
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith('flatmu.network.InvariantError:')
+    assert 'planted fault' in last
 
 
 # -- the round loop -----------------------------------------------------------

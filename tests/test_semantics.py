@@ -6,7 +6,7 @@ import pytest
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
     KripkeModel, approximant, axiom_instances, brute_force_sat, eval,
-    eval_bits, eval_fixpoint_by_intersection, eval_nabla_via_relation,
+    eval_bits, eval_fixpoint_by_intersection, eval_nabla_via_relation, frames,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
@@ -220,6 +220,25 @@ def test_brute_force_respects_enumeration_order():
     got = brute_force_sat(parse('[F]_|_', {}), 2)
     model, w = got
     assert model.states == 1 and model.edges == frozenset()
+
+
+def test_brute_force_overlays_two_letters_on_the_frame():
+    got = brute_force_sat(parse('p & ~q & <F>(q & ~p)', {}), 2)
+    model, w = got
+    assert model.to_json() == {'states': 2, 'edges': [[0, 1]],
+                               'valuation': {'p': [0], 'q': [1]}}
+    assert w == 0
+
+
+def test_frames_walk_isomorphism_classes_then_every_mask():
+    assert [len(tuple(frames(n))) for n in (1, 2, 3, 4)] == [2, 10, 104, 3044]
+    two = list(frames(2))
+    assert two[0].edges == frozenset() and two[0].valuation == {}
+    assert two[-1].edges == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # beyond four states every mask is a frame; next() must not build the
+    # 2^25 five-state frames that follow the first
+    first = next(frames(5))
+    assert first.states == 5 and first.edges == frozenset()
 
 
 def test_brute_force_two_nested_fixpoints():

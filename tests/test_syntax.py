@@ -6,7 +6,7 @@ from flatmu.syntax import (
     ParseError, and_, as_and, as_box, box, classify_disjunctive,
     connectives_from_json, decompose, disjunctive_form, free_vars, guardify,
     iff, implies, is_guarded, is_positive_in, nabla, parse, size, subformulas,
-    substitute, to_string, top, translate_guarded,
+    substitute, to_string, top,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -374,19 +374,6 @@ def test_guardify_invariants_on_small_corpus():
         assert classify_disjunctive(r.gamma2) == classify_disjunctive(chi)
         seen += 1
     assert seen > 500
-
-
-def test_translate_guarded():
-    mapping = {REACH: guardify(REACH).gamma2}
-    boolean = parse('p | ~q')
-    assert translate_guarded(boolean, {}) == boolean
-    f = Dia('F', Sharp(REACH, (Var('q'),)))
-    assert translate_guarded(f, mapping) == Dia('F', Sharp(mapping[REACH], (Var('q'),)))
-    nested = Sharp(REACH, (Sharp(REACH, (Var('q'),)),))
-    g = mapping[REACH]
-    assert translate_guarded(nested, mapping) == Sharp(g, (Sharp(g, (Var('q'),)),))
-    with pytest.raises(ValueError, match='guardified'):
-        translate_guarded(f, {})
 
 
 # ---------------------------------------------------------------------------
