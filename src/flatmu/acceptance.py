@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -125,25 +126,44 @@ def _lanes(states, names):
             for k, nm in enumerate(names)}
 
 
-def _vec(f, fr, env):
+@lru_cache(maxsize=None)
+def _dia_table(nbrs):
+    """Diamond image of every state set, indexed by its mask: bit w of
+    entry a is set when state w has a neighbour in a."""
+    sets = np.arange(1 << len(nbrs), dtype=np.uint32)
+    out = np.zeros_like(sets)
+    for w, nb in enumerate(nbrs):
+        out |= ((sets & np.uint32(nb)) != 0).astype(np.uint32) << np.uint32(w)
+    return out
+
+
+def _vec(f, fr, env, memo=None):
+    """Truth masks of f, one per lane. memo, when given, caches results
+    for this fr and env; the fixpoint body runs under a fresh env and
+    does not use it."""
+    if memo is not None:
+        out = memo.get(f)
+        if out is None:
+            out = memo[f] = _vec_step(f, fr, env, memo)
+        return out
+    return _vec_step(f, fr, env, None)
+
+
+def _vec_step(f, fr, env, memo):
     if isinstance(f, Bottom):
         return np.zeros_like(next(iter(env.values())))
     if isinstance(f, Var):
         return env[f.name]
     if isinstance(f, Neg):
-        return _vec(f.child, fr, env) ^ fr.full_mask
+        return _vec(f.child, fr, env, memo) ^ fr.full_mask
     if isinstance(f, Or):
-        return _vec(f.left, fr, env) | _vec(f.right, fr, env)
+        return _vec(f.left, fr, env, memo) | _vec(f.right, fr, env, memo)
     if isinstance(f, Dia):
-        arg = _vec(f.child, fr, env)
+        arg = _vec(f.child, fr, env, memo)
         nbrs = fr.succ_mask if f.direction == 'F' else fr.pred_mask
-        out = np.zeros_like(arg)
-        for w in range(fr.states):
-            hit = (arg & np.uint32(nbrs[w])) != 0
-            out |= hit.astype(np.uint32) << np.uint32(w)
-        return out
+        return _dia_table(nbrs)[arg]
     if isinstance(f, Sharp):
-        inner = {'q%d' % (k + 1): _vec(a, fr, env)
+        inner = {'q%d' % (k + 1): _vec(a, fr, env, memo)
                  for k, a in enumerate(f.args)}
         z = np.zeros_like(next(iter(env.values())))
         for _ in range(fr.states + 1):
@@ -186,11 +206,13 @@ def check_nabla_equivalences():
     anchors = 0
     for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
+        memo = {}
         for pi, phi in enumerate(_POOL):
-            henv = {'h': _vec(phi, fr, env), **env}
+            henv = {'h': _vec(phi, fr, env, memo), **env}
+            hmemo = {}
             for lhs, rhs in _NABLA_PAIRS:
-                a = _vec(lhs, fr, henv)
-                b = _vec(rhs, fr, henv)
+                a = _vec(lhs, fr, henv, hmemo)
+                b = _vec(rhs, fr, henv, hmemo)
                 if not np.array_equal(a, b):
                     lane = int(np.nonzero(a != b)[0][0])
                     _fail('1', '%s vs its cover form differ on frame '
@@ -203,17 +225,19 @@ def check_nabla_equivalences():
                 for lhs, rhs in _NABLA_PAIRS:
                     sa = eval_bits(substitute(lhs, {'h': phi}), m)
                     sb = eval_bits(substitute(rhs, {'h': phi}), m)
-                    va = int(_vec(lhs, fr, henv)[lane])
+                    va = int(_vec(lhs, fr, henv, hmemo)[lane])
                     if not sa == sb == va:
                         _fail('1', 'scalar anchor disagrees on frame %d '
                               'lane %d' % (fi, lane))
                     anchors += 1
     randoms = _random_models()
     for m in randoms:
+        memo = {}
         for phi in _POOL:
             for lhs, rhs in _NABLA_PAIRS:
-                if eval_bits(substitute(lhs, {'h': phi}), m) \
-                        != eval_bits(substitute(rhs, {'h': phi}), m):
+                if eval_bits(substitute(lhs, {'h': phi}), m, None, memo) \
+                        != eval_bits(substitute(rhs, {'h': phi}), m, None,
+                                     memo):
                     _fail('1', 'random %d-state model separates %s from its '
                           'cover form at h = %s'
                           % (m.states, to_string(lhs), to_string(phi)))
@@ -231,8 +255,9 @@ def check_axiom_soundness():
     anchors = 0
     for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
+        memo = {}
         for ii, inst in enumerate(instances):
-            v = _vec(inst, fr, env)
+            v = _vec(inst, fr, env, memo)
             if not np.all(v == fr.full_mask):
                 lane = int(np.nonzero(v != fr.full_mask)[0][0])
                 _fail('2', 'instance %d (%s) fails on frame %d states=%d '
