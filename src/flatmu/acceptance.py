@@ -26,7 +26,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -126,54 +125,50 @@ def _lanes(states, names):
             for k, nm in enumerate(names)}
 
 
-@lru_cache(maxsize=None)
-def _dia_table(nbrs):
-    """Diamond image of every state set, indexed by its mask: bit w of
-    entry a is set when state w has a neighbour in a."""
-    sets = np.arange(1 << len(nbrs), dtype=np.uint32)
-    out = np.zeros_like(sets)
-    for w, nb in enumerate(nbrs):
-        out |= ((sets & np.uint32(nb)) != 0).astype(np.uint32) << np.uint32(w)
-    return out
+def _dia_lanes(arg, nbrs):
+    """<d> on every lane at once: the image of each of the 2^|W| state
+    sets (bit w set when state w has a neighbour in the set), read at
+    each lane's mask in arg."""
+    sets = np.arange(1 << len(nbrs), dtype=np.uint32)[:, None]
+    hit = (sets & np.array(nbrs, dtype=np.uint32)) != 0
+    bits = np.uint32(1) << np.arange(len(nbrs), dtype=np.uint32)
+    return (hit @ bits)[arg]
 
 
-def _vec(f, fr, env, memo=None):
-    """Truth masks of f, one per lane. memo, when given, caches results
-    for this fr and env; the fixpoint body runs under a fresh env and
-    does not use it."""
-    if memo is not None:
-        out = memo.get(f)
-        if out is None:
-            out = memo[f] = _vec_step(f, fr, env, memo)
+def _vec(f, fr, env, memo):
+    """Truth masks of f, one per lane. memo maps formulas to their lanes
+    on this fr and env; each fixpoint iteration runs its body under a
+    fresh env and so a fresh memo."""
+    out = memo.get(f)
+    if out is not None:
         return out
-    return _vec_step(f, fr, env, None)
-
-
-def _vec_step(f, fr, env, memo):
     if isinstance(f, Bottom):
-        return np.zeros_like(next(iter(env.values())))
-    if isinstance(f, Var):
-        return env[f.name]
-    if isinstance(f, Neg):
-        return _vec(f.child, fr, env, memo) ^ fr.full_mask
-    if isinstance(f, Or):
-        return _vec(f.left, fr, env, memo) | _vec(f.right, fr, env, memo)
-    if isinstance(f, Dia):
-        arg = _vec(f.child, fr, env, memo)
+        out = np.zeros_like(next(iter(env.values())))
+    elif isinstance(f, Var):
+        out = env[f.name]
+    elif isinstance(f, Neg):
+        out = _vec(f.child, fr, env, memo) ^ fr.full_mask
+    elif isinstance(f, Or):
+        out = _vec(f.left, fr, env, memo) | _vec(f.right, fr, env, memo)
+    elif isinstance(f, Dia):
         nbrs = fr.succ_mask if f.direction == 'F' else fr.pred_mask
-        return _dia_table(nbrs)[arg]
-    if isinstance(f, Sharp):
+        out = _dia_lanes(_vec(f.child, fr, env, memo), nbrs)
+    elif isinstance(f, Sharp):
         inner = {'q%d' % (k + 1): _vec(a, fr, env, memo)
                  for k, a in enumerate(f.args)}
-        z = np.zeros_like(next(iter(env.values())))
+        out = np.zeros_like(next(iter(env.values())))
         for _ in range(fr.states + 1):
-            inner['x'] = z
-            nxt = _vec(f.connective.body, fr, inner)
-            if np.array_equal(nxt, z):
-                return z
-            z = nxt
-        raise AssertionError('fixpoint iteration failed to converge')
-    raise TypeError(f)
+            inner['x'] = out
+            nxt = _vec(f.connective.body, fr, inner, {})
+            if np.array_equal(nxt, out):
+                break
+            out = nxt
+        else:
+            raise AssertionError('fixpoint iteration failed to converge')
+    else:
+        raise TypeError(f)
+    memo[f] = out
+    return out
 
 
 def _lane_model(fr, env, lane, names):
@@ -284,11 +279,11 @@ def check_axiom_soundness():
 # ---------------------------------------------------------------------------
 # 3. relation-based cover semantics against the expansion
 
-def _vec_cover(members, fr, env, direction):
+def _vec_cover(members, fr, env, direction, memo):
     """The full-relation reading, vectorized: every neighbour satisfies
     some member and every member holds at some neighbour."""
     zero = np.zeros_like(next(iter(env.values())))
-    vecs = [_vec(m, fr, env) for m in members]
+    vecs = [_vec(m, fr, env, memo) for m in members]
     joint = zero.copy()
     for v in vecs:
         joint |= v
@@ -307,10 +302,11 @@ def check_nabla_relation():
     api_calls = 0
     for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
+        memo = {}
         for members in _PSI_SETS:
             for d in ('F', 'B'):
-                cov = _vec_cover(members, fr, env, d)
-                exp = _vec(nabla(d, members), fr, env)
+                cov = _vec_cover(members, fr, env, d, memo)
+                exp = _vec(nabla(d, members), fr, env, memo)
                 if not np.array_equal(cov, exp):
                     lane = int(np.nonzero(cov != exp)[0][0])
                     _fail('3', 'cover reading and expansion split on frame '
@@ -367,15 +363,16 @@ def check_approximants():
     stages = _stages()
     for fi, fr in enumerate(_small_frames()):
         env = _lanes(fr.states, ('p', 'q'))
+        memo = {}
         for (chi, theta), forms in stages.items():
-            fix = _vec(Sharp(chi, (theta,)), fr, env)
+            fix = _vec(Sharp(chi, (theta,)), fr, env, memo)
             for k, form in enumerate(forms[:6]):
-                ap = _vec(form, fr, env)
+                ap = _vec(form, fr, env, memo)
                 if np.any(ap & ~fix & fr.full_mask):
                     _fail('4', 'stage %d of %s(%s) escapes the fixpoint on '
                           'frame %d' % (k + 1, chi.name, to_string(theta),
                                         fi))
-            closing = _vec(forms[fr.states - 1], fr, env)
+            closing = _vec(forms[fr.states - 1], fr, env, memo)
             if not np.array_equal(closing, fix):
                 lane = int(np.nonzero(closing != fix)[0][0])
                 _fail('4', 'stage %d of %s(%s) misses the fixpoint on frame '
@@ -507,8 +504,9 @@ def check_guardification():
         splits.append((chi, res.equivalence))
     for fi, fr in enumerate(_small_frames(3)):
         env = _lanes(fr.states, ('x', 'q1'))
+        memo = {}
         for chi, equivalence in splits:
-            v = _vec(equivalence, fr, env)
+            v = _vec(equivalence, fr, env, memo)
             if not np.all(v == fr.full_mask):
                 _fail('7', 'split of %s is not equivalent on frame %d '
                       '(%d states)' % (to_string(chi.body), fi, fr.states))
