@@ -217,14 +217,14 @@ def axiom_instances(pool):
 def _frame_reps(n: int):
     """Edge masks canonical under state permutation, ascending.
 
-    Bit i*n + j stands for the edge (i, j). Only feasible for small n;
-    frames() scans the full range beyond four states.
+    Bit i*n + j stands for the edge (i, j). Only feasible for small n:
+    frames() scans the full range beyond four states, so 16-bit masks
+    suffice. Edge bits are re-read per permutation, not kept.
     """
     import numpy as np
 
     size = n * n
-    masks = np.arange(1 << size, dtype=np.uint32)
-    bits = [(masks >> b) & 1 for b in range(size)]
+    masks = np.arange(1 << size, dtype=np.uint16)
     best = masks.copy()
     for perm in permutations(range(n)):
         if perm == tuple(range(n)):
@@ -232,7 +232,8 @@ def _frame_reps(n: int):
         out = np.zeros_like(masks)
         for b in range(size):
             i, j = divmod(b, n)
-            out |= bits[b] << np.uint32(perm[i] * n + perm[j])
+            bit = (masks >> np.uint16(b)) & np.uint16(1)
+            out |= bit << np.uint16(perm[i] * n + perm[j])
         np.minimum(best, out, out=best)
     return tuple(int(m) for m in np.nonzero(best == masks)[0])
 
