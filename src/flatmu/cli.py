@@ -21,8 +21,8 @@ from . import acceptance
 from .closure import enumerate_atoms, fl_closure
 from .construct import Budget, Stuck, build
 from .network import (
-    NetworkContext, compute_timeouts, find_defects, network_from_json,
-    network_to_json, to_dot, validate,
+    NetworkContext, NetworkFileError, compute_timeouts, find_defects,
+    network_from_json, network_to_json, to_dot, validate,
 )
 from .semantics import KripkeModel, brute_force_sat, eval_bits
 from .syntax import (
@@ -159,6 +159,8 @@ def _cmd_guardify(args):
 def _load_network(path):
     try:
         return network_from_json(_load_json(path))
+    except NetworkFileError as exc:
+        raise _CliError('\n'.join('%s: %s' % (path, p) for p in exc.problems))
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise _CliError('%s: %s' % (path, exc))
 
@@ -341,7 +343,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except _CliError as exc:
-        print('flatmu: error: %s' % exc, file=sys.stderr)
+        for line in str(exc).splitlines():
+            print('flatmu: error: %s' % line, file=sys.stderr)
         return exc.code
     except Stuck as exc:
         print('flatmu: stuck: %s' % exc, file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .closure import is_atom
 from .network import (
-    InvariantError, Network, amalgamate, compute_timeouts, cones,
+    GrowingCones, InvariantError, Network, amalgamate, compute_timeouts,
     extension_fault, find_defects, is_anticonfluent, network_to_json, orient,
 )
 from .semantics import KripkeModel
@@ -66,28 +66,6 @@ class _Ids:
 # ---------------------------------------------------------------------------
 # saturation
 
-def _keeps_separation(nodes, edges):
-    """Cones of distinct neighbours of any node must not meet.
-
-    Stronger than anticonfluence: it is what keeps per-neighbour
-    extensions amalgamable, in both directions. A cycle fails too.
-    """
-    try:
-        down, up = cones(nodes, edges)
-    except ValueError:
-        return False
-    for cone, side in ((down, 0), (up, 1)):
-        nbrs = {}
-        for e in edges:
-            nbrs.setdefault(e[side], []).append(e[1 - side])
-        for ws in nbrs.values():
-            for i, v in enumerate(ws):
-                for v2 in ws[i + 1:]:
-                    if cone[v] & cone[v2]:
-                        return False
-    return True
-
-
 def _grown(n, nodes, edges, label, flagged, direction):
     """n grown to nodes, edges and label, with the direction's saturation
     flag added at the flagged nodes."""
@@ -103,9 +81,11 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
     Witnesses come from three sources, cheapest first: neighbour groups
     whose label contains the diamond's child are claimed as they stand,
     then other same-labeled nodes are linked in when the extra edge keeps
-    the graph acyclic and anticonfluent and touches no frozen frontier,
-    and only the remainder is created fresh. fresh_only disables linking;
-    growth inside a finishing cone must not reach across the network.
+    the graph separated (Network.separated) and touches no frozen
+    frontier, and only the remainder is created fresh. A graph that
+    starts unseparated stays so whatever edges go in, so it links
+    nothing. fresh_only disables linking; growth inside a finishing cone
+    must not reach across the network.
     """
     if n.saturated(u, direction):
         return n
@@ -121,6 +101,7 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
     # neighbours of u among the nodes of n; later links go into linked
     taken = set(n.neighbors(u, direction))
     linked = set()
+    reach = None if fresh_only or not n.separated else GrowingCones(n)
     for _, child_i in ctx.dia_members(n.label[u], direction):
         family = None
         have = 0
@@ -135,7 +116,7 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
             if family is None:
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
-        if not fresh_only and have < d:
+        if reach is not None and have < d:
             for w in n.nodes:
                 if have >= d:
                     break
@@ -144,7 +125,7 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
                 if n.label[w] != family:
                     continue
                 e = orient(u, w, direction)
-                if not _keeps_separation(nodes, edges | {e}):
+                if not reach.link(*e):
                     continue
                 edges.add(e)
                 linked.add(w)
@@ -153,11 +134,17 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
             w = ids.take()
             nodes.append(w)
             label[w] = family
-            edges.add(orient(u, w, direction))
+            e = orient(u, w, direction)
+            edges.add(e)
+            if reach is not None:
+                reach.add_leaf(w, *e)
     if budget is not None and len(nodes) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while saturating %d'
                              % (budget.max_nodes, u))
-    return _grown(n, nodes, edges, label, {u}, direction)
+    out = _grown(n, nodes, edges, label, {u}, direction)
+    if reach is not None:
+        reach.hand_to(out)
+    return out
 
 
 def saturate(n, u, direction, budget=None):

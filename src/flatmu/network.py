@@ -13,6 +13,7 @@ saturation flag.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,13 +111,14 @@ class NetworkContext:
 
 
 def cones(nodes, edges):
-    """Reflexive reachability of a relation, as (down, up).
+    """Reflexive reachability of a relation, as (down, up) int bitsets.
 
-    down[x] holds x and every node reachable from x along edges (the
-    upward cone of upgen), up[x] holds x and every node that reaches x.
-    Every edge must join two of the nodes. Raises ValueError when the
-    relation has a cycle.
+    Bit i stands for nodes[i]. down[x] holds x and every node reachable
+    from x along edges (the upward cone of upgen), up[x] holds x and every
+    node that reaches x. Every edge must join two of the nodes. Raises
+    ValueError when the relation has a cycle.
     """
+    bit = {x: 1 << i for i, x in enumerate(nodes)}
     succ = {x: [] for x in nodes}
     indeg = dict.fromkeys(nodes, 0)
     for a, b in edges:
@@ -132,15 +134,67 @@ def cones(nodes, edges):
         raise ValueError('relation has a cycle')
     down = {}
     for x in reversed(order):
-        acc = {x}
+        acc = bit[x]
         for y in succ[x]:
             acc |= down[y]
-        down[x] = frozenset(acc)
-    up = {x: {x} for x in order}
+        down[x] = acc
+    up = dict(bit)
     for x in order:
         for y in succ[x]:
             up[y] |= up[x]
-    return down, {x: frozenset(acc) for x, acc in up.items()}
+    return down, up
+
+
+def members(bits, nodes):
+    """The nodes whose bits are set in bits, in the order of nodes."""
+    while bits:
+        low = bits & -bits
+        yield nodes[low.bit_length() - 1]
+        bits ^= low
+
+
+class GrowingCones:
+    """The cones of a separated network as edges go in one at a time.
+
+    Seeded from Network.cones, so bit i stands for n.nodes[i]; every
+    fresh node takes the next bit. Separation means no two paths join the
+    same pair of nodes (see Network.separated). An edge a->b keeps it
+    exactly when no node above a already reaches a node below b, and it
+    only grows the down-cones above a and the up-cones below b (a cycle
+    is the case where a itself sits below b). Linked edges must be new.
+    """
+
+    def __init__(self, n):
+        down, up = n.cones
+        self.nodes = list(n.nodes)
+        self.down = dict(down)
+        self.up = dict(up)
+
+    def _add(self, a, b):
+        below, above = self.down[b], self.up[a]
+        for x in members(above, self.nodes):
+            self.down[x] |= below
+        for y in members(below, self.nodes):
+            self.up[y] |= above
+
+    def link(self, a, b):
+        """Add the edge a->b when the graph stays separated; say whether."""
+        below = self.down[b]
+        if any(self.down[x] & below for x in members(self.up[a], self.nodes)):
+            return False
+        self._add(a, b)
+        return True
+
+    def add_leaf(self, w, a, b):
+        """Add the fresh node w with its one edge a->b."""
+        self.down[w] = self.up[w] = 1 << len(self.nodes)
+        self.nodes.append(w)
+        self._add(a, b)
+
+    def hand_to(self, n):
+        """Cache these cones on n, the network the edges grew into."""
+        if list(n.nodes) == self.nodes:
+            n.__dict__.update(cones=(self.down, self.up), separated=True)
 
 
 @dataclass(eq=False)
@@ -192,6 +246,28 @@ class Network:
     def cones(self):
         """cones(nodes, edges) of this network; raises on a cycle."""
         return cones(self.nodes, self.edges)
+
+    @cached_property
+    def separated(self):
+        """Acyclic, with at most one path from any node to any other.
+
+        Then the cones of distinct successors of a node never meet, nor do
+        those of distinct predecessors: two paths between one pair part
+        at some node and meet at another. This is stronger than
+        anticonfluence, and it is what keeps per-neighbour extensions
+        amalgamable in both directions.
+        """
+        try:
+            down, _ = self.cones
+        except ValueError:
+            return False
+        for u in self.nodes:
+            seen = 0
+            for v in self.succ[u]:
+                if seen & down[v]:
+                    return False
+                seen |= down[v]
+        return True
 
     def structure(self):
         return (self.nodes, self.edges,
@@ -288,8 +364,8 @@ def is_anticonfluent(n: Network) -> bool:
     """
     down, up = n.cones
     for i, v in enumerate(n.nodes):
-        for v2 in n.nodes[i + 1:]:
-            if v2 in down[v] or v in down[v2]:
+        for j, v2 in enumerate(n.nodes[i + 1:], i + 1):
+            if down[v] >> j & 1 or down[v2] >> i & 1:
                 continue
             if down[v] & down[v2] and up[v] & up[v2]:
                 return False
@@ -367,10 +443,10 @@ def _node_set(xs):
 def _gen(n: Network, xs, direction) -> frozenset:
     down, up = n.cones
     cone = down if direction == 'F' else up
-    out = set()
+    acc = 0
     for u in _node_set(xs):
-        out |= cone[u]
-    return frozenset(out)
+        acc |= cone[u]
+    return frozenset(members(acc, n.nodes))
 
 
 def upgen(n: Network, xs) -> frozenset:
@@ -610,17 +686,93 @@ def network_to_json(n: Network):
     }
 
 
+class NetworkFileError(ValueError):
+    """A network file has the wrong shape; problems lists every fault."""
+
+    def __init__(self, problems):
+        super().__init__('; '.join(problems))
+        self.problems = problems
+
+
+def _is_id(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _file_problems(obj, need_closure):
+    """What keeps obj from describing a network, closure size aside."""
+    if not isinstance(obj, dict):
+        return ['the file is not a JSON object']
+    keys = ['nodes', 'edges', 'satF', 'satP']
+    if need_closure:
+        keys.insert(0, 'closure')
+    out = ['missing key %r' % k for k in keys if k not in obj]
+    if need_closure and 'closure' in obj:
+        closure = obj['closure']
+        if not (isinstance(closure, dict)
+                and isinstance(closure.get('formula'), str)
+                and isinstance(closure.get('connectives'), list)):
+            out.append('closure must hold a formula string and a '
+                       'connectives list')
+    nodes = obj.get('nodes')
+    if 'nodes' in obj and not (isinstance(nodes, list) and nodes):
+        out.append('nodes must be a non-empty list')
+    ids = set()
+    for rec in nodes if isinstance(nodes, list) else ():
+        if not isinstance(rec, dict) or 'id' not in rec or 'atom' not in rec:
+            out.append('node %s needs an id and an atom' % json.dumps(rec))
+            continue
+        u = rec['id']
+        if not _is_id(u):
+            out.append('node id %s is not an integer' % json.dumps(u))
+        elif u in ids:
+            out.append('node id %d appears twice' % u)
+        else:
+            ids.add(u)
+        atom = rec['atom']
+        if not isinstance(atom, list) or not all(map(_is_id, atom)):
+            out.append('atom of node %s must list closure indices'
+                       % json.dumps(u))
+    lists = {}
+    for key in ('edges', 'satF', 'satP'):
+        lists[key] = obj.get(key, [])
+        if not isinstance(lists[key], list):
+            out.append('%s must be a list' % key)
+            lists[key] = []
+    for e in lists['edges']:
+        if not isinstance(e, list) or len(e) != 2 or \
+                not all(_is_id(u) and u in ids for u in e):
+            out.append('edge %s must join two node ids' % json.dumps(e))
+    for key in ('satF', 'satP'):
+        for u in lists[key]:
+            if not (_is_id(u) and u in ids):
+                out.append('%s names %s, which is no node id'
+                           % (key, json.dumps(u)))
+    return out
+
+
 def network_from_json(obj, ctx: NetworkContext = None) -> Network:
+    """The network a JSON object describes. NetworkFileError lists every
+    shape fault, checked before anything is built."""
+    problems = _file_problems(obj, ctx is None)
+    if problems:
+        raise NetworkFileError(problems)
     if ctx is None:
         defs = connectives_from_json(obj['closure']['connectives'])
         sigma = fl_closure(parse(obj['closure']['formula'], defs))
         ctx = NetworkContext(sigma)
+    size = len(ctx.sigma)
     label = {}
     for rec in obj['nodes']:
         bits = 0
         for i in rec['atom']:
-            bits |= 1 << i
+            if not 0 <= i < size:
+                problems.append('atom of node %d has index %d outside '
+                                '[0, %d)' % (rec['id'], i, size))
+            else:
+                bits |= 1 << i
         label[rec['id']] = bits
+    if problems:
+        raise NetworkFileError(problems)
     return Network(ctx, tuple(label), frozenset(map(tuple, obj['edges'])),
                    label, frozenset(obj['satF']), frozenset(obj['satP']))
 

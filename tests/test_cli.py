@@ -232,6 +232,40 @@ def test_net_queries_refuse_a_diamond(capsys, diamond_path, query):
     assert 'relation is not anticonfluent' in err
 
 
+def _one_node_file(tmp_path, edit):
+    blob = {'closure': {'formula': 'p', 'connectives': []},
+            'nodes': [{'id': 0, 'atom': [2, 3, 4, 6]}], 'edges': [],
+            'satF': [], 'satP': []}
+    edit(blob)
+    p = tmp_path / 'bad.json'
+    p.write_text(json.dumps(blob))
+    return str(p)
+
+
+@pytest.mark.parametrize('edit, problems', [
+    (lambda b: b['nodes'][0].update(id='a'),
+     ['node id "a" is not an integer']),
+    (lambda b: b['nodes'].append({'id': 0, 'atom': [1]}),
+     ['node id 0 appears twice']),
+    (lambda b: b['nodes'][0].update(atom=[-1]),
+     ['atom of node 0 has index -1 outside [0, 8)']),
+    (lambda b: b.pop('closure'), ["missing key 'closure'"]),
+    (lambda b: b.update(edges=[[0]]), ['edge [0] must join two node ids']),
+    (lambda b: b.update(nodes=[]), ['nodes must be a non-empty list']),
+    (lambda b: b.update(edges=[[0, 7]], satP=[0, 'x']),
+     ['edge [0, 7] must join two node ids',
+      'satP names "x", which is no node id']),
+])
+@pytest.mark.parametrize('query', ['validate', 'defects', 'timeouts'])
+def test_net_refuses_a_malformed_file_line_by_line(capsys, tmp_path, query,
+                                                   edit, problems):
+    path = _one_node_file(tmp_path, edit)
+    code, out, err = run(capsys, 'net', query, path)
+    assert code == 1 and out == ''
+    assert err.splitlines() == ['flatmu: error: %s: %s' % (path, p)
+                                for p in problems]
+
+
 # -- build ----------------------------------------------------------------------
 
 def test_build_is_byte_deterministic(capsys, defs_path):
@@ -255,6 +289,8 @@ BENCH_DEFS = [
      'cb76a958ff495a3a607a6716605056e25fe6a8f529d35a27770abbc1cb0d2036'),
     ('#sb(<F>p)',
      'f8848d8f479a8ead1782aa502e1a12793ff6f47bcb7975de5e6775588659d9bb'),
+    ('#rf(p) & #rb(q)',
+     '84e3899af5d24f9898517dfc2baf6b870ccceecb99cea1abfdd4fdf6916bd0a8'),
 ])
 def test_build_all_prints_the_pinned_bytes(capsys, tmp_path, formula, digest):
     p = tmp_path / 'defs.json'

@@ -3,12 +3,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatmu.acceptance import child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
-    Network, NetworkContext, compute_timeouts, find_defects, is_anticonfluent,
-    is_subnetwork, network_from_json, validate,
+    GrowingCones, Network, NetworkContext, compute_timeouts, cones,
+    find_defects, is_anticonfluent, is_subnetwork, network_from_json, orient,
+    validate,
 )
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
@@ -164,6 +166,74 @@ def test_saturation_stuck_on_a_bottom_diamond():
     n = mk(CTX_REACH, {0: doomed})
     with pytest.raises(Stuck):
         saturate(n, 0, 'F')
+
+
+# -- witness linking against a from-scratch oracle ---------------------------
+
+def _keeps_separation(nodes, edges):
+    """Cones of distinct neighbours of any node must not meet; a cycle
+    fails too. The from-scratch check the builder once ran per link."""
+    try:
+        down, up = cones(nodes, edges)
+    except ValueError:
+        return False
+    for cone, side in ((down, 0), (up, 1)):
+        nbrs = {}
+        for e in edges:
+            nbrs.setdefault(e[side], []).append(e[1 - side])
+        for ws in nbrs.values():
+            for i, v in enumerate(ws):
+                for v2 in ws[i + 1:]:
+                    if cone[v] & cone[v2]:
+                        return False
+    return True
+
+
+_STEP = st.tuples(st.sampled_from(['link', 'leaf']),
+                  st.integers(0, 30), st.integers(0, 30),
+                  st.sampled_from('FB'))
+
+
+@given(ids=st.lists(st.integers(0, 20), min_size=1, max_size=7, unique=True),
+       pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                      max_size=5),
+       steps=st.lists(_STEP, max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_growing_cones_link_as_the_oracle_does(ids, pairs, steps):
+    # a start graph over arbitrary ids, cycles and diamonds included
+    ids = sorted(ids)
+    edges = {(ids[i % len(ids)], ids[j % len(ids)]) for i, j in pairs}
+    n = mk(CTX_P, {u: A_SRC for u in ids}, edges)
+    assert n.separated == _keeps_separation(ids, edges)
+    # _saturate links nothing into an unseparated start; adding edges
+    # never separates a graph again, so the oracle refuses every link too
+    reach = GrowingCones(n) if n.separated else None
+    nodes = list(ids)
+    for kind, i, j, direction in steps:
+        u = nodes[i % len(nodes)]
+        if kind == 'leaf':
+            w = max(nodes) + 1
+            e = orient(u, w, direction)
+            nodes.append(w)
+            edges.add(e)
+            if reach is not None:
+                reach.add_leaf(w, *e)
+        else:
+            e = orient(u, nodes[j % len(nodes)], direction)
+            if e in edges:
+                continue   # _saturate only links nodes not yet adjacent
+            ok = reach is not None and reach.link(*e)
+            assert ok == _keeps_separation(nodes, edges | {e})
+            if ok:
+                edges.add(e)
+        if reach is not None:
+            assert reach.nodes == nodes
+            assert (reach.down, reach.up) == cones(nodes, edges)
+    grown = mk(CTX_P, {u: A_SRC for u in nodes}, edges)
+    if reach is not None:
+        reach.hand_to(grown)
+        assert grown.cones == cones(grown.nodes, grown.edges)
+    assert grown.separated == _keeps_separation(nodes, edges)
 
 
 # -- finishing a deferral -----------------------------------------------------

@@ -8,7 +8,7 @@ from flatmu.closure import fl_closure
 from flatmu.network import (
     Defect, Network, NetworkContext, NetworkContextError, amalgamate,
     compute_timeouts, cones, downgen, eqdown, equp, find_defects, is_anticonfluent,
-    is_down_cofinal, is_subnetwork, is_up_cofinal, network_from_json,
+    is_down_cofinal, is_subnetwork, is_up_cofinal, members, network_from_json,
     network_to_json, restrict, to_dot, union, upgen, validate,
 )
 from flatmu.syntax import (
@@ -212,8 +212,13 @@ def test_upgen_and_downgen_match_reachability():
 
 def test_cones_are_reflexive_and_refuse_cycles():
     down, up = cones((0, 1, 2), {(0, 1), (1, 2)})
-    assert down == {0: {0, 1, 2}, 1: {1, 2}, 2: {2}}
-    assert up == {0: {0}, 1: {0, 1}, 2: {0, 1, 2}}
+    assert {x: set(members(b, (0, 1, 2))) for x, b in down.items()} == \
+        {0: {0, 1, 2}, 1: {1, 2}, 2: {2}}
+    assert {x: set(members(b, (0, 1, 2))) for x, b in up.items()} == \
+        {0: {0}, 1: {0, 1}, 2: {0, 1, 2}}
+    # bit i stands for the i-th node, whatever its id
+    down, up = cones((9, 4), {(9, 4)})
+    assert down == {9: 0b11, 4: 0b10} and up == {9: 0b01, 4: 0b11}
     with pytest.raises(ValueError, match='relation has a cycle'):
         cones((0, 1, 2), {(0, 1), (1, 0), (1, 2)})
 
