@@ -4,13 +4,13 @@ Eleven semantic gates, each a plain function that sweeps a model universe
 or a generated corpus and raises CheckFailed with the first discrepancy.
 run_all times the rows and returns CheckResult records for the CLI.
 
-The exhaustive sweeps (every digraph on up to four states, checks 1-4)
-run on a vectorized twin of the evaluator. Frames come from
-semantics.frames, one model per isomorphism class, walked as the sweep
-reaches them; one numpy lane per joint valuation, truth sets as mask
-integers. The twin is never trusted alone. Scalar anchors re-evaluate a
-fixed stride of lanes through the ordinary evaluator, and the random
-half of each sweep goes through the scalar path entirely.
+The exhaustive sweeps (every digraph on up to four states, checks 1-4
+and 7) run semantics.eval_bits on numpy lanes, one lane per joint
+valuation, over semantics.frames: one model per isomorphism class,
+walked as the sweep reaches it. Scalar anchors re-evaluate a stride of
+lanes on int masks over the lane's own KripkeModel, which checks what
+differs between the carriers: the <d> table, lane decoding, env lookup.
+The random half of each sweep runs on int masks.
 
 A mutation hook lets the harness test itself: run_all(mutate=name)
 deliberately corrupts one input of the named row, which must then fail.
@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -125,52 +126,6 @@ def _lanes(states, names):
             for k, nm in enumerate(names)}
 
 
-def _dia_lanes(arg, nbrs):
-    """<d> on every lane at once: the image of each of the 2^|W| state
-    sets (bit w set when state w has a neighbour in the set), read at
-    each lane's mask in arg."""
-    sets = np.arange(1 << len(nbrs), dtype=np.uint32)[:, None]
-    hit = (sets & np.array(nbrs, dtype=np.uint32)) != 0
-    bits = np.uint32(1) << np.arange(len(nbrs), dtype=np.uint32)
-    return (hit @ bits)[arg]
-
-
-def _vec(f, fr, env, memo):
-    """Truth masks of f, one per lane. memo maps formulas to their lanes
-    on this fr and env; each fixpoint iteration runs its body under a
-    fresh env and so a fresh memo."""
-    out = memo.get(f)
-    if out is not None:
-        return out
-    if isinstance(f, Bottom):
-        out = np.zeros_like(next(iter(env.values())))
-    elif isinstance(f, Var):
-        out = env[f.name]
-    elif isinstance(f, Neg):
-        out = _vec(f.child, fr, env, memo) ^ fr.full_mask
-    elif isinstance(f, Or):
-        out = _vec(f.left, fr, env, memo) | _vec(f.right, fr, env, memo)
-    elif isinstance(f, Dia):
-        nbrs = fr.succ_mask if f.direction == 'F' else fr.pred_mask
-        out = _dia_lanes(_vec(f.child, fr, env, memo), nbrs)
-    elif isinstance(f, Sharp):
-        inner = {'q%d' % (k + 1): _vec(a, fr, env, memo)
-                 for k, a in enumerate(f.args)}
-        out = np.zeros_like(next(iter(env.values())))
-        for _ in range(fr.states + 1):
-            inner['x'] = out
-            nxt = _vec(f.connective.body, fr, inner, {})
-            if np.array_equal(nxt, out):
-                break
-            out = nxt
-        else:
-            raise AssertionError('fixpoint iteration failed to converge')
-    else:
-        raise TypeError(f)
-    memo[f] = out
-    return out
-
-
 def _lane_model(fr, env, lane, names):
     val = {nm: {w for w in range(fr.states) if int(env[nm][lane]) >> w & 1}
            for nm in names}
@@ -190,6 +145,26 @@ def _random_models(count=500, seed=1729):
     return out
 
 
+def _sweep(check):
+    """check(fi, frame, env) on every frame up to four states, with p and q
+    on lanes, then check(None, model, None) on each random model. Returns
+    how many frames and random models it ran."""
+    for fi, fr in enumerate(_small_frames()):
+        check(fi, fr, _lanes(fr.states, ('p', 'q')))
+    randoms = _random_models()
+    for m in randoms:
+        check(None, m, None)
+    return fi + 1, len(randoms)
+
+
+def _where(fi, m, a, b):
+    """Where truth sets a and b split: a frame's lane, or a random model."""
+    if fi is None:
+        return 'a random %d-state model' % m.states
+    lane = int(np.nonzero(a != b)[0][0])
+    return 'frame %d states=%d lane=%d' % (fi, m.states, lane)
+
+
 def _fail(ident, msg):
     raise CheckFailed('check %s: %s' % (ident, msg))
 
@@ -203,16 +178,14 @@ def check_nabla_equivalences():
         env = _lanes(fr.states, ('p', 'q'))
         memo = {}
         for pi, phi in enumerate(_POOL):
-            henv = {'h': _vec(phi, fr, env, memo), **env}
+            henv = {'h': eval_bits(phi, fr, env, memo), **env}
             hmemo = {}
             for lhs, rhs in _NABLA_PAIRS:
-                a = _vec(lhs, fr, henv, hmemo)
-                b = _vec(rhs, fr, henv, hmemo)
+                a = eval_bits(lhs, fr, henv, hmemo)
+                b = eval_bits(rhs, fr, henv, hmemo)
                 if not np.array_equal(a, b):
-                    lane = int(np.nonzero(a != b)[0][0])
-                    _fail('1', '%s vs its cover form differ on frame '
-                          '%d states=%d lane=%d with h = %s'
-                          % (to_string(lhs), fi, fr.states, lane,
+                    _fail('1', '%s vs its cover form differ on %s with h = %s'
+                          % (to_string(lhs), _where(fi, fr, a, b),
                              to_string(phi)))
             if (fi * 31 + pi) % 977 == 0:
                 lane = (fi * 7 + pi) % len(env['p'])
@@ -220,7 +193,7 @@ def check_nabla_equivalences():
                 for lhs, rhs in _NABLA_PAIRS:
                     sa = eval_bits(substitute(lhs, {'h': phi}), m)
                     sb = eval_bits(substitute(rhs, {'h': phi}), m)
-                    va = int(_vec(lhs, fr, henv, hmemo)[lane])
+                    va = int(eval_bits(lhs, fr, henv, hmemo)[lane])
                     if not sa == sb == va:
                         _fail('1', 'scalar anchor disagrees on frame %d '
                               'lane %d' % (fi, lane))
@@ -248,54 +221,60 @@ def check_axiom_soundness():
     if 'corrupt-axiom' in _ACTIVE_MUTATIONS:
         instances[0] = Neg(instances[0])
     anchors = 0
-    for fi, fr in enumerate(_small_frames()):
-        env = _lanes(fr.states, ('p', 'q'))
+
+    def valid(fi, m, env):
+        nonlocal anchors
         memo = {}
         for ii, inst in enumerate(instances):
-            v = _vec(inst, fr, env, memo)
-            if not np.all(v == fr.full_mask):
-                lane = int(np.nonzero(v != fr.full_mask)[0][0])
-                _fail('2', 'instance %d (%s) fails on frame %d states=%d '
-                      'lane=%d' % (ii, to_string(inst), fi, fr.states, lane))
-            if (fi * 13 + ii) % 1381 == 0:
+            v = eval_bits(inst, m, env, memo)
+            if not np.all(v == m.full_mask):
+                _fail('2', 'instance %d (%s) fails on %s' % (
+                    ii, to_string(inst), _where(fi, m, v, m.full_mask)))
+            if env and (fi * 13 + ii) % 1381 == 0:
                 lane = (fi + ii * 5) % len(env['p'])
-                m = _lane_model(fr, env, lane, ('p', 'q'))
-                if eval_bits(inst, m) != m.full_mask:
+                lm = _lane_model(m, env, lane, ('p', 'q'))
+                if eval_bits(inst, lm) != lm.full_mask:
                     _fail('2', 'scalar anchor rejects instance %d on frame '
                           '%d lane %d' % (ii, fi, lane))
                 anchors += 1
-    randoms = _random_models()
-    for m in randoms:
-        memo = {}
-        for ii, inst in enumerate(instances):
-            if eval_bits(inst, m, None, memo) != m.full_mask:
-                _fail('2', 'instance %d (%s) fails on a random %d-state '
-                      'model' % (ii, to_string(inst), m.states))
+
+    frames, randoms = _sweep(valid)
     return ('%d instances over a 4-formula pool; %d frames + %d random '
             'models; %d anchors'
-            % (len(instances), fi + 1, len(randoms), anchors))
+            % (len(instances), frames, randoms, anchors))
 
 
 # ---------------------------------------------------------------------------
 # 3. relation-based cover semantics against the expansion
 
 def _vec_cover(members, fr, env, direction, memo):
-    """The full-relation reading, vectorized: every neighbour satisfies
-    some member and every member holds at some neighbour."""
-    zero = np.zeros_like(next(iter(env.values())))
-    vecs = [_vec(m, fr, env, memo) for m in members]
-    joint = zero.copy()
-    for v in vecs:
-        joint |= v
-    out = zero
+    """The full-relation reading on every lane at once: every neighbour
+    satisfies some member and every member holds at some neighbour."""
+    out = np.zeros_like(env['p'])
+    vecs = [eval_bits(m, fr, env, memo) for m in members]
+    missed = fr.full_mask & ~reduce(np.bitwise_or, vecs, out)
     nbrs = fr.succ_mask if direction == 'F' else fr.pred_mask
-    for w in range(fr.states):
-        nb = np.uint32(nbrs[w])
-        ok = (nb & (joint ^ fr.full_mask)) == 0
+    for w, nb in enumerate(nbrs):
+        ok = (nb & missed) == 0
         for v in vecs:
             ok &= (nb & v) != 0
-        out = out | (ok.astype(np.uint32) << np.uint32(w))
+        out |= ok.astype(np.uint32) << np.uint32(w)
     return out
+
+
+def _via_relation(m, where):
+    """eval_nabla_via_relation at every state of m against the expansion;
+    returns the number of calls."""
+    memo = {}
+    for members in _PSI_SETS:
+        for d in ('F', 'B'):
+            want = eval_bits(nabla(d, members), m, None, memo)
+            for w in range(m.states):
+                if eval_nabla_via_relation(members, d, m, w) \
+                        != bool(want >> w & 1):
+                    _fail('3', 'via-relation call differs at state %d of %s'
+                          % (w, where))
+    return len(_PSI_SETS) * 2 * m.states
 
 
 def check_nabla_relation():
@@ -306,12 +285,11 @@ def check_nabla_relation():
         for members in _PSI_SETS:
             for d in ('F', 'B'):
                 cov = _vec_cover(members, fr, env, d, memo)
-                exp = _vec(nabla(d, members), fr, env, memo)
+                exp = eval_bits(nabla(d, members), fr, env, memo)
                 if not np.array_equal(cov, exp):
-                    lane = int(np.nonzero(cov != exp)[0][0])
-                    _fail('3', 'cover reading and expansion split on frame '
-                          '%d lane %d, members {%s} direction %s'
-                          % (fi, lane,
+                    _fail('3', 'cover reading and expansion split on %s, '
+                          'members {%s} direction %s'
+                          % (_where(fi, fr, cov, exp),
                              ', '.join(map(to_string, members)), d))
         scan_all = fr.states <= 3
         lanes = len(env['p'])
@@ -319,29 +297,10 @@ def check_nabla_relation():
         if not scan_all and fi % 17:
             lane_range = []
         for lane in lane_range:
-            m = _lane_model(fr, env, lane, ('p', 'q'))
-            memo = {}
-            for members in _PSI_SETS:
-                for d in ('F', 'B'):
-                    want = eval_bits(nabla(d, members), m, None, memo)
-                    for w in range(fr.states):
-                        got = eval_nabla_via_relation(members, d, m, w)
-                        if got != bool(want >> w & 1):
-                            _fail('3', 'via-relation call differs at state '
-                                  '%d of frame %d lane %d' % (w, fi, lane))
-                        api_calls += 1
-    randoms = _random_models()
-    for m in randoms:
-        memo = {}
-        for members in _PSI_SETS:
-            for d in ('F', 'B'):
-                want = eval_bits(nabla(d, members), m, None, memo)
-                for w in range(m.states):
-                    if eval_nabla_via_relation(members, d, m, w) \
-                            != bool(want >> w & 1):
-                        _fail('3', 'via-relation call differs on a random '
-                              '%d-state model' % m.states)
-                    api_calls += 1
+            api_calls += _via_relation(_lane_model(fr, env, lane, ('p', 'q')),
+                                       'frame %d lane %d' % (fi, lane))
+    for m in _random_models():
+        api_calls += _via_relation(m, 'a random %d-state model' % m.states)
     return ('%d member sets x 2 directions on %d frames; %d direct '
             'via-relation calls' % (len(_PSI_SETS), fi + 1, api_calls))
 
@@ -349,52 +308,31 @@ def check_nabla_relation():
 # ---------------------------------------------------------------------------
 # 4. fixpoint stages approximate from below and close at |W|
 
-def _stages():
-    """(connective, argument) -> list of stage formulas 1..7 by index."""
-    out = {}
-    for chi in _STAGE_CONNS:
-        for theta in _STAGE_ARGS:
-            out[(chi, theta)] = [approximant(chi, k, (theta,))
-                                 for k in range(7)]
-    return out
-
-
 def check_approximants():
-    stages = _stages()
-    for fi, fr in enumerate(_small_frames()):
-        env = _lanes(fr.states, ('p', 'q'))
+    # (connective, argument) -> stage formulas 1..7 by index
+    stages = {(chi, theta): [approximant(chi, k, (theta,)) for k in range(7)]
+              for chi in _STAGE_CONNS for theta in _STAGE_ARGS}
+
+    def bounded(fi, m, env):
         memo = {}
         for (chi, theta), forms in stages.items():
-            fix = _vec(Sharp(chi, (theta,)), fr, env, memo)
+            fix = eval_bits(Sharp(chi, (theta,)), m, env, memo)
             for k, form in enumerate(forms[:6]):
-                ap = _vec(form, fr, env, memo)
-                if np.any(ap & ~fix & fr.full_mask):
-                    _fail('4', 'stage %d of %s(%s) escapes the fixpoint on '
-                          'frame %d' % (k + 1, chi.name, to_string(theta),
-                                        fi))
-            closing = _vec(forms[fr.states - 1], fr, env, memo)
+                out = eval_bits(form, m, env, memo) & ~fix & m.full_mask
+                if np.any(out):
+                    _fail('4', 'stage %d of %s(%s) escapes the fixpoint on %s'
+                          % (k + 1, chi.name, to_string(theta),
+                             _where(fi, m, out, 0)))
+            closing = eval_bits(forms[m.states - 1], m, env, memo)
             if not np.array_equal(closing, fix):
-                lane = int(np.nonzero(closing != fix)[0][0])
-                _fail('4', 'stage %d of %s(%s) misses the fixpoint on frame '
-                      '%d lane %d'
-                      % (fr.states, chi.name, to_string(theta), fi, lane))
-    randoms = _random_models()
-    for m in randoms:
-        memo = {}
-        for (chi, theta), forms in stages.items():
-            fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
-            for k, form in enumerate(forms[:6]):
-                if eval_bits(form, m, None, memo) & ~fix & m.full_mask:
-                    _fail('4', 'stage %d of %s(%s) escapes the fixpoint on '
-                          'a random model'
-                          % (k + 1, chi.name, to_string(theta)))
-            if eval_bits(forms[m.states - 1], m, None, memo) != fix:
-                _fail('4', 'stage %d of %s(%s) misses the fixpoint on a '
-                      'random %d-state model'
-                      % (m.states, chi.name, to_string(theta), m.states))
+                _fail('4', 'stage %d of %s(%s) misses the fixpoint on %s'
+                      % (m.states, chi.name, to_string(theta),
+                         _where(fi, m, closing, fix)))
+
+    frames, randoms = _sweep(bounded)
     return ('%d connective-argument pairs, stages 1..6 below and stage |W| '
             'equal, %d frames + %d random models'
-            % (len(stages), fi + 1, len(randoms)))
+            % (len(stages), frames, randoms))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +444,7 @@ def check_guardification():
         env = _lanes(fr.states, ('x', 'q1'))
         memo = {}
         for chi, equivalence in splits:
-            v = _vec(equivalence, fr, env, memo)
+            v = eval_bits(equivalence, fr, env, memo)
             if not np.all(v == fr.full_mask):
                 _fail('7', 'split of %s is not equivalent on frame %d '
                       '(%d states)' % (to_string(chi.body), fi, fr.states))

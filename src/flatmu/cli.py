@@ -21,13 +21,13 @@ from . import acceptance
 from .closure import enumerate_atoms, fl_closure
 from .construct import Budget, Stuck, build
 from .network import (
-    NetworkContext, NetworkFileError, compute_timeouts, find_defects,
-    network_from_json, network_to_json, to_dot, validate,
+    NetworkContext, compute_timeouts, find_defects, network_from_json, to_dot,
+    validate,
 )
 from .semantics import KripkeModel, brute_force_sat, eval_bits
 from .syntax import (
-    ParseError, classify_disjunctive, connectives_from_json, guardify,
-    parse, to_string,
+    FileShapeError, ParseError, classify_disjunctive, connectives_from_json,
+    guardify, parse, to_string,
 )
 
 
@@ -72,6 +72,17 @@ def _formula(args):
         raise _CliError(str(exc))
 
 
+def _load(path, from_json):
+    """from_json of the file at path; a file of the wrong shape is an error
+    of one line per problem."""
+    try:
+        return from_json(_load_json(path))
+    except FileShapeError as exc:
+        raise _CliError('\n'.join('%s: %s' % (path, p) for p in exc.problems))
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
+        raise _CliError('%s: %s' % (path, exc))
+
+
 def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -109,10 +120,7 @@ def _cmd_atoms(args):
 
 
 def _cmd_check(args):
-    try:
-        model = KripkeModel.from_json(_load_json(args.model))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError('%s: %s' % (args.model, exc))
+    model = _load(args.model, KripkeModel.from_json)
     if not 0 <= args.state < model.states:
         raise _CliError('state %d outside 0..%d'
                         % (args.state, model.states - 1))
@@ -122,6 +130,9 @@ def _cmd_check(args):
 
 
 def _cmd_sat(args):
+    if args.max_states < 1:
+        raise _CliError('--max-states must be at least 1, not %d'
+                        % args.max_states)
     hit = brute_force_sat(_formula(args), args.max_states)
     if hit is None:
         print('none')
@@ -156,17 +167,8 @@ def _cmd_guardify(args):
     return 0
 
 
-def _load_network(path):
-    try:
-        return network_from_json(_load_json(path))
-    except NetworkFileError as exc:
-        raise _CliError('\n'.join('%s: %s' % (path, p) for p in exc.problems))
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
-        raise _CliError('%s: %s' % (path, exc))
-
-
 def _cmd_net(args):
-    n = _load_network(args.network)
+    n = _load(args.network, network_from_json)
     problems = validate(n)
     if args.query == 'validate':
         if not problems:

@@ -22,7 +22,8 @@ from .closure import (
     ClosureSet, DeferralTable, coherent, enumerate_atoms, fl_closure, is_atom,
 )
 from .syntax import (
-    DNabla, DX, Sharp, connectives_from_json, parse, subformulas, to_string,
+    DNabla, DX, FileShapeError, Sharp, connectives_from_json, parse,
+    subformulas, to_string,
 )
 
 INF = math.inf
@@ -686,14 +687,6 @@ def network_to_json(n: Network):
     }
 
 
-class NetworkFileError(ValueError):
-    """A network file has the wrong shape; problems lists every fault."""
-
-    def __init__(self, problems):
-        super().__init__('; '.join(problems))
-        self.problems = problems
-
-
 def _is_id(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -751,11 +744,11 @@ def _file_problems(obj, need_closure):
 
 
 def network_from_json(obj, ctx: NetworkContext = None) -> Network:
-    """The network a JSON object describes. NetworkFileError lists every
+    """The network a JSON object describes. FileShapeError lists every
     shape fault, checked before anything is built."""
     problems = _file_problems(obj, ctx is None)
     if problems:
-        raise NetworkFileError(problems)
+        raise FileShapeError(problems)
     if ctx is None:
         defs = connectives_from_json(obj['closure']['connectives'])
         sigma = fl_closure(parse(obj['closure']['formula'], defs))
@@ -772,7 +765,7 @@ def network_from_json(obj, ctx: NetworkContext = None) -> Network:
                 bits |= 1 << i
         label[rec['id']] = bits
     if problems:
-        raise NetworkFileError(problems)
+        raise FileShapeError(problems)
     return Network(ctx, tuple(label), frozenset(map(tuple, obj['edges'])),
                    label, frozenset(obj['satF']), frozenset(obj['satP']))
 

@@ -1,19 +1,22 @@
 """Kripke models and formula evaluation.
 
-Truth sets are computed internally as int bitmasks over states; the
+One evaluator, eval_bits, computes truth sets as bitmasks over states,
+on two carriers: Python int masks, or numpy uint32 arrays with one mask
+per lane (the selftest sweeps give each joint valuation a lane). The
 public eval returns frozensets. Fixpoint connectives are evaluated by
 Kleene iteration from the empty set, which converges within |W| rounds
-by positivity of the body.
+by positivity of the body. numpy is imported only when lanes arrive.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 
 from .syntax import (
-    Bottom, Dia, Neg, Or, Sharp, Var, box, free_vars, implies, iff,
-    subformulas,
+    Bottom, Dia, FileShapeError, Neg, Or, Sharp, Var, box, free_vars,
+    implies, iff, subformulas,
 )
 
 
@@ -55,10 +58,7 @@ class KripkeModel:
         return tuple(out)
 
     def valuation_mask(self, name: str) -> int:
-        bits = 0
-        for w in self.valuation.get(name, ()):
-            bits |= 1 << w
-        return bits
+        return _set_to_mask(self.valuation.get(name, ()))
 
     def to_json(self):
         return {
@@ -70,6 +70,11 @@ class KripkeModel:
 
     @classmethod
     def from_json(cls, obj):
+        """The model a JSON object describes. FileShapeError lists every
+        shape fault, checked before anything is built."""
+        problems = _file_problems(obj)
+        if problems:
+            raise FileShapeError(problems)
         return cls(obj['states'], [tuple(e) for e in obj.get('edges', [])],
                    obj.get('valuation', {}))
 
@@ -77,31 +82,89 @@ class KripkeModel:
         return 'KripkeModel(%d states, %d edges)' % (self.states, len(self.edges))
 
 
-def _dia_image(direction, arg_mask, model):
-    masks = model.succ_mask if direction == 'F' else model.pred_mask
-    out = 0
-    for w in range(model.states):
-        if masks[w] & arg_mask:
-            out |= 1 << w
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _file_problems(obj):
+    """What keeps obj from describing a KripkeModel."""
+    if not isinstance(obj, dict):
+        return ['the file is not a JSON object']
+    n = obj.get('states')
+    sized = _is_int(n) and n >= 1
+    out = [] if sized else ["missing key 'states'" if 'states' not in obj else
+                            'states must be an integer >= 1, not %s'
+                            % json.dumps(n)]
+    where = ' in [0, %d)' % n if sized else ''
+
+    def states_ok(ws):
+        return isinstance(ws, list) and all(
+            _is_int(w) and (not sized or 0 <= w < n) for w in ws)
+
+    edges, valuation = obj.get('edges', []), obj.get('valuation', {})
+    if not isinstance(edges, list):
+        out.append('edges must be a list')
+        edges = []
+    if not isinstance(valuation, dict):
+        out.append('valuation must map letters to lists of states')
+        valuation = {}
+    out += ['edge %s must join two states%s' % (json.dumps(e), where)
+            for e in edges if not (states_ok(e) and len(e) == 2)]
+    out += ['valuation of %s must list states%s' % (name, where)
+            for name, ws in valuation.items() if not states_ok(ws)]
     return out
 
 
+def _zero(env):
+    """The empty truth set in env's carrier: 0, or an all-zero lane array."""
+    return next(iter(env.values()), 0) & 0
+
+
+def _dia_image(direction, arg, model):
+    masks = model.succ_mask if direction == 'F' else model.pred_mask
+    if isinstance(arg, int):
+        out = 0
+        for w in range(model.states):
+            if masks[w] & arg:
+                out |= 1 << w
+        return out
+    import numpy as np
+
+    # the image of each of the 2^|W| state sets, read at every lane
+    sets = np.arange(1 << model.states, dtype=np.uint32)[:, None]
+    hit = (sets & np.array(masks, dtype=np.uint32)) != 0
+    bits = np.uint32(1) << np.arange(model.states, dtype=np.uint32)
+    return (hit @ bits)[arg]
+
+
+def _same(a, b):
+    if isinstance(a, int):
+        return a == b
+    import numpy as np
+    return np.array_equal(a, b)
+
+
 def eval_bits(formula, model, env=None, _memo=None):
-    """Truth set of formula as a bitmask; env overlays the valuation."""
+    """Truth set of formula as a bitmask; env overlays the valuation.
+
+    env values are int masks, or numpy uint32 arrays of one mask per lane;
+    the result, _|_ included, comes back in that carrier. _memo maps
+    formulas to results for this one model and env: share it across
+    formulas, never across models or envs. Each fixpoint iteration runs
+    its body under a fresh env and so a fresh memo.
+    """
     env = env or {}
     memo = {} if _memo is None else _memo
-    key = (formula, tuple((v, env[v]) for v in sorted(free_vars(formula))
-                          if v in env))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    out = memo.get(formula)
+    if out is not None:
+        return out
     if isinstance(formula, Bottom):
-        out = 0
+        out = _zero(env)
     elif isinstance(formula, Var):
         if formula.name in env:
             out = env[formula.name]
         else:
-            out = model.valuation_mask(formula.name)
+            out = _zero(env) | model.valuation_mask(formula.name)
     elif isinstance(formula, Neg):
         out = model.full_mask & ~eval_bits(formula.child, model, env, memo)
     elif isinstance(formula, Or):
@@ -111,23 +174,20 @@ def eval_bits(formula, model, env=None, _memo=None):
         out = _dia_image(formula.direction,
                          eval_bits(formula.child, model, env, memo), model)
     elif isinstance(formula, Sharp):
-        chi = formula.connective
-        inner = dict(env)
-        for k, a in enumerate(formula.args):
-            inner['q%d' % (k + 1)] = eval_bits(a, model, env, memo)
-        z = 0
+        inner = {'q%d' % (k + 1): eval_bits(a, model, env, memo)
+                 for k, a in enumerate(formula.args)}
+        out = _zero(env)
         for _ in range(model.states + 1):
-            inner['x'] = z
-            nxt = eval_bits(chi.body, model, inner, memo)
-            if nxt == z:
+            inner['x'] = out
+            nxt = eval_bits(formula.connective.body, model, inner, {})
+            if _same(nxt, out):
                 break
-            z = nxt
+            out = nxt
         else:
             raise AssertionError('fixpoint iteration failed to converge')
-        out = z
     else:
         raise TypeError(formula)
-    memo[key] = out
+    memo[formula] = out
     return out
 
 
@@ -135,16 +195,13 @@ def _mask_to_set(mask: int, n: int) -> frozenset:
     return frozenset(w for w in range(n) if mask >> w & 1)
 
 
+def _set_to_mask(ws) -> int:
+    return sum(1 << w for w in set(ws))
+
+
 def eval(formula, model, env=None):
     """States where formula holds. Unvalued variables are false everywhere."""
-    env_masks = None
-    if env:
-        env_masks = {}
-        for name, ws in env.items():
-            bits = 0
-            for w in ws:
-                bits |= 1 << w
-            env_masks[name] = bits
+    env_masks = {name: _set_to_mask(ws) for name, ws in (env or {}).items()}
     return _mask_to_set(eval_bits(formula, model, env_masks), model.states)
 
 

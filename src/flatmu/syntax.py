@@ -308,6 +308,15 @@ class ParseError(ValueError):
     pass
 
 
+class FileShapeError(ValueError):
+    """A model or network file has the wrong shape; problems lists every
+    fault."""
+
+    def __init__(self, problems):
+        super().__init__('; '.join(problems))
+        self.problems = problems
+
+
 _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+)
     | (?P<bottom>_\|_)

@@ -102,9 +102,43 @@ def test_check_rejects_a_state_outside_the_model(capsys, model_path):
     assert code == 1 and 'state' in err
 
 
+@pytest.mark.parametrize('blob, problems', [
+    ({'states': 2.5}, ['states must be an integer >= 1, not 2.5']),
+    ({'states': True}, ['states must be an integer >= 1, not true']),
+    ({'states': 2, 'valuation': {'p': [0.5]}},
+     ['valuation of p must list states in [0, 2)']),
+    ({'states': 2, 'edges': [[0, 1.9]]},
+     ['edge [0, 1.9] must join two states in [0, 2)']),
+    ({'states': 2, 'edges': [[0, 'a']]},
+     ['edge [0, "a"] must join two states in [0, 2)']),
+    ({'states': 2, 'valuation': {'p': 5}},
+     ['valuation of p must list states in [0, 2)']),
+    ([1, 2], ['the file is not a JSON object']),
+    ({'states': 2, 'edges': [[0]], 'valuation': {'p': [2]}},
+     ['edge [0] must join two states in [0, 2)',
+      'valuation of p must list states in [0, 2)']),
+])
+def test_check_refuses_a_malformed_model_line_by_line(capsys, tmp_path, blob,
+                                                      problems):
+    path = tmp_path / 'bad.json'
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, 'check', str(path), '0', 'p | <F>~p')
+    assert code == 1 and out == ''
+    assert err.splitlines() == ['flatmu: error: %s: %s' % (path, p)
+                                for p in problems]
+
+
 def test_sat_reports_none_for_bottom(capsys):
     code, out, _ = run(capsys, 'sat', '_|_', '--max-states', '3')
     assert code == 2 and out == 'none\n'
+
+
+@pytest.mark.parametrize('bound', ['0', '-1'])
+def test_sat_refuses_a_bound_below_one_state(capsys, bound):
+    code, out, err = run(capsys, 'sat', 'p', '--max-states', bound)
+    assert code == 1 and out == ''
+    assert err == 'flatmu: error: --max-states must be at least 1, not %s\n' \
+        % bound
 
 
 def test_sat_witness_is_a_real_model(capsys):

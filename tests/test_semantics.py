@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
@@ -239,6 +240,33 @@ def test_frames_walk_isomorphism_classes_then_every_mask():
     # 2^25 five-state frames that follow the first
     first = next(frames(5))
     assert first.states == 5 and first.edges == frozenset()
+
+
+def test_lanes_agree_with_int_masks_lane_by_lane():
+    # one lane per joint valuation of p and q; lane k holds p = k mod 2^n
+    # and q = k div 2^n, decoded here without the selftest's helpers
+    forms = [Bottom(), parse('[F]_|_', {}), parse('~<B>_|_', {}),
+             parse('<F><B>p', {}), parse('p & ~q', {}),
+             Sharp(REACH, (Sharp(CHI2, (Var('p'),)),))]
+    compared = 0
+    for n in (1, 2, 3):
+        idx = np.arange(1 << 2 * n, dtype=np.uint32)
+        env = {'p': idx & np.uint32((1 << n) - 1), 'q': idx >> np.uint32(n)}
+        for fr in frames(n):
+            shared, results = {}, []
+            for f in forms:
+                got = eval_bits(f, fr, env)
+                assert got.dtype == np.uint32 and got.shape == idx.shape
+                assert np.array_equal(eval_bits(f, fr, env, shared), got)
+                results.append(got)
+            for k in range(len(idx)):
+                m = KripkeModel(n, fr.edges, {
+                    'p': {w for w in range(n) if k % (1 << n) >> w & 1},
+                    'q': {w for w in range(n) if k >> n >> w & 1}})
+                for f, got in zip(forms, results):
+                    assert int(got[k]) == eval_bits(f, m)
+                    compared += 1
+    assert compared == 6 * (2 * 4 + 10 * 16 + 104 * 64)
 
 
 def test_brute_force_two_nested_fixpoints():
