@@ -130,10 +130,14 @@ def _cmd_check(args):
 
 
 def _cmd_sat(args):
-    if args.max_states < 1:
-        raise _CliError('--max-states must be at least 1, not %d'
-                        % args.max_states)
-    hit = brute_force_sat(_formula(args), args.max_states)
+    n = args.max_states
+    if n < 1:
+        raise _CliError('--max-states must be at least 1, not %d' % n)
+    if n > 4:
+        # beyond four states frames() walks every edge set
+        raise _CliError('--max-states must be at most 4, not %d: %d states '
+                        'have 2^%d frames' % (n, n, n * n))
+    hit = brute_force_sat(_formula(args), n)
     if hit is None:
         print('none')
         return 2

@@ -39,15 +39,6 @@ class ClosureSet:
         return self.index[f]
 
     @cached_property
-    def negation_map(self):
-        """index -> index of the Hintikka complement (~ strips one Neg)."""
-        out = {}
-        for i, f in enumerate(self.formulas):
-            g = f.child if isinstance(f, Neg) else Neg(f)
-            out[i] = self.index[g]
-        return out
-
-    @cached_property
     def dia_pairs(self):
         """direction -> list of (index of <d>rho, index of rho), index order."""
         out = {'F': [], 'B': []}
@@ -72,6 +63,30 @@ class ClosureSet:
         return out
 
     @cached_property
+    def shapes(self):
+        """(index, node class, child indices) for every formula, each
+        after its children.
+
+        The children are the immediate subformulas: a Neg's or a Dia's
+        child, an Or's two sides, a Sharp's arguments. Atom enumeration
+        and the Hintikka check read this table instead of looking up
+        subformulas.
+        """
+        table = {}
+
+        def place(i):
+            if i not in table:
+                f = self.formulas[i]
+                kids = tuple(self.index[g] for g in _subformula_children(f))
+                for k in kids:
+                    place(k)
+                table[i] = (type(f), kids)
+
+        for i in range(len(self.formulas)):
+            place(i)
+        return tuple((i, cls, kids) for i, (cls, kids) in table.items())
+
+    @cached_property
     def var_names(self):
         return tuple(sorted({f.name for f in self.formulas if isinstance(f, Var)}))
 
@@ -81,19 +96,22 @@ class ClosureSet:
                 'B': self.index[box('B', Bottom())]}
 
 
-def _children(f):
-    if isinstance(f, Neg):
+def _subformula_children(f):
+    if isinstance(f, (Neg, Dia)):
         return [f.child]
     if isinstance(f, Or):
         return [f.left, f.right]
-    if isinstance(f, Dia):
-        return [f.child]
     if isinstance(f, Sharp):
-        out = list(f.args)
+        return list(f.args)
+    return []
+
+
+def _children(f):
+    out = _subformula_children(f)
+    if isinstance(f, Sharp):
         out.append(f.connective.instantiate(f, f.args))
         out.append(f.connective.instantiate(Bottom(), f.args))
-        return out
-    return []
+    return out
 
 
 def fl_closure(origin) -> ClosureSet:
@@ -145,57 +163,50 @@ def is_atom(members, sigma: ClosureSet) -> bool:
         bits = atom_bits(sigma, members)
     if bits >> len(sigma) != 0:
         raise ValueError('bitset uses indices outside the closure')
-    for i, f in enumerate(sigma.formulas):
-        have = bits >> i & 1
-        if isinstance(f, Bottom) and have:
-            return False
-        if isinstance(f, Or):
-            l = bits >> sigma.index_of(f.left) & 1
-            r = bits >> sigma.index_of(f.right) & 1
-            if have != (l | r):
-                return False
-        if have == (bits >> sigma.negation_map[i] & 1):
-            return False
-    for i, (unfold_i, _) in sigma.sharp_unfoldings.items():
-        if (bits >> i & 1) != (bits >> unfold_i & 1):
-            return False
-    return True
+    return _completed(bits, sigma) == bits and _unfoldings_agree(bits, sigma)
+
+
+def _completed(bits: int, sigma: ClosureSet) -> int:
+    """bits with every _|_, Neg and Or bit recomputed from its children,
+    the Var, Dia and # bits kept.
+
+    Every non-Neg formula's negation is in the closure, so an atom is
+    exactly a bitset this leaves alone whose # bits agree with their
+    unfoldings.
+    """
+    for i, cls, kids in sigma.shapes:
+        if cls is Neg:
+            value = not bits >> kids[0] & 1
+        elif cls is Or:
+            value = (bits >> kids[0] | bits >> kids[1]) & 1
+        elif cls is Bottom:
+            value = False
+        else:
+            continue
+        bits = bits | 1 << i if value else bits & ~(1 << i)
+    return bits
+
+
+def _unfoldings_agree(bits: int, sigma: ClosureSet) -> bool:
+    return all(bits >> i & 1 == bits >> unfold_i & 1
+               for i, (unfold_i, _) in sigma.sharp_unfoldings.items())
 
 
 def enumerate_atoms(sigma: ClosureSet):
     """All atoms over sigma, ascending as bitset integers.
 
     Bits for variables, diamonds and # formulas are free choices; boolean
-    structure determines the rest; # choices are filtered against their
-    unfoldings afterwards.
+    structure determines the rest, in sigma.shapes order; # choices are
+    filtered against their unfoldings afterwards.
     """
-    base = [i for i, f in enumerate(sigma.formulas)
-            if isinstance(f, (Var, Dia, Sharp))]
-
-    def value(f, chosen):
-        if isinstance(f, Bottom):
-            return 0
-        i = sigma.index_of(f)
-        if i in chosen:
-            return chosen[i]
-        if isinstance(f, Neg):
-            return 1 - value(f.child, chosen)
-        if isinstance(f, Or):
-            return value(f.left, chosen) | value(f.right, chosen)
-        raise AssertionError(f)
-
+    base = [i for i, cls, _ in sigma.shapes if cls in (Var, Dia, Sharp)]
     out = []
     for mask in range(1 << len(base)):
-        chosen = {i: mask >> k & 1 for k, i in enumerate(base)}
         bits = 0
-        for i, f in enumerate(sigma.formulas):
-            bits |= value(f, chosen) << i
-        ok = True
-        for i, (unfold_i, _) in sigma.sharp_unfoldings.items():
-            if (bits >> i & 1) != (bits >> unfold_i & 1):
-                ok = False
-                break
-        if ok:
+        for k, i in enumerate(base):
+            bits |= (mask >> k & 1) << i
+        bits = _completed(bits, sigma)
+        if _unfoldings_agree(bits, sigma):
             out.append(bits)
     out.sort()
     return out

@@ -21,44 +21,41 @@ from .syntax import (
 
 
 class KripkeModel:
-    """Finite model: states 0..n-1, edge set, valuation name -> state set."""
+    """Finite model: states 0..n-1, held as per-state successor and
+    predecessor masks and a state mask per letter. The edge set and the
+    valuation name -> state set are derived when asked for."""
 
     def __init__(self, states, edges=(), valuation=None):
         if states < 1:
             raise ValueError('a model needs at least one state')
         self.states = states
-        self.edges = frozenset((int(a), int(b)) for a, b in edges)
-        for a, b in self.edges:
+        self.full_mask = (1 << states) - 1
+        succ, pred = [0] * states, [0] * states
+        for a, b in [(int(a), int(b)) for a, b in edges]:
             if not (0 <= a < states and 0 <= b < states):
                 raise ValueError('edge (%d, %d) out of range' % (a, b))
-        val = {}
+            succ[a] |= 1 << b
+            pred[b] |= 1 << a
+        self.succ_mask, self.pred_mask = tuple(succ), tuple(pred)
+        self._valuation = {}
         for name, ws in (valuation or {}).items():
-            val[name] = frozenset(int(w) for w in ws)
-            for w in val[name]:
-                if not 0 <= w < states:
-                    raise ValueError('valuation of %s out of range' % name)
-        self.valuation = val
+            ws = [int(w) for w in ws]
+            if not all(0 <= w < states for w in ws):
+                raise ValueError('valuation of %s out of range' % name)
+            self._valuation[name] = _set_to_mask(ws)
 
     @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.states) - 1
+    def edges(self) -> frozenset:
+        return frozenset((a, b) for a, m in enumerate(self.succ_mask)
+                         for b in range(self.states) if m >> b & 1)
 
-    @cached_property
-    def succ_mask(self):
-        out = [0] * self.states
-        for a, b in self.edges:
-            out[a] |= 1 << b
-        return tuple(out)
-
-    @cached_property
-    def pred_mask(self):
-        out = [0] * self.states
-        for a, b in self.edges:
-            out[b] |= 1 << a
-        return tuple(out)
+    @property
+    def valuation(self) -> dict:
+        return {name: _mask_to_set(mask, self.states)
+                for name, mask in self._valuation.items()}
 
     def valuation_mask(self, name: str) -> int:
-        return _set_to_mask(self.valuation.get(name, ()))
+        return self._valuation.get(name, 0)
 
     def to_json(self):
         return {
@@ -79,7 +76,8 @@ class KripkeModel:
                    obj.get('valuation', {}))
 
     def __repr__(self):
-        return 'KripkeModel(%d states, %d edges)' % (self.states, len(self.edges))
+        return 'KripkeModel(%d states, %d edges)' % (
+            self.states, sum(m.bit_count() for m in self.succ_mask))
 
 
 def _is_int(x):

@@ -11,38 +11,70 @@ package pattern-matches on exactly seven node shapes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 
+def _hash_once(cls):
+    """cls as a frozen dataclass whose hash is computed once per node.
+
+    The stored value is the generated dataclass hash, hash of the field
+    tuple, so dicts and sets of formulas iterate in the same order as
+    without the cache. Equality stays structural. String hashes are
+    seeded per process, so the stored value stays out of pickled and
+    copied state.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _stored_hash
+    cls.__getstate__ = _state_without_hash
+    return cls
+
+
+def _stored_hash(self):
+    try:
+        return self._hash
+    except AttributeError:
+        h = self._field_hash()
+        object.__setattr__(self, '_hash', h)
+        return h
+
+
+def _state_without_hash(self):
+    state = dict(self.__dict__)
+    state.pop('_hash', None)
+    return state
+
+
 class Formula:
-    """Base class for AST nodes. All nodes are frozen and hashable."""
+    """Base class for AST nodes. All nodes are frozen and hashable, and
+    each hashes its subtree once."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Dia(Formula):
     direction: str  # 'F' (forward) or 'B' (backward)
     child: Formula
@@ -52,7 +84,7 @@ class Dia(Formula):
             raise ValueError("diamond direction must be 'F' or 'B'")
 
 
-@dataclass(frozen=True)
+@_hash_once
 class Sharp(Formula):
     connective: "FixpointConnective"
     args: tuple
@@ -233,7 +265,7 @@ def substitute(f: Formula, mapping: dict) -> Formula:
 # ---------------------------------------------------------------------------
 # fixpoint connectives
 
-@dataclass(frozen=True)
+@_hash_once
 class FixpointConnective:
     """A named connective chi(x, q1..qn), interpreted as a least fixpoint.
 

@@ -141,6 +141,14 @@ def test_sat_refuses_a_bound_below_one_state(capsys, bound):
         % bound
 
 
+@pytest.mark.parametrize('bound, frames', [('5', 25), ('6', 36)])
+def test_sat_refuses_a_bound_beyond_four_states(capsys, bound, frames):
+    code, out, err = run(capsys, 'sat', '_|_', '--max-states', bound)
+    assert code == 1 and out == ''
+    assert err == ('flatmu: error: --max-states must be at most 4, not %s: '
+                   '%s states have 2^%d frames\n' % (bound, bound, frames))
+
+
 def test_sat_witness_is_a_real_model(capsys):
     code, out, _ = run(capsys, 'sat', 'p & <B>q')
     assert code == 0

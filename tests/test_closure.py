@@ -1,13 +1,16 @@
+import hashlib
+
 from flatmu.closure import (
     ClosureSet, DeferralTable, atom_bits, atom_formulas, coherent,
     enumerate_atoms, fl_closure, is_atom,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
-    and_, box, parse,
+    and_, box, connectives_from_json, parse,
 )
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
 CHI2 = FixpointConnective('chi2', 1, parse('[B]x | q', {}))
@@ -88,12 +91,18 @@ def test_closure_idempotent():
             assert set(fl_closure(g).formulas) <= set(sigma.formulas)
 
 
+def _complement(sigma, i):
+    """Index of the Hintikka complement of formula i (~ strips one Neg)."""
+    g = sigma.formulas[i]
+    return sigma.index_of(g.child if isinstance(g, Neg) else Neg(g))
+
+
 def test_negation_map_is_total_and_strips_one_negation():
     # not an involution: ~~psi complements to ~psi, which complements to psi
     for f in CORPUS:
         sigma = fl_closure(f)
         for i, g in enumerate(sigma.formulas):
-            j = sigma.negation_map[i]
+            j = _complement(sigma, i)
             assert j != i
             if isinstance(g, Neg):
                 assert sigma.formulas[j] == g.child
@@ -160,6 +169,128 @@ def test_is_atom_accepts_formula_iterables():
     good = {Var('p'), box('F', Bottom()), box('B', Bottom()), Neg(Bottom())}
     assert is_atom(good, sigma)
     assert not is_atom(good - {Var('p')}, sigma)
+
+
+# The formula-walking enumerator and Hintikka check that sigma.shapes
+# replaced: every candidate looks its subformulas up by formula.
+
+def _walking_enumerate_atoms(sigma):
+    base = [i for i, f in enumerate(sigma.formulas)
+            if isinstance(f, (Var, Dia, Sharp))]
+
+    def value(f, chosen):
+        if isinstance(f, Bottom):
+            return 0
+        i = sigma.index_of(f)
+        if i in chosen:
+            return chosen[i]
+        if isinstance(f, Neg):
+            return 1 - value(f.child, chosen)
+        if isinstance(f, Or):
+            return value(f.left, chosen) | value(f.right, chosen)
+        raise AssertionError(f)
+
+    out = []
+    for mask in range(1 << len(base)):
+        chosen = {i: mask >> k & 1 for k, i in enumerate(base)}
+        bits = 0
+        for i, f in enumerate(sigma.formulas):
+            bits |= value(f, chosen) << i
+        if all(bits >> i & 1 == bits >> u & 1
+               for i, (u, _) in sigma.sharp_unfoldings.items()):
+            out.append(bits)
+    out.sort()
+    return out
+
+
+def _walking_is_atom(bits, sigma):
+    for i, f in enumerate(sigma.formulas):
+        have = bits >> i & 1
+        if isinstance(f, Bottom) and have:
+            return False
+        if isinstance(f, Or):
+            l = bits >> sigma.index_of(f.left) & 1
+            r = bits >> sigma.index_of(f.right) & 1
+            if have != (l | r):
+                return False
+        if have == (bits >> _complement(sigma, i) & 1):
+            return False
+    return all(bits >> i & 1 == bits >> u & 1
+               for i, (u, _) in sigma.sharp_unfoldings.items())
+
+
+STAGES = connectives_from_json([
+    {'name': 'rf', 'arity': 1, 'body': 'q | <F>x'},
+    {'name': 'rb', 'arity': 1, 'body': 'q | <B>x'},
+    {'name': 'sf', 'arity': 1, 'body': '[F]x | q'},
+    {'name': 'sb', 'arity': 1, 'body': '[B]x | q'},
+])
+
+
+def _stage_formulas(depth):
+    """Formulas over p, q and _|_ with at most depth nested constructors,
+    built from Neg, Or, both diamonds and the four stage connectives."""
+    out = st.sampled_from([Bottom(), Var('p'), Var('q')])
+    for _ in range(depth):
+        sub = out
+        out = st.one_of(
+            sub,
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda t: Or(*t)),
+            st.tuples(st.sampled_from('FB'), sub).map(lambda t: Dia(*t)),
+            st.tuples(st.sampled_from(sorted(STAGES)), sub).map(
+                lambda t: Sharp(STAGES[t[0]], (t[1],))),
+        )
+    return out
+
+
+@given(_stage_formulas(2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_atoms_agree_with_the_formula_walking_enumerator(f, data):
+    sigma = fl_closure(f)
+    atoms = enumerate_atoms(sigma)
+    assert atoms == _walking_enumerate_atoms(sigma)
+    # every atom, each atom with one bit flipped, and arbitrary bitsets
+    probes = list(atoms)
+    for a in atoms[:8]:
+        probes.extend(a ^ 1 << i for i in range(len(sigma)))
+    probes.extend(data.draw(st.lists(
+        st.integers(0, (1 << len(sigma)) - 1), max_size=20)))
+    for bits in probes:
+        assert is_atom(bits, sigma) == _walking_is_atom(bits, sigma)
+
+
+@pytest.mark.parametrize('text, count, digest', [
+    ('#rf(p)', 32,
+     'bae37c679e3b0f7d0a45ba4269075a00410d778be5eb863d7d80b9db879cfc52'),
+    ('#sf(p)', 16,
+     'd344871c01a3984280869a3e10b74ab67fd23571c241ce7cef864a00ccd7c219'),
+    ('#sb(<F>p)', 32,
+     'b9a3d4e2d2f8f4a5066faa9f490089c33093f3f869094f9464e9fa5fd74601fe'),
+    ('#rf(p) & #rb(q)', 256,
+     'cba3af9cc50acbcb3fc664e7212f8231ca2c930b446aebe7ff2904b8e2c7ef95'),
+    ('#sf(q) & #rf(p)', 128,
+     '55d56e77f143682d9d7938e1a47b5d61f1dd29d53bb5edd808e90ffe56ad6248'),
+    ('#rf(p) & #rb(p) & #rf(q)', 512,
+     '38551a3b1b457030597f03880f904b8bf82e4cc2260df042b5a3bcd3853be117'),
+])
+def test_build_corpus_atoms_are_pinned(text, count, digest):
+    atoms = enumerate_atoms(fl_closure(parse(text, STAGES)))
+    assert len(atoms) == count
+    assert hashlib.sha256(
+        ' '.join(map(str, atoms)).encode()).hexdigest() == digest
+
+
+def test_shapes_list_children_first():
+    for origin in CORPUS:
+        sigma = fl_closure(origin)
+        shapes = sigma.shapes
+        assert sorted(i for i, _, _ in shapes) == list(range(len(sigma)))
+        placed = set()
+        for i, cls, kids in shapes:
+            assert type(sigma.formulas[i]) is cls
+            assert all(k in placed for k in kids)
+            placed.add(i)
 
 
 # -- coherence ---------------------------------------------------------------

@@ -42,10 +42,24 @@ def random_model(rng, states, names=('p', 'q')):
 def test_model_validation():
     with pytest.raises(ValueError):
         KripkeModel(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r'^edge \(0, 2\) out of range$'):
         KripkeModel(2, [(0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='^valuation of p out of range$'):
         KripkeModel(2, [], {'p': [5]})
+    with pytest.raises(ValueError, match='^valuation of p out of range$'):
+        KripkeModel(2, [], {'p': [-1]})
+
+
+def test_model_keeps_masks_and_derives_sets():
+    m = KripkeModel(3, [(0, 1), (2, 0), (0, 1), (2, 2)],
+                    {'p': [2, 0, 2], 'q': []})
+    assert (m.full_mask, m.succ_mask, m.pred_mask) == (
+        0b111, (0b010, 0, 0b101), (0b100, 0b001, 0b100))
+    assert [m.valuation_mask(n) for n in 'pqr'] == [0b101, 0, 0]
+    assert m.edges == {(0, 1), (2, 0), (2, 2)}
+    assert m.valuation == {'p': frozenset({0, 2}), 'q': frozenset()}
+    assert repr(m) == 'KripkeModel(3 states, 3 edges)'
+    assert 'edges' not in vars(KripkeModel(2, [(0, 1)]))
 
 
 def test_json_round_trip():

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -176,6 +180,24 @@ def _formulas():
 @settings(max_examples=300, deadline=None)
 def test_print_parse_round_trip(f):
     assert parse(to_string(f), _conn_table) == f
+
+
+def _field_tuple(node):
+    return tuple(getattr(node, fld.name) for fld in dataclasses.fields(node))
+
+
+@given(_formulas())
+@settings(max_examples=300, deadline=None)
+def test_hash_is_the_field_tuple_hash_and_equality_is_structural(f):
+    for g in subformulas(f):
+        assert hash(g) == hash(_field_tuple(g)) == hash(g)
+    for chi in (CHI1, REACH):
+        assert hash(chi) == hash(_field_tuple(chi))
+    copies = (copy.deepcopy(f), pickle.loads(pickle.dumps(f)))
+    # the stored hash is per process, so copies compute their own
+    assert all('_hash' not in vars(twin) for twin in copies)
+    for twin in (parse(to_string(f), _conn_table),) + copies:
+        assert twin is not f and twin == f and hash(twin) == hash(f)
 
 
 # ---------------------------------------------------------------------------
