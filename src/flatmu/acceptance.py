@@ -5,11 +5,13 @@ or a generated corpus and raises CheckFailed with the first discrepancy.
 run_all times the rows and returns CheckResult records for the CLI.
 
 The exhaustive sweeps (every digraph on up to four states, checks 1-4
-and 7) run semantics.eval_bits on numpy lanes, one lane per joint
-valuation, over semantics.frames: one model per isomorphism class,
-walked as the sweep reaches it. Scalar anchors re-evaluate a stride of
-lanes on int masks over the lane's own KripkeModel, which checks what
-differs between the carriers: the <d> table, lane decoding, env lookup.
+and 7) run semantics.eval_bits on semantics.FrameBatch lanes: one lane
+per (frame, joint valuation), one frame per isomorphism class, a chunk
+of lanes per numpy pass. Failures and anchors still name a frame by its
+index in the walk over all sizes and a lane by its valuation index
+within that frame. Scalar anchors re-evaluate a stride of lanes on int
+masks over the lane's own KripkeModel, which checks what differs
+between the carriers: the <d> table, lane decoding, valuation lookup.
 The random half of each sweep runs on int masks.
 
 A mutation hook lets the harness test itself: run_all(mutate=name)
@@ -21,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import subprocess
 import sys
 import tempfile
 import time
@@ -42,7 +43,7 @@ from .network import (
 )
 from .semantics import (
     KripkeModel, approximant, axiom_instances, brute_force_sat, eval_bits,
-    eval_fixpoint_by_intersection, eval_nabla_via_relation, frames,
+    eval_fixpoint_by_intersection, eval_nabla_via_relation, frame_batches,
 )
 from .syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, and_, box,
@@ -111,25 +112,26 @@ _PSI_SETS = (
 _STAGE_ARGS = (parse('q'), parse('p | q'))
 
 
-def _small_frames(max_states=4):
-    """Every frame up to max_states states, smallest first, built as the
-    sweep reaches it."""
+def _batches(names, max_states=4):
+    """(offset, batch) over every frame up to max_states states with names
+    on lanes, smallest first; offset + a batch's frame index is the
+    frame's index in the whole walk."""
+    offset = 0
     for n in range(1, max_states + 1):
-        yield from frames(n)
+        for batch in frame_batches(n, names):
+            yield offset, batch
+        offset += batch.frames.stop
 
 
-def _lanes(states, names):
-    """All joint valuations of names at once, one lane per combination."""
-    idx = np.arange(1 << (states * len(names)), dtype=np.uint32)
-    full = np.uint32((1 << states) - 1)
-    return {nm: (idx >> np.uint32(k * states)) & full
-            for k, nm in enumerate(names)}
-
-
-def _lane_model(fr, env, lane, names):
-    val = {nm: {w for w in range(fr.states) if int(env[nm][lane]) >> w & 1}
-           for nm in names}
-    return KripkeModel(fr.states, fr.edges, val)
+def _anchors(offset, batch, pick):
+    """(frame index, lane, position in batch) of each anchor batch holds:
+    pick(frame index) names a frame's anchored lane (its valuation
+    index), or None for no anchor."""
+    for f in batch.frames:
+        lane = pick(offset + f)
+        i = None if lane is None else batch.index(f, lane)
+        if i is not None:
+            yield offset + f, lane, i
 
 
 def _random_models(count=500, seed=1729):
@@ -146,22 +148,28 @@ def _random_models(count=500, seed=1729):
 
 
 def _sweep(check):
-    """check(fi, frame, env) on every frame up to four states, with p and q
-    on lanes, then check(None, model, None) on each random model. Returns
-    how many frames and random models it ran."""
-    for fi, fr in enumerate(_small_frames()):
-        check(fi, fr, _lanes(fr.states, ('p', 'q')))
+    """check(offset, batch) on every frame up to four states, with p and q
+    on lanes, then check(None, model) on each random model. Returns how
+    many frames and random models it ran."""
+    for offset, batch in _batches(('p', 'q')):
+        check(offset, batch)
     randoms = _random_models()
     for m in randoms:
-        check(None, m, None)
-    return fi + 1, len(randoms)
+        check(None, m)
+    return offset + batch.frames.stop, len(randoms)
 
 
-def _where(fi, m, a, b):
+def _first_split(offset, batch, a, b):
+    """(frame index, lane) of the first lane where a and b differ."""
+    f, lane = batch.locate(int(np.nonzero(a != b)[0][0]))
+    return offset + f, lane
+
+
+def _where(offset, m, a, b):
     """Where truth sets a and b split: a frame's lane, or a random model."""
-    if fi is None:
+    if offset is None:
         return 'a random %d-state model' % m.states
-    lane = int(np.nonzero(a != b)[0][0])
+    fi, lane = _first_split(offset, m, a, b)
     return 'frame %d states=%d lane=%d' % (fi, m.states, lane)
 
 
@@ -174,26 +182,26 @@ def _fail(ident, msg):
 
 def check_nabla_equivalences():
     anchors = 0
-    for fi, fr in enumerate(_small_frames()):
-        env = _lanes(fr.states, ('p', 'q'))
+    for offset, fr in _batches(('p', 'q')):
         memo = {}
         for pi, phi in enumerate(_POOL):
-            henv = {'h': eval_bits(phi, fr, env, memo), **env}
+            henv = {'h': eval_bits(phi, fr, None, memo)}
             hmemo = {}
             for lhs, rhs in _NABLA_PAIRS:
                 a = eval_bits(lhs, fr, henv, hmemo)
                 b = eval_bits(rhs, fr, henv, hmemo)
                 if not np.array_equal(a, b):
                     _fail('1', '%s vs its cover form differ on %s with h = %s'
-                          % (to_string(lhs), _where(fi, fr, a, b),
+                          % (to_string(lhs), _where(offset, fr, a, b),
                              to_string(phi)))
-            if (fi * 31 + pi) % 977 == 0:
-                lane = (fi * 7 + pi) % len(env['p'])
-                m = _lane_model(fr, env, lane, ('p', 'q'))
+            pick = lambda fi: ((fi * 7 + pi) % fr.valuations
+                               if (fi * 31 + pi) % 977 == 0 else None)
+            for fi, lane, i in _anchors(offset, fr, pick):
+                m = fr.model(i)
                 for lhs, rhs in _NABLA_PAIRS:
                     sa = eval_bits(substitute(lhs, {'h': phi}), m)
                     sb = eval_bits(substitute(rhs, {'h': phi}), m)
-                    va = int(eval_bits(lhs, fr, henv, hmemo)[lane])
+                    va = int(eval_bits(lhs, fr, henv, hmemo)[i])
                     if not sa == sb == va:
                         _fail('1', 'scalar anchor disagrees on frame %d '
                               'lane %d' % (fi, lane))
@@ -210,7 +218,8 @@ def check_nabla_equivalences():
                           'cover form at h = %s'
                           % (m.states, to_string(lhs), to_string(phi)))
     return ('%d frames, %d pool formulas, 4 laws; %d random models scalar; '
-            '%d anchors' % (fi + 1, len(_POOL), len(randoms), anchors))
+            '%d anchors' % (offset + fr.frames.stop, len(_POOL), len(randoms),
+                            anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +231,20 @@ def check_axiom_soundness():
         instances[0] = Neg(instances[0])
     anchors = 0
 
-    def valid(fi, m, env):
+    def valid(offset, m):
         nonlocal anchors
         memo = {}
         for ii, inst in enumerate(instances):
-            v = eval_bits(inst, m, env, memo)
+            v = eval_bits(inst, m, None, memo)
             if not np.all(v == m.full_mask):
                 _fail('2', 'instance %d (%s) fails on %s' % (
-                    ii, to_string(inst), _where(fi, m, v, m.full_mask)))
-            if env and (fi * 13 + ii) % 1381 == 0:
-                lane = (fi + ii * 5) % len(env['p'])
-                lm = _lane_model(m, env, lane, ('p', 'q'))
+                    ii, to_string(inst), _where(offset, m, v, m.full_mask)))
+            if offset is None:
+                continue
+            pick = lambda fi: ((fi + ii * 5) % m.valuations
+                               if (fi * 13 + ii) % 1381 == 0 else None)
+            for fi, lane, i in _anchors(offset, m, pick):
+                lm = m.model(i)
                 if eval_bits(inst, lm) != lm.full_mask:
                     _fail('2', 'scalar anchor rejects instance %d on frame '
                           '%d lane %d' % (ii, fi, lane))
@@ -247,11 +259,12 @@ def check_axiom_soundness():
 # ---------------------------------------------------------------------------
 # 3. relation-based cover semantics against the expansion
 
-def _vec_cover(members, fr, env, direction, memo):
-    """The full-relation reading on every lane at once: every neighbour
-    satisfies some member and every member holds at some neighbour."""
-    out = np.zeros_like(env['p'])
-    vecs = [eval_bits(m, fr, env, memo) for m in members]
+def _vec_cover(members, fr, direction, memo):
+    """The full-relation reading on every lane of a FrameBatch at once:
+    every neighbour satisfies some member and every member holds at some
+    neighbour."""
+    out = np.zeros_like(fr.zero)
+    vecs = [eval_bits(m, fr, None, memo) for m in members]
     missed = fr.full_mask & ~reduce(np.bitwise_or, vecs, out)
     nbrs = fr.succ_mask if direction == 'F' else fr.pred_mask
     for w, nb in enumerate(nbrs):
@@ -279,30 +292,31 @@ def _via_relation(m, where):
 
 def check_nabla_relation():
     api_calls = 0
-    for fi, fr in enumerate(_small_frames()):
-        env = _lanes(fr.states, ('p', 'q'))
+    for offset, fr in _batches(('p', 'q')):
         memo = {}
         for members in _PSI_SETS:
             for d in ('F', 'B'):
-                cov = _vec_cover(members, fr, env, d, memo)
-                exp = eval_bits(nabla(d, members), fr, env, memo)
+                cov = _vec_cover(members, fr, d, memo)
+                exp = eval_bits(nabla(d, members), fr, None, memo)
                 if not np.array_equal(cov, exp):
                     _fail('3', 'cover reading and expansion split on %s, '
                           'members {%s} direction %s'
-                          % (_where(fi, fr, cov, exp),
+                          % (_where(offset, fr, cov, exp),
                              ', '.join(map(to_string, members)), d))
-        scan_all = fr.states <= 3
-        lanes = len(env['p'])
-        lane_range = range(lanes) if scan_all else [(fi * 11) % lanes]
-        if not scan_all and fi % 17:
-            lane_range = []
-        for lane in lane_range:
-            api_calls += _via_relation(_lane_model(fr, env, lane, ('p', 'q')),
+        if fr.states <= 3:
+            picked = ((offset + f, lane, i) for i, (f, lane)
+                      in enumerate(map(fr.locate, range(len(fr)))))
+        else:
+            picked = _anchors(offset, fr, lambda fi: (
+                None if fi % 17 else (fi * 11) % fr.valuations))
+        for fi, lane, i in picked:
+            api_calls += _via_relation(fr.model(i),
                                        'frame %d lane %d' % (fi, lane))
     for m in _random_models():
         api_calls += _via_relation(m, 'a random %d-state model' % m.states)
     return ('%d member sets x 2 directions on %d frames; %d direct '
-            'via-relation calls' % (len(_PSI_SETS), fi + 1, api_calls))
+            'via-relation calls' % (len(_PSI_SETS), offset + fr.frames.stop,
+                                    api_calls))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +327,21 @@ def check_approximants():
     stages = {(chi, theta): [approximant(chi, k, (theta,)) for k in range(7)]
               for chi in _STAGE_CONNS for theta in _STAGE_ARGS}
 
-    def bounded(fi, m, env):
+    def bounded(offset, m):
         memo = {}
         for (chi, theta), forms in stages.items():
-            fix = eval_bits(Sharp(chi, (theta,)), m, env, memo)
+            fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
             for k, form in enumerate(forms[:6]):
-                out = eval_bits(form, m, env, memo) & ~fix & m.full_mask
+                out = eval_bits(form, m, None, memo) & ~fix & m.full_mask
                 if np.any(out):
                     _fail('4', 'stage %d of %s(%s) escapes the fixpoint on %s'
                           % (k + 1, chi.name, to_string(theta),
-                             _where(fi, m, out, 0)))
-            closing = eval_bits(forms[m.states - 1], m, env, memo)
+                             _where(offset, m, out, 0)))
+            closing = eval_bits(forms[m.states - 1], m, None, memo)
             if not np.array_equal(closing, fix):
                 _fail('4', 'stage %d of %s(%s) misses the fixpoint on %s'
                       % (m.states, chi.name, to_string(theta),
-                         _where(fi, m, closing, fix)))
+                         _where(offset, m, closing, fix)))
 
     frames, randoms = _sweep(bounded)
     return ('%d connective-argument pairs, stages 1..6 below and stage |W| '
@@ -342,10 +356,9 @@ def check_kleene_oracle():
     combos = [(chi, theta) for chi in _STAGE_CONNS
               for theta in (parse('q'), parse('<F>p'))]
     models = 0
-    for fr in _small_frames(3):
-        env = _lanes(fr.states, ('p', 'q'))
-        for lane in range(len(env['p'])):
-            m = _lane_model(fr, env, lane, ('p', 'q'))
+    for _, fr in _batches(('p', 'q'), 3):
+        for i in range(len(fr)):
+            m = fr.model(i)
             models += 1
             memo = {}
             for chi, theta in combos:
@@ -440,23 +453,25 @@ def check_guardification():
             _fail('7', 'gamma2 of %s left the disjunctive fragment'
                   % to_string(chi.body))
         splits.append((chi, res.equivalence))
-    for fi, fr in enumerate(_small_frames(3)):
-        env = _lanes(fr.states, ('x', 'q1'))
+    for offset, fr in _batches(('x', 'q1'), 3):
         memo = {}
         for chi, equivalence in splits:
-            v = eval_bits(equivalence, fr, env, memo)
+            v = eval_bits(equivalence, fr, None, memo)
             if not np.all(v == fr.full_mask):
                 _fail('7', 'split of %s is not equivalent on frame %d '
-                      '(%d states)' % (to_string(chi.body), fi, fr.states))
+                      '(%d states)' % (to_string(chi.body),
+                                       _first_split(offset, fr, v,
+                                                    fr.full_mask)[0],
+                                       fr.states))
             if fr.states <= 2:
-                for lane in range(len(env['x'])):
-                    m = _lane_model(fr, env, lane, ('x', 'q1'))
+                for i in range(len(fr)):
+                    m = fr.model(i)
                     if eval_bits(equivalence, m) != m.full_mask:
                         _fail('7', 'scalar anchor rejects the split of %s'
                               % to_string(chi.body))
     return ('%d generated connectives, body size <= 8; splits valid on %d '
             'frames under all x and q1 valuations'
-            % (len(corpus), fi + 1))
+            % (len(corpus), offset + fr.frames.stop))
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +780,10 @@ def child_env(hash_seed=None):
 
 
 def check_cli_determinism():
+    # imported here: subprocess and what it loads hold about 0.5 MB in
+    # every process that imports this module, and only this check uses it
+    import subprocess
+
     with tempfile.TemporaryDirectory() as tmp:
         defs = os.path.join(tmp, 'defs.json')
         with open(defs, 'w') as fh:

@@ -134,7 +134,7 @@ def _cmd_sat(args):
     if n < 1:
         raise _CliError('--max-states must be at least 1, not %d' % n)
     if n > 4:
-        # beyond four states frames() walks every edge set
+        # brute_force_sat refuses these too; this names the option
         raise _CliError('--max-states must be at most 4, not %d: %d states '
                         'have 2^%d frames' % (n, n, n * n))
     hit = brute_force_sat(_formula(args), n)

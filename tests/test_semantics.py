@@ -3,15 +3,17 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
-    KripkeModel, approximant, axiom_instances, brute_force_sat, eval,
-    eval_bits, eval_fixpoint_by_intersection, eval_nabla_via_relation, frames,
+    CHUNK, FrameBatch, KripkeModel, _frame_reps, approximant, axiom_instances,
+    brute_force_sat, eval, eval_bits, eval_fixpoint_by_intersection,
+    eval_nabla_via_relation, frame_batches,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
-    and_, box, nabla, parse, top,
+    and_, box, free_vars, nabla, parse, top,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -246,41 +248,156 @@ def test_brute_force_overlays_two_letters_on_the_frame():
 
 
 def test_frames_walk_isomorphism_classes_then_every_mask():
-    assert [len(tuple(frames(n))) for n in (1, 2, 3, 4)] == [2, 10, 104, 3044]
-    two = list(frames(2))
-    assert two[0].edges == frozenset() and two[0].valuation == {}
-    assert two[-1].edges == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    # beyond four states every mask is a frame; next() must not build the
-    # 2^25 five-state frames that follow the first
-    first = next(frames(5))
-    assert first.states == 5 and first.edges == frozenset()
+    # without letters a batch holds one lane per frame
+    assert [sum(map(len, frame_batches(n))) for n in (1, 2, 3, 4)] \
+        == [2, 10, 104, 3044]
+    [two] = frame_batches(2)
+    first, last = two.model(0), two.model(len(two) - 1)
+    assert first.edges == frozenset() and first.valuation == {}
+    assert last.edges == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # beyond four states every edge mask would be a frame: refused up
+    # front, before the smaller sizes find a witness
+    with pytest.raises(ValueError, match=r'not 5: 5 states have 2\^25 '):
+        brute_force_sat(parse('p', {}), 5)
+
+
+def _edges(n, mask):
+    return [divmod(b, n) for b in range(n * n) if mask >> b & 1]
+
+
+def _states(n, mask):
+    return {w for w in range(n) if mask >> w & 1}
 
 
 def test_lanes_agree_with_int_masks_lane_by_lane():
-    # one lane per joint valuation of p and q; lane k holds p = k mod 2^n
-    # and q = k div 2^n, decoded here without the selftest's helpers
+    # lane L of the n-state space is frame L div 4^n of _frame_reps(n)
+    # with p = L mod 2^n and q = L div 2^n mod 2^n, decoded here without
+    # the batch's helpers; three-state batches span four chunks
     forms = [Bottom(), parse('[F]_|_', {}), parse('~<B>_|_', {}),
              parse('<F><B>p', {}), parse('p & ~q', {}),
              Sharp(REACH, (Sharp(CHI2, (Var('p'),)),))]
     compared = 0
     for n in (1, 2, 3):
-        idx = np.arange(1 << 2 * n, dtype=np.uint32)
-        env = {'p': idx & np.uint32((1 << n) - 1), 'q': idx >> np.uint32(n)}
-        for fr in frames(n):
+        stop = 0
+        for batch in frame_batches(n, ('p', 'q')):
+            assert batch.start == stop and len(batch) <= CHUNK
+            stop += len(batch)
             shared, results = {}, []
             for f in forms:
-                got = eval_bits(f, fr, env)
-                assert got.dtype == np.uint32 and got.shape == idx.shape
-                assert np.array_equal(eval_bits(f, fr, env, shared), got)
+                got = eval_bits(f, batch)
+                assert got.dtype == np.uint8 and got.shape == (len(batch),)
+                assert np.array_equal(eval_bits(f, batch, None, shared), got)
                 results.append(got)
-            for k in range(len(idx)):
-                m = KripkeModel(n, fr.edges, {
-                    'p': {w for w in range(n) if k % (1 << n) >> w & 1},
-                    'q': {w for w in range(n) if k >> n >> w & 1}})
+            for i in range(len(batch)):
+                frame, k = divmod(batch.start + i, 1 << 2 * n)
+                m = KripkeModel(n, _edges(n, _frame_reps(n)[frame]), {
+                    'p': _states(n, k % (1 << n)), 'q': _states(n, k >> n)})
+                assert [int(s[i]) for s in batch.succ_mask] \
+                    == list(m.succ_mask)
+                assert [int(s[i]) for s in batch.pred_mask] \
+                    == list(m.pred_mask)
                 for f, got in zip(forms, results):
-                    assert int(got[k]) == eval_bits(f, m)
+                    assert int(got[i]) == eval_bits(f, m)
                     compared += 1
+        assert stop == len(_frame_reps(n)) << 2 * n
     assert compared == 6 * (2 * 4 + 10 * 16 + 104 * 64)
+
+
+def test_a_third_chunk_lane_decodes_as_the_per_frame_walk_names_it():
+    batches = frame_batches(4, ('p', 'q'))
+    next(batches), next(batches)
+    third = next(batches)
+    assert third.start == 2 * CHUNK
+    i = 1234
+    # the per-frame walk: 256 valuations per frame, p varying fastest
+    before = 0
+    for fi, mask in enumerate(_frame_reps(4)):
+        if before + 256 > third.start + i:
+            break
+        before += 256
+    lane = third.start + i - before
+    assert (fi, lane) == (20, 210)
+    assert third.locate(i) == (fi, lane) and third.index(fi, lane) == i
+    m = third.model(i)
+    assert m.edges == set(_edges(4, mask))
+    assert m.valuation == {'p': _states(4, lane % 16),
+                           'q': _states(4, lane // 16)}
+    f = Sharp(REACH, (parse('<B>p & ~q', {}),))
+    assert int(eval_bits(f, third)[i]) == eval_bits(f, m)
+
+
+def test_lanes_past_32_bits_decode_from_python_ints():
+    # nine letters on four states are 2^36 valuations per frame; a chunk
+    # deep in frame 5 still decodes to the lane's own frame and letters
+    names = tuple('abcdefghi')
+    lane = (5 << 36) + (0x9ABCDE123 & ~(CHUNK - 1))
+    batch = FrameBatch(4, names, lane)
+    for i in (0, 1, CHUNK - 1):
+        k = lane + i - (5 << 36)
+        assert batch.locate(i) == (5, k)
+        assert batch.model(i).valuation == {
+            nm: _states(4, k >> 4 * j & 15) for j, nm in enumerate(names)}
+    assert batch.frames == range(5, 6)
+
+
+def _scalar_walk(formula, max_states):
+    """brute_force_sat's order, one KripkeModel per (frame, valuation)."""
+    names = sorted(free_vars(formula))
+    for n in range(1, max_states + 1):
+        for mask in _frame_reps(n):
+            for vals in product(range(1 << n), repeat=len(names)):
+                m = KripkeModel(n, _edges(n, mask), {
+                    nm: _states(n, v) for nm, v in zip(names, vals)})
+                sat = eval_bits(formula, m)
+                if sat:
+                    return m, (sat & -sat).bit_length() - 1
+    return None
+
+
+def _same_answer(formula, max_states):
+    got, want = brute_force_sat(formula, max_states), \
+        _scalar_walk(formula, max_states)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got[0].to_json(), got[1]) == (want[0].to_json(), want[1])
+    return got
+
+
+def _letter_formulas():
+    base = st.sampled_from([(Bottom(),), (Var('p'),), (Var('p'), Var('q'))])
+
+    def over(leaves):
+        def extend(children):
+            return st.one_of(
+                children.map(Neg),
+                children.map(lambda f: Dia('F', f)),
+                children.map(lambda f: Dia('B', f)),
+                st.tuples(children, children).map(lambda t: Or(*t)),
+                st.tuples(st.sampled_from([CHI1, CHI2, REACH, REACH_B]),
+                          children).map(lambda t: Sharp(t[0], (t[1],))),
+            )
+        return st.recursive(st.sampled_from(leaves + (Bottom(),)), extend,
+                            max_leaves=8)
+
+    return base.flatmap(over)
+
+
+@given(_letter_formulas(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_batched_search_returns_the_scalar_walks_witness(formula, n):
+    _same_answer(formula, n)
+
+
+def test_batched_search_agrees_past_the_first_chunk():
+    # no model on up to three states, p and q on 6,656 lanes at three
+    pair = Neg(Sharp(CHI1, (Neg(Sharp(CHI2, (Bottom(),))),)))
+    assert _same_answer(Or(pair, parse('p & q & ~p', {})), 3) is None
+    # seven letters are 2^14 valuations per two-state frame; none holds
+    # on one state or on the frame without edges, so the first witness
+    # lies chunks deep into the two-state lanes
+    seven = parse('a & b & c & d & e & f & g & <F>~a', {})
+    model, w = _same_answer(seven, 2)
+    assert model.states == 2 and model.edges
 
 
 def test_brute_force_two_nested_fixpoints():
