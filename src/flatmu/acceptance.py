@@ -32,6 +32,7 @@ from itertools import product
 
 import numpy as np
 
+from . import MUTATIONS
 from .closure import fl_closure
 from .construct import (
     Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
@@ -831,8 +832,6 @@ CHECKS = (
     ('10', 'perfect builds satisfy their own labels', check_truth_lemma),
     ('11', 'build output is byte-deterministic', check_cli_determinism),
 )
-
-MUTATIONS = {'corrupt-axiom': '2'}
 
 _ACTIVE_MUTATIONS = frozenset()
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import acceptance
+from . import MUTATIONS
 from .closure import enumerate_atoms, fl_closure
 from .construct import Budget, Stuck, build
 from .network import (
@@ -244,6 +244,7 @@ def _cmd_build(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance   # numpy and the sweeps load only here
     only = None
     if args.only:
         only = {part.strip() for chunk in args.only
@@ -333,7 +334,7 @@ def _build_parser():
     p.add_argument('--only', nargs='*', metavar='ID',
                    help='run only these check identifiers')
     p.add_argument('--mutate', default=None,
-                   choices=sorted(acceptance.MUTATIONS),
+                   choices=sorted(MUTATIONS),
                    help='corrupt one input on purpose; the matching row '
                         'must fail')
 

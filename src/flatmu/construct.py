@@ -1,9 +1,13 @@
 """Growing defect-free networks from a single atom.
 
-The builder starts from one seed node and runs repair rounds: saturate
-every current node in both directions, then finish every active deferral.
-All growth happens through the sanctioned extension shapes, so each step
-is re-checked against the containment predicates of the network module.
+The builder starts from one seed node and runs repair rounds. A round
+first saturates every current node, forward then backward, in one
+mutable draft that is frozen into a single Network when the phase ends;
+then it finishes every active deferral. Each finished deferral is
+re-checked against the extension shapes and containment predicates of
+the network module and against anticonfluence, and a round that leaves a
+defect at one of its input nodes raises InvariantError. A round that gets
+stuck or runs out of budget is dropped whole.
 
 Finishing a deferral below a node that already has neighbours follows the
 existing structure; below a fresh leaf it searches for a finite tree of
@@ -14,6 +18,7 @@ instances a smarter search would solve; it never reports success wrongly.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 
 from .closure import is_atom
@@ -66,43 +71,94 @@ class _Ids:
 # ---------------------------------------------------------------------------
 # saturation
 
-def _grown(n, nodes, edges, label, flagged, direction):
-    """n grown to nodes, edges and label, with the direction's saturation
-    flag added at the flagged nodes."""
-    sat = {'F': n.sat_f, 'B': n.sat_p}
-    sat[direction] = sat[direction] | flagged
-    return Network(n.ctx, tuple(nodes), frozenset(edges), label,
-                   sat['F'], sat['B'])
+def _inserted(ws, w):
+    """The ascending tuple ws with w added."""
+    i = bisect(ws, w)
+    return ws[:i] + (w,) + ws[i:]
 
 
-def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
-    """Complete the witness families of u.
+class _Draft:
+    """A network under growth, frozen into one Network when done.
+
+    It holds the nodes in ascending id order, the edges, the labels, both
+    saturation flag sets and, per direction, each node's neighbours as an
+    ascending tuple: what Network.succ and Network.pred would compute.
+    With link set and a separated start it keeps one GrowingCones, so
+    witnesses may be linked across the network; otherwise growth only
+    adds fresh nodes. A draft that raises is dropped, and the network it
+    started from is left as it was.
+    """
+
+    def __init__(self, n, link=True):
+        self.ctx = n.ctx
+        self.nodes = list(n.nodes)
+        self.edges = set(n.edges)
+        self.label = dict(n.label)
+        self.sat = {'F': set(n.sat_f), 'B': set(n.sat_p)}
+        self.nbrs = {'F': dict(n.succ), 'B': dict(n.pred)}
+        self.reach = GrowingCones(n) if link and n.separated else None
+
+    def _attach(self, e):
+        a, b = e
+        self.edges.add(e)
+        self.nbrs['F'][a] = _inserted(self.nbrs['F'][a], b)
+        self.nbrs['B'][b] = _inserted(self.nbrs['B'][b], a)
+
+    def link(self, u, w, direction):
+        """Make w a direction-neighbour of u when the graph stays
+        separated; say whether."""
+        e = orient(u, w, direction)
+        if not self.reach.link(*e):
+            return False
+        self._attach(e)
+        return True
+
+    def grow(self, u, w, bits, direction):
+        """Add the fresh node w, labeled bits, as a direction-neighbour of
+        u. Fresh ids exceed every id in the draft."""
+        self.nodes.append(w)
+        self.label[w] = bits
+        self.nbrs['F'][w] = self.nbrs['B'][w] = ()
+        e = orient(u, w, direction)
+        self._attach(e)
+        if self.reach is not None:
+            self.reach.add_leaf(w, *e)
+
+    def freeze(self):
+        """The grown Network, with the neighbour tuples and cones the
+        draft already holds. The draft must not be used afterwards."""
+        out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
+                      self.label, frozenset(self.sat['F']),
+                      frozenset(self.sat['B']))
+        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'])
+        if self.reach is not None:
+            self.reach.hand_to(out)
+        return out
+
+
+def _saturate(draft, u, direction, ids, budget):
+    """Complete the witness families of u, which is not yet saturated in
+    direction, inside the draft, and flag it.
 
     Witnesses come from three sources, cheapest first: neighbour groups
     whose label contains the diamond's child are claimed as they stand,
-    then other same-labeled nodes are linked in when the extra edge keeps
-    the graph separated (Network.separated) and touches no frozen
-    frontier, and only the remainder is created fresh. A graph that
-    starts unseparated stays so whatever edges go in, so it links
-    nothing. fresh_only disables linking; growth inside a finishing cone
-    must not reach across the network.
+    then other same-labeled nodes present when the call starts are linked
+    in, in id order, when the extra edge keeps the graph separated
+    (Network.separated) and touches no frozen frontier, and only the
+    remainder is created fresh. A draft without cones links nothing: its
+    start was unseparated, and stays so whatever edges go in, or it grows
+    inside a finishing cone, which must not reach across the network.
     """
-    if n.saturated(u, direction):
-        return n
-    ctx = n.ctx
+    ctx = draft.ctx
     d = ctx.table.multiplicity
     pool = {}
-    for w in n.neighbors(u, direction):
-        pool.setdefault(n.label[w], []).append(w)
-    label = dict(n.label)
-    edges = set(n.edges)
-    nodes = list(n.nodes)
-    frozen = n.sat_p if direction == 'F' else n.sat_f
-    # neighbours of u among the nodes of n; later links go into linked
-    taken = set(n.neighbors(u, direction))
-    linked = set()
-    reach = None if fresh_only or not n.separated else GrowingCones(n)
-    for _, child_i in ctx.dia_members(n.label[u], direction):
+    for w in draft.nbrs[direction][u]:
+        pool.setdefault(draft.label[w], []).append(w)
+    present = len(draft.nodes)
+    frozen = draft.sat['B' if direction == 'F' else 'F']
+    # u's neighbours, the ones it has now and the ones linked below
+    taken = set(draft.nbrs[direction][u])
+    for _, child_i in ctx.dia_members(draft.label[u], direction):
         family = None
         have = 0
         for bits in sorted(pool):
@@ -112,44 +168,55 @@ def _saturate(n, u, direction, ids, budget=None, fresh_only=False):
                 pool[bits] = pool[bits][have:]
                 break
         if family is None:
-            family = next(ctx.witnesses(n.label[u], child_i, direction), None)
+            family = next(ctx.witnesses(draft.label[u], child_i, direction),
+                          None)
             if family is None:
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
-        if reach is not None and have < d:
-            for w in n.nodes:
+        if draft.reach is not None and have < d:
+            for w in draft.nodes[:present]:
                 if have >= d:
                     break
-                if w == u or w in taken or w in linked or w in frozen:
+                if w == u or w in taken or w in frozen:
                     continue
-                if n.label[w] != family:
+                if draft.label[w] != family:
                     continue
-                e = orient(u, w, direction)
-                if not reach.link(*e):
-                    continue
-                edges.add(e)
-                linked.add(w)
-                have += 1
+                if draft.link(u, w, direction):
+                    taken.add(w)
+                    have += 1
         for _ in range(d - have):
-            w = ids.take()
-            nodes.append(w)
-            label[w] = family
-            e = orient(u, w, direction)
-            edges.add(e)
-            if reach is not None:
-                reach.add_leaf(w, *e)
-    if budget is not None and len(nodes) > budget.max_nodes:
+            draft.grow(u, ids.take(), family, direction)
+    if budget is not None and len(draft.nodes) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while saturating %d'
                              % (budget.max_nodes, u))
-    out = _grown(n, nodes, edges, label, {u}, direction)
-    if reach is not None:
-        reach.hand_to(out)
-    return out
+    draft.sat[direction].add(u)
 
 
 def saturate(n, u, direction, budget=None):
     """Complete the witness families of u in direction ('F' or 'B')."""
-    return _saturate(n, u, direction, _Ids(max(n.nodes) + 1), budget)
+    if n.saturated(u, direction):
+        return n
+    draft = _Draft(n)
+    _saturate(draft, u, direction, _Ids(max(n.nodes) + 1), budget)
+    return draft.freeze()
+
+
+def _saturate_all(n, budget):
+    """Saturate every node of n forward, then backward, in one draft.
+
+    Each node's saturation sees the nodes and flags its predecessors in
+    the phase left behind. Returns (network, log); n itself when every
+    node was saturated already.
+    """
+    draft = _Draft(n)
+    ids = _Ids(max(n.nodes) + 1)
+    log = []
+    for direction in ('F', 'B'):
+        for u in n.nodes:
+            if u not in draft.sat[direction]:
+                _saturate(draft, u, direction, ids, budget)
+                log.append('sat%s %d' % (direction, u))
+    return (draft.freeze() if log else n), log
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +385,19 @@ def _graft(n, u, tpl, direction, budget, ids):
             len(n.nodes) + _tree_size(tpl) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while growing below %d'
                              % (budget.max_nodes, u))
-    label = dict(n.label)
-    edges = set(n.edges)
-    nodes = list(n.nodes)
-    flagged = set()
+    draft = _Draft(n, link=False)
 
     def place(parent, tree):
         if tree.families:
-            flagged.add(parent)
+            draft.sat[direction].add(parent)
         for _, atom, copies in tree.families:
             for sub in copies:
                 w = ids.take()
-                nodes.append(w)
-                label[w] = atom
-                edges.add(orient(parent, w, direction))
+                draft.grow(parent, w, atom, direction)
                 place(w, sub)
 
     place(u, tpl)
-    return _grown(n, nodes, edges, label, flagged, direction)
+    return draft.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +471,9 @@ def _finish(n, u, did, budget, ids, memo, seen):
                 raise Stuck('no finishing tree for %s below node %d'
                             % (table.describe(did), u))
             return _graft(n, u, tpl, direction, budget, ids)
-        n = _saturate(n, u, direction, ids, budget, fresh_only=True)
+        draft = _Draft(n, link=False)
+        _saturate(draft, u, direction, ids, budget)
+        n = draft.freeze()
     nbrs = n.neighbors(u, direction)
     if not nbrs:
         raise Stuck('node %d is saturated without neighbours but %s needs one'
@@ -531,19 +595,15 @@ def repair_all(n, budget=None):
     every active deferral. Returns (network, log of repairs)."""
     budget = budget or Budget()
     todo = n.nodes
-    log = []
-    for direction in ('F', 'B'):
-        for u in todo:
-            if not n.saturated(u, direction):
-                n = saturate(n, u, direction, budget)
-                log.append('sat%s %d' % (direction, u))
+    n, log = _saturate_all(n, budget)
     table = n.ctx.table
+    tt = compute_timeouts(n)
     for u in todo:
         for did in range(len(table)):
-            tt = compute_timeouts(n)
             if (u, did) not in tt or tt[u, did] is not None:
                 continue
             n = finish_deferral(n, u, did, budget)
+            tt = compute_timeouts(n)
             log.append('mu %d/%d' % (u, did))
     leftovers = [d for d in find_defects(n) if d.node in set(todo)]
     if leftovers:

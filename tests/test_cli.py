@@ -424,3 +424,12 @@ def test_module_entry_point_runs():
     got = subprocess.run([sys.executable, '-m', 'flatmu', 'parse', 'p'],
                          capture_output=True, env=child_env())
     assert got.returncode == 0 and got.stdout == b'p\n'
+
+
+def test_importing_the_cli_leaves_numpy_and_the_selftest_unloaded():
+    probe = ("import sys, flatmu.cli; "
+             "print('numpy' in sys.modules, 'flatmu.acceptance' in sys.modules)")
+    got = subprocess.run([sys.executable, '-c', probe], capture_output=True,
+                         text=True, env=child_env())
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == 'False False\n'

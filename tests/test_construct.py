@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatmu import construct
 from flatmu.acceptance import child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
@@ -13,12 +15,12 @@ from flatmu.network import (
     validate,
 )
 from flatmu.construct import (
-    Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
-    repair_all, saturate,
+    Budget, BudgetExceeded, Stuck, _saturate_all, build, extract_model,
+    finish_deferral, repair_all, saturate,
 )
 from flatmu.semantics import eval
 from flatmu.syntax import (
-    Bottom, Dia, FixpointConnective, Neg, Sharp, Var, box, parse,
+    Bottom, Dia, FixpointConnective, Neg, Sharp, Var, box, parse, to_string,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -234,6 +236,170 @@ def test_growing_cones_link_as_the_oracle_does(ids, pairs, steps):
         reach.hand_to(grown)
         assert grown.cones == cones(grown.nodes, grown.edges)
     assert grown.separated == _keeps_separation(nodes, edges)
+
+
+# -- a saturation phase against step-by-step growth --------------------------
+
+def _oracle_grown(n, nodes, edges, label, flagged, direction):
+    sat = {'F': n.sat_f, 'B': n.sat_p}
+    sat[direction] = sat[direction] | flagged
+    return Network(n.ctx, tuple(nodes), frozenset(edges), label,
+                   sat['F'], sat['B'])
+
+
+def _oracle_saturate(n, u, direction, ids, budget):
+    """One saturation as a fresh, fully checked Network: the body the
+    builder ran per node before a phase grew one draft."""
+    ctx = n.ctx
+    d = ctx.table.multiplicity
+    pool = {}
+    for w in n.neighbors(u, direction):
+        pool.setdefault(n.label[w], []).append(w)
+    label = dict(n.label)
+    edges = set(n.edges)
+    nodes = list(n.nodes)
+    frozen = n.sat_p if direction == 'F' else n.sat_f
+    taken = set(n.neighbors(u, direction))
+    linked = set()
+    reach = GrowingCones(n) if n.separated else None
+    for _, child_i in ctx.dia_members(n.label[u], direction):
+        family = None
+        have = 0
+        for bits in sorted(pool):
+            if pool[bits] and bits >> child_i & 1:
+                family = bits
+                have = min(d, len(pool[bits]))
+                pool[bits] = pool[bits][have:]
+                break
+        if family is None:
+            family = next(ctx.witnesses(n.label[u], child_i, direction), None)
+            if family is None:
+                raise Stuck('no coherent %s-witness for %s below node %d' % (
+                    direction, to_string(ctx.sigma.formulas[child_i]), u))
+        if reach is not None and have < d:
+            for w in n.nodes:
+                if have >= d:
+                    break
+                if w == u or w in taken or w in linked or w in frozen:
+                    continue
+                if n.label[w] != family:
+                    continue
+                e = orient(u, w, direction)
+                if not reach.link(*e):
+                    continue
+                edges.add(e)
+                linked.add(w)
+                have += 1
+        for _ in range(d - have):
+            w = next(ids)
+            nodes.append(w)
+            label[w] = family
+            e = orient(u, w, direction)
+            edges.add(e)
+            if reach is not None:
+                reach.add_leaf(w, *e)
+    if len(nodes) > budget.max_nodes:
+        raise BudgetExceeded('node budget %d exceeded while saturating %d'
+                             % (budget.max_nodes, u))
+    out = _oracle_grown(n, nodes, edges, label, {u}, direction)
+    if reach is not None:
+        reach.hand_to(out)
+    return out
+
+
+def _oracle_phase(n, budget):
+    todo = n.nodes
+    log = []
+    for direction in ('F', 'B'):
+        for u in todo:
+            if not n.saturated(u, direction):
+                n = _oracle_saturate(n, u, direction,
+                                     itertools.count(max(n.nodes) + 1),
+                                     budget)
+                log.append('sat%s %d' % (direction, u))
+    return n, log
+
+
+def _outcome(phase, n, budget):
+    try:
+        return phase(n, budget)
+    except (Stuck, BudgetExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+CTX_TWO_WAY = ctx_for(parse('<F><F>p & <B>q', {}))
+
+
+@st.composite
+def _start_networks(draw):
+    ctx = draw(st.sampled_from([CTX_P, CTX_CHI1, CTX_CHIB, CTX_TWO_WAY]))
+    # a few labels with one diamond or two, so that later nodes of the
+    # phase link to witnesses made for earlier ones, and a doomed one, so
+    # that saturation gets stuck
+    palette = ctx.atoms_by_duty[2:6] + tuple(
+        a for a in ctx.atoms if ctx.doomed(a))[:1]
+    ids = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=7,
+                               unique=True)))
+    labels = {u: draw(st.sampled_from(palette)) for u in ids}
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          max_size=4))
+    edges = {(ids[i % len(ids)], ids[j % len(ids)]) for i, j in pairs}
+    sat_f = [u for u in ids if draw(st.integers(0, 3)) == 0]
+    sat_p = [u for u in ids if draw(st.integers(0, 3)) == 0]
+    return mk(ctx, labels, edges, sat_f, sat_p)
+
+
+@given(n=_start_networks(), max_nodes=st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_a_saturation_phase_grows_as_step_by_step_saturation(n, max_nodes):
+    budget = Budget(max_nodes=max_nodes)
+    before = n.structure(), dict(n.succ), dict(n.pred)
+    want = _outcome(_oracle_phase, n, budget)
+    got = _outcome(_saturate_all, n, budget)
+    # the draft leaves its start alone, whatever happens
+    assert (n.structure(), n.succ, n.pred) == before
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    (ref, ref_log), (out, log) = want, got
+    assert log == ref_log
+    assert out.structure() == ref.structure()
+    assert list(out.succ.items()) == list(ref.succ.items())
+    assert list(out.pred.items()) == list(ref.pred.items())
+    try:
+        scratch = cones(out.nodes, out.edges)
+    except ValueError:
+        scratch = None
+    if scratch is None:
+        with pytest.raises(ValueError):
+            out.cones
+    else:
+        assert out.cones == scratch
+    assert out.separated == ref.separated == \
+        _keeps_separation(out.nodes, out.edges)
+
+
+def test_the_saturation_phase_of_repair_all_builds_one_network(monkeypatch):
+    # round one of the chi1 build leaves three fresh, unsaturated children
+    n = build(CTX_CHI1, chi1_seed(), Budget(max_rounds=1)).network
+    built = []
+    at_first_finish = []
+    post_init = Network.__post_init__
+    finish = construct.finish_deferral
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    def noted(*args):
+        at_first_finish.append(len(built))
+        return finish(*args)
+
+    monkeypatch.setattr(Network, '__post_init__', counted)
+    monkeypatch.setattr(construct, 'finish_deferral', noted)
+    _, log = repair_all(n)
+    assert len([line for line in log if line.startswith('sat')]) == 6
+    assert (at_first_finish + [len(built)])[0] == 1
 
 
 # -- finishing a deferral -----------------------------------------------------
