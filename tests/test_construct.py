@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -7,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatmu import construct
-from flatmu.acceptance import child_env
+from flatmu.acceptance import _grow_network, child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
     GrowingCones, Network, NetworkContext, compute_timeouts, cones,
-    find_defects, is_anticonfluent, is_subnetwork, network_from_json, orient,
-    validate,
+    find_defects, is_anticonfluent, is_subnetwork, network_from_json,
+    network_to_json, orient, validate,
 )
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, _saturate_all, build, extract_model,
@@ -461,6 +463,56 @@ def test_finish_backward_connective_grows_predecessors():
     assert all(b == 0 for _, b in out.edges)
     assert 0 in out.sat_p
     assert compute_timeouts(out).get((0, x_did)) is not None
+
+
+
+# Six closures whose deferrals take every path of the finishing recursion:
+# x unfoldings, disjunctions, guarded conjuncts (#gf), diamonds (#rf),
+# boxes (#sf) and full expansions both ways (#bf, #nf, #nb), at leaves, at
+# saturated nodes and at unsaturated nodes with neighbours. Every open
+# pair of each anticonfluent draw of selftest check 9's generator is
+# finished at check 9's budget; the digest covers each outcome in order,
+# the network's JSON or the Stuck or BudgetExceeded message.
+FINISH_DEFS = {chi.name: chi for chi in (
+    FixpointConnective('gf', 2, parse('q1 | (q2 & <F>x)', {})),
+    FixpointConnective('bf', 1, parse('q | nablaF{x}', {})),
+    FixpointConnective('nf', 2, parse('q1 | nablaF{x, q2}', {})),
+    FixpointConnective('nb', 2, parse('q1 | nablaB{x, ~q2}', {})),
+    FixpointConnective('rf', 1, parse('q | <F>x', {})),
+    FixpointConnective('sf', 1, parse('[F]x | q', {})),
+)}
+FINISH_ORIGINS = ('#gf(r, p)', '#bf(r)', '#nf(r, p)', '#nb(r, p)', '#rf(r)',
+                  '#sf(r)')
+
+
+def _finishing_outcomes(origin, draws):
+    ctx = ctx_for(parse(origin, FINISH_DEFS))
+    rng = random.Random(0)
+    for _ in range(draws):
+        base = _grow_network(rng, ctx, 6)
+        if not is_anticonfluent(base):
+            continue
+        for (u, did), steps in sorted(compute_timeouts(base).items()):
+            if steps is not None:
+                continue
+            try:
+                out = finish_deferral(base, u, did, Budget(60, 4, 4))
+            except (Stuck, BudgetExceeded) as e:
+                yield '%s: %s' % (type(e).__name__, e)
+            else:
+                yield json.dumps(network_to_json(out), sort_keys=True)
+
+
+def test_finishing_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    tally = {True: 0, False: 0}
+    for origin in FINISH_ORIGINS:
+        for out in _finishing_outcomes(origin, 400):
+            digest.update(('%s\t%s\n' % (origin, out)).encode())
+            tally[out.startswith('{')] += 1
+    assert (tally[True], tally[False]) == (1163, 2942)
+    assert digest.hexdigest() == (
+        '77f6f101e558e91ac15cfd1b724804e748191f49a4ba2774c9bc464e0adafd2a')
 
 
 # Drawn by the generator behind selftest check 9 (the 239th draw of
