@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import MUTATIONS
-from .closure import enumerate_atoms, fl_closure
+from .closure import atom_formulas, enumerate_atoms, fl_closure
 from .construct import Budget, Stuck, build
 from .network import (
     NetworkContext, compute_timeouts, find_defects, network_from_json, to_dot,
@@ -112,8 +112,7 @@ def _cmd_atoms(args):
         print(len(atoms))
         return 0
     for bits in atoms:
-        members = [to_string(sigma.formulas[i]) for i in range(len(sigma))
-                   if bits >> i & 1]
+        members = [to_string(f) for f in atom_formulas(sigma, bits)]
         print(json.dumps({'bits': bits, 'members': members},
                          sort_keys=True))
     return 0

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .syntax import (
     Bottom, Dia, Neg, Or, Sharp, Var, box, disjunctive_form,
-    free_vars, subformulas, substitute, to_string,
+    free_vars, immediate_subformulas, subformulas, substitute, to_string,
     DAnd, DFree, DNabla, DOr, DX,
 )
 
@@ -67,8 +67,7 @@ class ClosureSet:
         """(index, node class, child indices) for every formula, each
         after its children.
 
-        The children are the immediate subformulas: a Neg's or a Dia's
-        child, an Or's two sides, a Sharp's arguments. Atom enumeration
+        The children are syntax.immediate_subformulas. Atom enumeration
         and the Hintikka check read this table instead of looking up
         subformulas.
         """
@@ -77,7 +76,7 @@ class ClosureSet:
         def place(i):
             if i not in table:
                 f = self.formulas[i]
-                kids = tuple(self.index[g] for g in _subformula_children(f))
+                kids = tuple(self.index[g] for g in immediate_subformulas(f))
                 for k in kids:
                     place(k)
                 table[i] = (type(f), kids)
@@ -96,18 +95,8 @@ class ClosureSet:
                 'B': self.index[box('B', Bottom())]}
 
 
-def _subformula_children(f):
-    if isinstance(f, (Neg, Dia)):
-        return [f.child]
-    if isinstance(f, Or):
-        return [f.left, f.right]
-    if isinstance(f, Sharp):
-        return list(f.args)
-    return []
-
-
 def _children(f):
-    out = _subformula_children(f)
+    out = list(immediate_subformulas(f))
     if isinstance(f, Sharp):
         out.append(f.connective.instantiate(f, f.args))
         out.append(f.connective.instantiate(Bottom(), f.args))
@@ -143,24 +132,13 @@ def fl_closure(origin) -> ClosureSet:
 # ---------------------------------------------------------------------------
 # atoms
 
-def atom_bits(sigma: ClosureSet, formulas) -> int:
-    bits = 0
-    for f in formulas:
-        bits |= 1 << sigma.index_of(f)
-    return bits
-
-
 def atom_formulas(sigma: ClosureSet, bits: int):
     return [f for i, f in enumerate(sigma.formulas) if bits >> i & 1]
 
 
-def is_atom(members, sigma: ClosureSet) -> bool:
-    """Hintikka conditions: no bottom, or-coherent, negation-complete,
-    and every # formula agrees with its unfolding."""
-    if isinstance(members, int):
-        bits = members
-    else:
-        bits = atom_bits(sigma, members)
+def is_atom(bits: int, sigma: ClosureSet) -> bool:
+    """Hintikka conditions on a bitset: no bottom, or-coherent,
+    negation-complete, and every # formula agrees with its unfolding."""
     if bits >> len(sigma) != 0:
         raise ValueError('bitset uses indices outside the closure')
     return _completed(bits, sigma) == bits and _unfoldings_agree(bits, sigma)

@@ -10,10 +10,13 @@ defect at one of its input nodes raises InvariantError. A round that gets
 stuck or runs out of budget is dropped whole.
 
 Finishing a deferral below a node that already has neighbours follows the
-existing structure; below a fresh leaf it searches for a finite tree of
-atoms first and grafts the winner. The search is greedy across witness
-families (no cross-family backtracking), which can report stuck on
-instances a smarter search would solve; it never reports success wrongly.
+existing structure, trying a disjunct, a neighbour or a component at a
+time: the first try that finishes wins, and a try that gets stuck is
+dropped and hands its ids back. Below a fresh leaf it searches for a
+finite tree of atoms first and grafts the winner. The search is greedy
+across witness families (no cross-family backtracking), which can report
+stuck on instances a smarter search would solve; it never reports success
+wrongly.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ class Budget:
 
 
 class _Ids:
-    """Monotone id source. Attempts that may fail run on a clone and are
-    adopted on success, so abandoned branches never leak ids into results."""
+    """Monotone id source. The sibling extensions of one finishing share
+    it, so amalgamate never glues colliding ids; a try that gets stuck
+    hands its ids back (_first_finish), so abandoned branches never leak
+    ids into results."""
 
     def __init__(self, start):
         self.next = start
@@ -60,12 +65,6 @@ class _Ids:
         v = self.next
         self.next += 1
         return v
-
-    def clone(self):
-        return _Ids(self.next)
-
-    def adopt(self, other):
-        self.next = other.next
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +430,21 @@ def _fold(n, exts):
     return amalgamate(n, pairs)
 
 
+def _first_finish(tries, budget, ids, memo):
+    """The first of the (network, node, component) tries whose component
+    is in the node's label and finishes there, as (node, extension); None
+    when none does. A try that gets stuck hands its ids back."""
+    for n, w, comp in tries:
+        if not n.label[w] >> comp[0] & 1:
+            continue
+        start = ids.next
+        try:
+            return w, _finish_component(n, w, comp, budget, ids, memo)
+        except Stuck:
+            ids.next = start
+    return None
+
+
 def _finish(n, u, did, budget, ids, memo, seen):
     """Grow n inside u's cone until the deferral resolves at u."""
     table = n.ctx.table
@@ -449,16 +463,11 @@ def _finish(n, u, did, budget, ids, memo, seen):
         # the 0-step escape was the finished check above
         return _finish(n, u, dfl.body, budget, ids, memo, seen)
     if isinstance(node, DOr):
-        for branch in comps:
-            trial = ids.clone()
-            try:
-                out = _finish_component(n, u, branch, budget, trial, memo)
-            except Stuck:
-                continue
-            ids.adopt(trial)
-            return out
-        raise Stuck('no disjunct of %s resolves at node %d'
-                    % (table.describe(did), u))
+        hit = _first_finish(((n, u, c) for c in comps), budget, ids, memo)
+        if hit is None:
+            raise Stuck('no disjunct of %s resolves at node %d'
+                        % (table.describe(did), u))
+        return hit[1]
     if isinstance(node, DAnd):
         return _finish_component(n, u, comps[0], budget, ids, memo)
     if not isinstance(node, DNabla):
@@ -474,34 +483,26 @@ def _finish(n, u, did, budget, ids, memo, seen):
         draft = _Draft(n, link=False)
         _saturate(draft, u, direction, ids, budget)
         n = draft.freeze()
-    nbrs = n.neighbors(u, direction)
+    nbrs = n.neighbors(u, direction)  # ascending
     if not nbrs:
         raise Stuck('node %d is saturated without neighbours but %s needs one'
                     % (u, table.describe(did)))
     if node.kind == 'box':
         exts = {}
-        for w in sorted(nbrs):
+        for w in nbrs:
             if _component_done(n, w, comps[0]):
                 continue
             exts[w] = _finish_component(n, w, comps[0], budget, ids, memo)
         return _fold(n, exts)
     if node.kind == 'dia':
-        comp = comps[0]
-        for w in sorted(nbrs):
-            if _component_done(n, w, comp):
-                return n
-        for w in sorted(nbrs):
-            if not n.label[w] >> comp[0] & 1:
-                continue
-            trial = ids.clone()
-            try:
-                out = _finish_component(n, w, comp, budget, trial, memo)
-            except Stuck:
-                continue
-            ids.adopt(trial)
-            return out
-        raise Stuck('no neighbour of %d can finish %s'
-                    % (u, table.describe(did)))
+        if any(_component_done(n, w, comps[0]) for w in nbrs):
+            return n
+        hit = _first_finish(((n, w, comps[0]) for w in nbrs), budget, ids,
+                            memo)
+        if hit is None:
+            raise Stuck('no neighbour of %d can finish %s'
+                        % (u, table.describe(did)))
+        return hit[1]
     # full expansion: every component finished somewhere, every neighbour
     # covering some finished component
     exts = {}
@@ -512,43 +513,22 @@ def _finish(n, u, did, budget, ids, memo, seen):
     for comp, part in zip(comps, node.components):
         if any(_component_done(net_at(w), w, comp) for w in nbrs):
             continue
-        placed = False
-        for w in sorted(nbrs):
-            if not n.label[w] >> comp[0] & 1:
-                continue
-            trial = ids.clone()
-            try:
-                out = _finish_component(net_at(w), w, comp, budget, trial,
-                                        memo)
-            except Stuck:
-                continue
-            ids.adopt(trial)
-            exts[w] = out
-            placed = True
-            break
-        if not placed:
+        hit = _first_finish(((net_at(w), w, comp) for w in nbrs), budget,
+                            ids, memo)
+        if hit is None:
             raise Stuck('component %s of %s has no home below node %d'
                         % (to_string(part.src), table.describe(did), u))
-    for w in sorted(nbrs):
+        w, ext = hit
+        exts[w] = ext
+    for w in nbrs:
         if any(_component_done(net_at(w), w, c) for c in comps):
             continue
-        placed = False
-        for comp in comps:
-            if comp[1] is None or not n.label[w] >> comp[0] & 1:
-                continue
-            trial = ids.clone()
-            try:
-                out = _finish_component(net_at(w), w, comp, budget, trial,
-                                        memo)
-            except Stuck:
-                continue
-            ids.adopt(trial)
-            exts[w] = out
-            placed = True
-            break
-        if not placed:
+        hit = _first_finish(((net_at(w), w, c) for c in comps), budget, ids,
+                            memo)
+        if hit is None:
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
+        exts[w] = hit[1]
     return _fold(n, exts)
 
 
@@ -563,18 +543,13 @@ def finish_deferral(n, u, did, budget=None):
         raise ValueError('cannot finish a deferral in a network that is not '
                          'anticonfluent')
     budget = budget or Budget()
-    table = n.ctx.table
     tt = compute_timeouts(n)
     if (u, did) not in tt:
         raise ValueError('deferral %d is not active at node %d' % (did, u))
     if tt[u, did] is not None:
         return n
-    direction = table.deferrals[did].direction
-    if direction is None:
-        raise Stuck('%s has no disjunctive reading' % table.describe(did))
-    ids = _Ids(max(n.nodes) + 1)
-    out = _finish(n, u, did, budget, ids, {}, frozenset())
-    fault = extension_fault(n, out, u, direction)
+    out = _finish(n, u, did, budget, _Ids(max(n.nodes) + 1), {}, frozenset())
+    fault = extension_fault(n, out, u, n.ctx.table.deferrals[did].direction)
     if fault is not None:
         raise InvariantError('finishing deferral %d at node %d broke the '
                              'extension shape: %s' % (did, u, fault))

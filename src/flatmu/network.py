@@ -22,7 +22,7 @@ from .closure import (
     ClosureSet, DeferralTable, coherent, enumerate_atoms, fl_closure, is_atom,
 )
 from .syntax import (
-    DNabla, DX, FileShapeError, Sharp, connectives_from_json, parse,
+    DNabla, DX, FileShapeError, Sharp, connectives_from_json, is_int, parse,
     subformulas, to_string,
 )
 
@@ -273,12 +273,6 @@ class Network:
     def structure(self):
         return (self.nodes, self.edges,
                 tuple(sorted(self.label.items())), self.sat_f, self.sat_p)
-
-    def replace(self, **kw):
-        base = dict(ctx=self.ctx, nodes=self.nodes, edges=self.edges,
-                    label=dict(self.label), sat_f=self.sat_f, sat_p=self.sat_p)
-        base.update(kw)
-        return Network(**base)
 
     def __repr__(self):
         return 'Network(%d nodes, %d edges, satF=%d, satP=%d)' % (
@@ -687,10 +681,6 @@ def network_to_json(n: Network):
     }
 
 
-def _is_id(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _file_problems(obj, need_closure):
     """What keeps obj from describing a network, closure size aside."""
     if not isinstance(obj, dict):
@@ -715,14 +705,14 @@ def _file_problems(obj, need_closure):
             out.append('node %s needs an id and an atom' % json.dumps(rec))
             continue
         u = rec['id']
-        if not _is_id(u):
+        if not is_int(u):
             out.append('node id %s is not an integer' % json.dumps(u))
         elif u in ids:
             out.append('node id %d appears twice' % u)
         else:
             ids.add(u)
         atom = rec['atom']
-        if not isinstance(atom, list) or not all(map(_is_id, atom)):
+        if not isinstance(atom, list) or not all(map(is_int, atom)):
             out.append('atom of node %s must list closure indices'
                        % json.dumps(u))
     lists = {}
@@ -733,11 +723,11 @@ def _file_problems(obj, need_closure):
             lists[key] = []
     for e in lists['edges']:
         if not isinstance(e, list) or len(e) != 2 or \
-                not all(_is_id(u) and u in ids for u in e):
+                not all(is_int(u) and u in ids for u in e):
             out.append('edge %s must join two node ids' % json.dumps(e))
     for key in ('satF', 'satP'):
         for u in lists[key]:
-            if not (_is_id(u) and u in ids):
+            if not (is_int(u) and u in ids):
                 out.append('%s names %s, which is no node id'
                            % (key, json.dumps(u)))
     return out

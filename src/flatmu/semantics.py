@@ -6,10 +6,10 @@ FrameBatch they are numpy uint8 arrays with one mask per lane, where a
 lane is one frame (up to isomorphism, at most four states) under one
 joint valuation: the brute-force search and the selftest sweeps
 evaluate a chunk of CHUNK lanes per numpy pass, and <d> on lanes is one
-lookup per lane in a per-size image table. The public eval returns
-frozensets. Fixpoint connectives are evaluated by Kleene iteration from
-the empty set, which converges within |W| rounds by positivity of the
-body. numpy is imported only when lanes arrive.
+lookup per lane in a per-size image table. Fixpoint connectives are
+evaluated by Kleene iteration from the empty set, which converges within
+|W| rounds by positivity of the body. numpy is imported only when lanes
+arrive.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .syntax import (
     Bottom, Dia, FileShapeError, Neg, Or, Sharp, Var, box, free_vars,
-    implies, iff, subformulas,
+    implies, iff, is_int, subformulas,
 )
 
 
@@ -86,8 +86,11 @@ class KripkeModel:
             self.states, sum(m.bit_count() for m in self.succ_mask))
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+# The most states a model file may declare. Each state's successor and
+# predecessor sets are int masks of up to that many bits, so a model can
+# take states^2 / 4 bytes: 64 MB here. The bound is checked before
+# anything is allocated.
+MAX_STATES = 1 << 14
 
 
 def _file_problems(obj):
@@ -95,15 +98,20 @@ def _file_problems(obj):
     if not isinstance(obj, dict):
         return ['the file is not a JSON object']
     n = obj.get('states')
-    sized = _is_int(n) and n >= 1
-    out = [] if sized else ["missing key 'states'" if 'states' not in obj else
-                            'states must be an integer >= 1, not %s'
-                            % json.dumps(n)]
+    if 'states' not in obj:
+        out = ["missing key 'states'"]
+    elif not (is_int(n) and n >= 1):
+        out = ['states must be an integer >= 1, not %s' % json.dumps(n)]
+    elif n > MAX_STATES:
+        out = ['states must be at most %d, not %d' % (MAX_STATES, n)]
+    else:
+        out = []
+    sized = not out
     where = ' in [0, %d)' % n if sized else ''
 
     def states_ok(ws):
         return isinstance(ws, list) and all(
-            _is_int(w) and (not sized or 0 <= w < n) for w in ws)
+            is_int(w) and (not sized or 0 <= w < n) for w in ws)
 
     edges, valuation = obj.get('edges', []), obj.get('valuation', {})
     if not isinstance(edges, list):
@@ -192,12 +200,6 @@ def _set_to_mask(ws) -> int:
     return sum(1 << w for w in set(ws))
 
 
-def eval(formula, model, env=None):
-    """States where formula holds. Unvalued variables are false everywhere."""
-    env_masks = {name: _set_to_mask(ws) for name, ws in (env or {}).items()}
-    return _mask_to_set(eval_bits(formula, model, env_masks), model.states)
-
-
 def eval_nabla_via_relation(components, direction, model, w) -> bool:
     """Cover semantics at state w: every neighbour satisfies some member,
     every member holds at some neighbour."""
@@ -221,7 +223,8 @@ def approximant(chi, k: int, thetas):
 
 
 def eval_fixpoint_by_intersection(chi, args, model):
-    """Least prefixpoint computed as the intersection of all prefixpoints.
+    """Least prefixpoint computed as the intersection of all prefixpoints,
+    as a state mask.
 
     Exponential in |W|; a cross-check for the Kleene route, practical to
     four or five states.
@@ -232,7 +235,7 @@ def eval_fixpoint_by_intersection(chi, args, model):
         inner['x'] = z
         if eval_bits(chi.body, model, inner) & ~z == 0:
             out &= z
-    return _mask_to_set(out, model.states)
+    return out
 
 
 def axiom_instances(pool):

@@ -173,19 +173,23 @@ def free_vars(f: Formula) -> frozenset:
     raise TypeError(f)
 
 
+def immediate_subformulas(f: Formula) -> tuple:
+    """A Neg's or a Dia's child, an Or's two sides, a Sharp's arguments
+    (connective bodies excluded)."""
+    if isinstance(f, (Neg, Dia)):
+        return (f.child,)
+    if isinstance(f, Or):
+        return (f.left, f.right)
+    if isinstance(f, Sharp):
+        return f.args
+    return ()
+
+
 def subformulas(f: Formula):
     """Preorder walk over f, yielding every node (connective bodies excluded)."""
     yield f
-    if isinstance(f, Neg):
-        yield from subformulas(f.child)
-    elif isinstance(f, Or):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Dia):
-        yield from subformulas(f.child)
-    elif isinstance(f, Sharp):
-        for a in f.args:
-            yield from subformulas(a)
+    for g in immediate_subformulas(f):
+        yield from subformulas(g)
 
 
 def size(f: Formula) -> int:
@@ -347,6 +351,11 @@ class FileShapeError(ValueError):
     def __init__(self, problems):
         super().__init__('; '.join(problems))
         self.problems = problems
+
+
+def is_int(x):
+    """Whether x decoded from JSON is an integer: an int but not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 _TOKEN_RE = re.compile(r"""

@@ -9,6 +9,7 @@ from flatmu.acceptance import child_env
 from flatmu.cli import main
 from flatmu.closure import fl_closure
 from flatmu.network import NetworkContext
+from flatmu.semantics import MAX_STATES, KripkeModel
 from flatmu.syntax import connectives_from_json, parse
 
 DEFS = [{'name': 'r', 'arity': 1, 'body': 'q | <F>x'}]
@@ -126,6 +127,30 @@ def test_check_refuses_a_malformed_model_line_by_line(capsys, tmp_path, blob,
     assert code == 1 and out == ''
     assert err.splitlines() == ['flatmu: error: %s: %s' % (path, p)
                                 for p in problems]
+
+
+@pytest.mark.parametrize('states', [MAX_STATES + 1, 2 ** 40])
+def test_check_refuses_too_many_states_before_building_a_model(
+        capsys, tmp_path, monkeypatch, states):
+    def build(*args):
+        raise AssertionError('a model was built')
+
+    monkeypatch.setattr(KripkeModel, '__init__', build)
+    path = tmp_path / 'huge.json'
+    path.write_text(json.dumps({'states': states, 'edges': [[0, 1]]}))
+    code, out, err = run(capsys, 'check', str(path), '0', 'p')
+    assert code == 1 and out == ''
+    assert err == 'flatmu: error: %s: states must be at most %d, not %d\n' \
+        % (path, MAX_STATES, states)
+
+
+def test_check_accepts_a_model_at_the_state_limit(capsys, tmp_path):
+    last = MAX_STATES - 1
+    path = tmp_path / 'large.json'
+    path.write_text(json.dumps({'states': MAX_STATES, 'edges': [[0, last]],
+                                'valuation': {'p': [last]}}))
+    code, out, _ = run(capsys, 'check', str(path), '0', '<F>p')
+    assert code == 0 and out == 'true\n'
 
 
 def test_sat_reports_none_for_bottom(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -249,7 +250,7 @@ def test_subnetwork_freezes_saturated_frontiers():
                sat_f=(1, 2), sat_p=(0, 1))
     # node 0 is forward saturated in n but gains successor 2
     assert not is_subnetwork(n, grown)
-    relaxed = n.replace(sat_f=frozenset({1}))
+    relaxed = replace(n, sat_f=frozenset({1}))
     assert is_subnetwork(relaxed, grown)
 
 
@@ -272,7 +273,7 @@ def test_restricted_random_nets_are_subnetworks_after_frontier_fix():
                 if all(v in keep for v in big.succ[u])}
         ok_p = {u for u in small.sat_p
                 if all(v in keep for v in big.pred[u])}
-        fixed = small.replace(sat_f=frozenset(ok_f), sat_p=frozenset(ok_p))
+        fixed = replace(small, sat_f=frozenset(ok_f), sat_p=frozenset(ok_p))
         assert is_subnetwork(fixed, big)
 
 
@@ -301,13 +302,13 @@ def test_equp_compares_outside_the_cone():
     assert equp(n, ext, 0)
     assert equp(n, ext, 1)
     assert not is_subnetwork(n, ext)
-    flag_flip = n.replace(sat_p=frozenset({1}))
+    flag_flip = replace(n, sat_p=frozenset({1}))
     assert not equp(n, flag_flip, 1)
-    assert eqdown(n, n.replace(sat_f=frozenset({1})), 0)
+    assert eqdown(n, replace(n, sat_f=frozenset({1})), 0)
 
 
 def test_cofinality_checks_new_neighbours():
-    n = two_chain().replace(sat_f=frozenset({1}), sat_p=frozenset({1}))
+    n = replace(two_chain(), sat_f=frozenset({1}), sat_p=frozenset({1}))
     above = mk(CTX_P, {0: A_SRC, 1: A_SNK, 2: A_SRC}, [(0, 1), (2, 0)],
                sat_f=(1,), sat_p=(1,))
     assert is_up_cofinal(n, n)
