@@ -694,7 +694,9 @@ def check_stay_finished():
         if got is None:
             continue
         base, ext = got
-        told, tnew = compute_timeouts(base), compute_timeouts(ext)
+        # ext's own table starts from base's; a parentless copy's does not
+        told, tnew = compute_timeouts(base), compute_timeouts(Network(
+            ext.ctx, ext.nodes, ext.edges, ext.label, ext.sat_f, ext.sat_p))
         for (u, did), v in sorted(told.items()):
             if v is None:
                 continue

@@ -299,6 +299,22 @@ class DeferralTable:
     def __len__(self):
         return len(self.deferrals)
 
+    @cached_property
+    def readers(self):
+        """(same, across): per deferral id, the deferrals that read its
+        value at their own node, and the (deferral, direction) modal
+        clauses that read it at a direction-neighbour."""
+        same = [[] for _ in self.deferrals]
+        across = [[] for _ in self.deferrals]
+        for did, dfl in enumerate(self.deferrals):
+            modal = isinstance(dfl.dnode, DNabla)
+            for cid in [dfl.body] + [c for _, c in dfl.children]:
+                if cid is not None and modal:
+                    across[cid].append((did, dfl.direction))
+                elif cid is not None:
+                    same[cid].append(did)
+        return same, across
+
     def describe(self, did: int) -> str:
         dfl = self.deferrals[did]
         return '%d: %s at %s' % (did, to_string(dfl.body_part),

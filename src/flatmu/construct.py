@@ -16,7 +16,8 @@ dropped and hands its ids back. Below a fresh leaf it searches for a
 finite tree of atoms first and grafts the winner. The search is greedy
 across witness families (no cross-family backtracking), which can report
 stuck on instances a smarter search would solve; it never reports success
-wrongly.
+wrongly. Every network a draft freezes (saturations and grafts) and every
+amalgam hands compute_timeouts its start as the parent of its table.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class _Draft:
     """
 
     def __init__(self, n, link=True):
+        self.start = n
         self.ctx = n.ctx
         self.nodes = list(n.nodes)
         self.edges = set(n.edges)
@@ -124,12 +126,13 @@ class _Draft:
             self.reach.add_leaf(w, *e)
 
     def freeze(self):
-        """The grown Network, with the neighbour tuples and cones the
-        draft already holds. The draft must not be used afterwards."""
+        """The grown Network, handed the draft's neighbour tuples, cones
+        and start (the parent of its timeouts). The draft is spent."""
         out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
                       self.label, frozenset(self.sat['F']),
                       frozenset(self.sat['B']))
-        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'])
+        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'],
+                            _parent=self.start)
         if self.reach is not None:
             self.reach.hand_to(out)
         return out
@@ -423,11 +426,15 @@ def _finish_component(n, w, comp, budget, ids, memo):
     return _finish(n, w, cid, budget, ids, memo, frozenset())
 
 
-def _fold(n, exts):
+def _fold(n, u, exts):
     pairs = [(w, ext) for w, ext in sorted(exts.items()) if ext is not n]
     if not pairs:
         return n
-    return amalgamate(n, pairs)
+    try:
+        return amalgamate(n, pairs)
+    except ValueError as e:  # overlapping, as below an unseparated node
+        raise Stuck('the extensions below node %d do not amalgamate: %s'
+                    % (u, e)) from None
 
 
 def _first_finish(tries, budget, ids, memo):
@@ -493,7 +500,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
             if _component_done(n, w, comps[0]):
                 continue
             exts[w] = _finish_component(n, w, comps[0], budget, ids, memo)
-        return _fold(n, exts)
+        return _fold(n, u, exts)
     if node.kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):
             return n
@@ -529,7 +536,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
         exts[w] = hit[1]
-    return _fold(n, exts)
+    return _fold(n, u, exts)
 
 
 def finish_deferral(n, u, did, budget=None):
@@ -610,16 +617,12 @@ def _radius(n):
     defective = {d.node for d in find_defects(n)}
     if not defective:
         return None
-    nbr = {u: set() for u in n.nodes}
-    for a, b in n.edges:
-        nbr[a].add(b)
-        nbr[b].add(a)
     dist = {n.nodes[0]: 0}
     frontier = [n.nodes[0]]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in sorted(nbr[u]):
+            for v in sorted(n.succ[u] + n.pred[u]):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)

@@ -8,7 +8,8 @@ across diamonds.
 
 Timeouts track how quickly each active deferral resolves; a node/deferral
 pair with no finite resolution is a defect, as is any node missing a
-saturation flag.
+saturation flag. A worklist settles each table, starting from the table
+of the sub-network the network grew from, if any, and from INF otherwise.
 """
 
 from __future__ import annotations
@@ -341,12 +342,10 @@ def validate(n: Network):
     for a, b in sorted(n.edges):
         if not n.ctx.coherent(n.label[a], n.label[b]):
             out.append('edge (%d, %d) is not coherent' % (a, b))
-    for u in sorted(n.sat_f):
-        if not _family_slots(n, u, 'F'):
-            out.append('node %d lacks forward families' % u)
-    for u in sorted(n.sat_p):
-        if not _family_slots(n, u, 'B'):
-            out.append('node %d lacks backward families' % u)
+    for d, flags, side in (('F', n.sat_f, 'forward'),
+                           ('B', n.sat_p, 'backward')):
+        out += ['node %d lacks %s families' % (u, side)
+                for u in sorted(flags) if not _family_slots(n, u, d)]
     return out
 
 
@@ -386,16 +385,10 @@ def is_subnetwork(a: Network, b: Network) -> bool:
     """Containment plus frozen frontiers: saturated nodes of a keep their
     complete neighbourhoods inside a."""
     _same_ctx(a, b)
-    if not _is_contained(a, b):
-        return False
     here = set(a.nodes)
-    for u in a.sat_f:
-        if any(v not in here for v in b.succ[u]):
-            return False
-    for u in a.sat_p:
-        if any(v not in here for v in b.pred[u]):
-            return False
-    return True
+    return _is_contained(a, b) and all(
+        here.issuperset(b.neighbors(u, d))
+        for d, flags in (('F', a.sat_f), ('B', a.sat_p)) for u in flags)
 
 
 def union(networks) -> Network:
@@ -404,19 +397,17 @@ def union(networks) -> Network:
         raise ValueError('union of nothing')
     first = networks[0]
     label = {}
-    nodes, edges = set(), set()
-    sat_f, sat_p = set(), set()
+    edges, sat_f, sat_p = set(), set(), set()
     for n in networks:
         _same_ctx(first, n)
         for u in n.nodes:
             if u in label and label[u] != n.label[u]:
                 raise ValueError('conflicting labels at node %d' % u)
             label[u] = n.label[u]
-        nodes |= set(n.nodes)
         edges |= n.edges
         sat_f |= n.sat_f
         sat_p |= n.sat_p
-    return Network(first.ctx, tuple(sorted(nodes)), frozenset(edges),
+    return Network(first.ctx, tuple(sorted(label)), frozenset(edges),
                    label, frozenset(sat_f), frozenset(sat_p))
 
 
@@ -429,17 +420,11 @@ def restrict(n: Network, xs) -> Network:
         n.sat_f & keep, n.sat_p & keep)
 
 
-def _node_set(xs):
-    if isinstance(xs, int):
-        return {xs}
-    return set(xs)
-
-
 def _gen(n: Network, xs, direction) -> frozenset:
     down, up = n.cones
     cone = down if direction == 'F' else up
     acc = 0
-    for u in _node_set(xs):
+    for u in [xs] if isinstance(xs, int) else xs:
         acc |= cone[u]
     return frozenset(members(acc, n.nodes))
 
@@ -539,6 +524,7 @@ def amalgamate(base: Network, pairs) -> Network:
             raise ValueError('amalgamation preconditions fail: %s / %s'
                              % (fwd, bwd))
     out = union([base] + [ext for _, ext in pairs])
+    out._parent = base
     if not is_subnetwork(base, out):
         raise InvariantError('the base is not a subnetwork of the amalgam')
     for u, ext in pairs:
@@ -565,30 +551,22 @@ def _clause_value(n: Network, values, u, dfl):
     if node is None:
         return INF
     if isinstance(node, DX):
-        best = INF
         if n.label[u] >> dfl.bottom & 1:
-            best = 0
-        return min(best, values.get((u, dfl.body), INF) + 1)
+            return 0
+        return values.get((u, dfl.body), INF) + 1
     comps = dfl.children
     if not isinstance(node, DNabla):
         # a disjunction or a guarded conjunct: its best component
         return min(_component_value(n, values, u, c) for c in comps)
     direction = node.direction
-    if node.kind == 'box':
-        best = INF
-        if n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
-            best = 0
-        if n.saturated(u, direction):
-            nbrs = n.neighbors(u, direction)
-            if nbrs:
-                best = min(best, max(
-                    _component_value(n, values, w, comps[0]) for w in nbrs))
-        return best
-    if not n.saturated(u, direction):
-        return INF
-    nbrs = n.neighbors(u, direction)
+    if node.kind == 'box' and \
+            n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
+        return 0
+    nbrs = n.neighbors(u, direction) if n.saturated(u, direction) else ()
     if not nbrs:
         return INF
+    if node.kind == 'box':
+        return max(_component_value(n, values, w, comps[0]) for w in nbrs)
     if node.kind == 'dia':
         return min(_component_value(n, values, w, comps[0]) for w in nbrs)
     rows = [[_component_value(n, values, w, c) for c in comps] for w in nbrs]
@@ -598,31 +576,79 @@ def _clause_value(n: Network, values, u, dfl):
     return max(covered, used)
 
 
+def _touched(n: Network, parent: Network):
+    """The nodes of n that are new or gained a flag; no clause reads the
+    neighbours of an unsaturated direction. InvariantError unless parent is
+    a sub-network n grew from: nodes and labels kept, flags only added,
+    saturated nodes keeping their neighbours."""
+    touched = set(n.nodes).difference(parent.nodes)
+    for u, bits in parent.label.items():
+        if n.label.get(u) != bits:
+            raise InvariantError('node %d of the parent network is missing '
+                                 'or relabeled' % u)
+    for d, nbrs, was, flags, had in (
+            ('F', n.succ, parent.succ, n.sat_f, parent.sat_f),
+            ('B', n.pred, parent.pred, n.sat_p, parent.sat_p)):
+        touched |= flags - had
+        for u in had:
+            if u not in flags or nbrs[u] != was[u]:
+                raise InvariantError('node %d lost its %s saturation or '
+                                     'its neighbours there' % (u, d))
+    return touched
+
+
 def compute_timeouts(n: Network):
     """{(node, deferral id): steps to resolution, or None when unresolved}.
 
     Keys exist exactly for the active pairs: the deferral's instantiation
     is in the node's label. The dict is cached on n; callers only read it.
+    A FIFO worklist settles the greatest fixpoint of _clause_value from
+    the table of n's parent, when one was handed over with its table built
+    (timeouts never grow under extension), queuing the pairs at _touched
+    nodes; otherwise from INF, queuing every pair.
     """
     cached = getattr(n, '_timeouts', None)
     if cached is not None:
         return cached
-    deferrals = n.ctx.table.deferrals
-    active = [(u, did) for u in n.nodes for did, dfl in enumerate(deferrals)
-              if n.label[u] >> dfl.index & 1]
-    values = {pair: INF for pair in active}
-    changed = True
-    while changed:
-        changed = False
-        for u, did in active:
-            v = _clause_value(n, values, u, deferrals[did])
-            if v < values[u, did]:
-                values[u, did] = v
-                changed = True
+    parent = n.__dict__.pop('_parent', None)
+    if getattr(parent, '_timeouts', None) is None:
+        touched, values, out = n.nodes, {}, {}
+    else:
+        touched = sorted(_touched(n, parent))
+        values, out = dict(parent._values), dict(parent._timeouts)
+    table = n.ctx.table
+    deferrals = table.deferrals
+    queue = []
+    for u in touched:
+        for did, dfl in enumerate(deferrals):
+            if n.label[u] >> dfl.index & 1:
+                pair = u, did
+                if pair not in values:
+                    values[pair], out[pair] = INF, None
+                if values[pair]:  # a pair at 0 stays there
+                    queue.append(pair)
+    queued = set(queue)
+    same, across = table.readers
+    # the nodes that read a value across an edge, and in which direction
+    back = {'F': (n.pred, n.sat_f), 'B': (n.succ, n.sat_p)}
     cap = len(n.nodes) * len(deferrals) + 1
-    out = {pair: (int(v) if v is not INF and v <= cap else None)
-           for pair, v in values.items()}
-    n._timeouts = out
+    for pair in queue:  # a list walked while it grows: first in, first out
+        queued.discard(pair)
+        u, did = pair
+        v = _clause_value(n, values, u, deferrals[did])
+        if v >= values[pair]:
+            continue
+        values[pair] = v
+        out[pair] = int(v) if v <= cap else None
+        readers = [(u, r) for r in same[did]]
+        for r, d in across[did]:
+            nbrs, sat = back[d]
+            readers += [(x, r) for x in nbrs[u] if x in sat]
+        for q in readers:
+            if q in values and values[q] and q not in queued:
+                queued.add(q)
+                queue.append(q)
+    n._values, n._timeouts = values, out
     return out
 
 

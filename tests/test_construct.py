@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatmu import construct
+from flatmu import construct, network
 from flatmu.acceptance import _grow_network, child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
@@ -404,6 +404,38 @@ def test_the_saturation_phase_of_repair_all_builds_one_network(monkeypatch):
     assert (at_first_finish + [len(built)])[0] == 1
 
 
+def test_a_build_starts_its_timeout_tables_from_their_parents(monkeypatch):
+    defs = {'rf': REACH, 'rb': FixpointConnective('rb', 1,
+                                                  parse('q | <B>x', {}))}
+    f = parse('#rf(p) & #rb(q)', defs)
+    ctx = ctx_for(f)
+    # the eighth seed of `flatmu build --all` ends radius at 185 nodes
+    seed = [a for a in ctx.atoms_by_duty if a >> ctx.sigma.index_of(f) & 1][7]
+    tables = []
+    calls = [0]
+    timeouts, clause = network.compute_timeouts, network._clause_value
+
+    def noted(n):
+        if '_timeouts' not in n.__dict__:
+            tables.append(n)
+        return timeouts(n)
+
+    def counted(*args):
+        calls[0] += 1
+        return clause(*args)
+
+    monkeypatch.setattr(network, 'compute_timeouts', noted)
+    monkeypatch.setattr(construct, 'compute_timeouts', noted)
+    monkeypatch.setattr(network, '_clause_value', counted)
+    build(ctx, seed)
+    seeded, calls[0] = calls[0], 0
+    for n in tables:
+        bare = Network(n.ctx, n.nodes, n.edges, n.label, n.sat_f, n.sat_p)
+        assert timeouts(bare) == timeouts(n)
+    assert len(tables) >= 5
+    assert seeded < calls[0]
+
+
 # -- finishing a deferral -----------------------------------------------------
 
 def chi1_seed():
@@ -563,10 +595,23 @@ def test_finish_rejects_a_non_anticonfluent_input():
         finish_deferral(n, 0, 1)
 
 
+def test_finishing_below_an_unseparated_node_gets_stuck():
+    # the 59th draw over #sf(r): 0 -> 1 -> 3 -> 4 and 0 -> 4, so the box
+    # extensions at the successors 1 and 4 of node 0 overlap
+    ctx = ctx_for(parse('#sf(r)', FINISH_DEFS))
+    rng = random.Random(0)
+    for _ in range(59):
+        base = _grow_network(rng, ctx, 8)
+    assert is_anticonfluent(base) and not base.separated
+    assert compute_timeouts(base)[0, 1] is None
+    with pytest.raises(Stuck, match='below node 0 do not amalgamate'):
+        finish_deferral(base, 0, 1, Budget(60, 4, 4))
+
+
 # The child plants a fault in the extension-shape check and finishes an
 # open deferral that would otherwise finish cleanly.
 PLANTED_FAULT = """
-from flatmu import construct
+from flatmu import construct, network
 from flatmu.closure import fl_closure
 from flatmu.network import Network, NetworkContext
 from flatmu.syntax import (

@@ -1,19 +1,28 @@
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatmu import construct, network
+from flatmu.acceptance import _amalgam_candidates, _grow_network
 from flatmu.closure import fl_closure
+from flatmu.construct import (
+    Budget, BudgetExceeded, Stuck, _saturate_all, finish_deferral, saturate,
+)
 from flatmu.network import (
-    Defect, Network, NetworkContext, NetworkContextError, amalgamate,
+    INF, Defect, InvariantError, Network, NetworkContext, NetworkContextError,
+    amalgamate,
     compute_timeouts, cones, downgen, eqdown, equp, find_defects, is_anticonfluent,
     is_down_cofinal, is_subnetwork, is_up_cofinal, members, network_from_json,
     network_to_json, restrict, to_dot, union, upgen, validate,
 )
 from flatmu.syntax import (
-    Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, box, parse,
+    Bottom, DNabla, DX, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
+    parse,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -468,6 +477,226 @@ def test_finished_values_never_rise_under_growth():
         if v is not None:
             assert t2[pair] is not None
             assert t2[pair] <= v
+
+
+# -- seeded timeouts against full sweeps --------------------------------------
+
+def _oracle_component(n, values, w, comp):
+    inst, cid = comp
+    if not n.label[w] >> inst & 1:
+        return INF
+    if cid is None:
+        return 0
+    return values.get((w, cid), INF)
+
+
+def _oracle_clause(n, values, u, dfl):
+    """One deferral's value at u from the values around it, as
+    compute_timeouts read it before it was seeded and worklist-driven."""
+    node = dfl.dnode
+    if node is None:
+        return INF
+    if isinstance(node, DX):
+        best = INF
+        if n.label[u] >> dfl.bottom & 1:
+            best = 0
+        return min(best, values.get((u, dfl.body), INF) + 1)
+    comps = dfl.children
+    if not isinstance(node, DNabla):
+        return min(_oracle_component(n, values, u, c) for c in comps)
+    direction = node.direction
+    if node.kind == 'box':
+        best = INF
+        if n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
+            best = 0
+        if n.saturated(u, direction):
+            nbrs = n.neighbors(u, direction)
+            if nbrs:
+                best = min(best, max(
+                    _oracle_component(n, values, w, comps[0]) for w in nbrs))
+        return best
+    if not n.saturated(u, direction):
+        return INF
+    nbrs = n.neighbors(u, direction)
+    if not nbrs:
+        return INF
+    if node.kind == 'dia':
+        return min(_oracle_component(n, values, w, comps[0]) for w in nbrs)
+    rows = [[_oracle_component(n, values, w, c) for c in comps] for w in nbrs]
+    covered = max(min(row) for row in rows)
+    used = max(min(rows[i][j] for i in range(len(nbrs)))
+               for j in range(len(comps)))
+    return max(covered, used)
+
+
+def _oracle_timeouts(n):
+    """The table by full sweeps over every active pair from INF until
+    nothing changes, with the clause as it was read then: what
+    compute_timeouts computed before it started from a parent's table and
+    settled a worklist."""
+    deferrals = n.ctx.table.deferrals
+    active = [(u, did) for u in n.nodes for did, dfl in enumerate(deferrals)
+              if n.label[u] >> dfl.index & 1]
+    values = {pair: INF for pair in active}
+    changed = True
+    while changed:
+        changed = False
+        for u, did in active:
+            v = _oracle_clause(n, values, u, deferrals[did])
+            if v < values[u, did]:
+                values[u, did] = v
+                changed = True
+    cap = len(n.nodes) * len(deferrals) + 1
+    return {pair: (int(v) if v is not INF and v <= cap else None)
+            for pair, v in values.items()}
+
+
+@contextmanager
+def _tables_checked_against_the_oracle():
+    """Inside the block, compare every table compute_timeouts builds with
+    the oracle. Yields a list that gets, per table started from a parent's,
+    what made its network: 'graft' or 'amalgamate' inside finishing, a
+    'draft' of finishing's saturation, or the tag a caller set."""
+    seeded = []
+    real = network.compute_timeouts
+
+    def checked(n):
+        parent = n.__dict__.get('_parent')
+        fresh = '_timeouts' not in n.__dict__
+        out = real(n)
+        if fresh:
+            assert out == _oracle_timeouts(n)
+            if parent is not None and '_timeouts' in parent.__dict__:
+                seeded.append(n.__dict__.get('made_by', 'draft'))
+        return out
+
+    def tagged(fn, tag):
+        def made(*args):
+            out = fn(*args)
+            out.made_by = tag
+            return out
+        return made
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, 'compute_timeouts', checked)
+        mp.setattr(construct, 'compute_timeouts', checked)
+        mp.setattr(construct, '_graft', tagged(construct._graft, 'graft'))
+        mp.setattr(construct, 'amalgamate',
+                   tagged(construct.amalgamate, 'amalgamate'))
+        yield seeded
+
+
+TIMEOUT_DEFS = {chi.name: chi for chi in (
+    FixpointConnective('gf', 2, parse('q1 | (q2 & <F>x)', {})),
+    FixpointConnective('nf', 2, parse('q1 | nablaF{x, q2}', {})),
+    FixpointConnective('nb', 2, parse('q1 | nablaB{x, ~q2}', {})),
+    FixpointConnective('rf', 1, parse('q | <F>x', {})),
+    FixpointConnective('rb', 1, parse('q | <B>x', {})),
+    FixpointConnective('sf', 1, parse('[F]x | q', {})),
+)}
+TIMEOUT_CTXS = [ctx_for(parse(text, TIMEOUT_DEFS)) for text in (
+    '#rf(r)', '#sf(r)', '#gf(r, p)', '#nf(r, p)', '#nb(r, p)',
+    '#rf(p) & #rb(q)')]
+
+
+def _grow_and_tabulate(ctx, rng, size):
+    """Grow one _grow_network draw every way the builder does, reading the
+    timeout table of the draw first and of each result after; then build
+    from a random atom, which reads every table of its rounds."""
+    n = _grow_network(rng, ctx, size)
+    network.compute_timeouts(n)
+    grown = []
+    try:
+        grown.append((_saturate_all(n, Budget(max_nodes=60))[0], 'phase'))
+        heads = [(u, d) for u in n.nodes for d in 'FB'
+                 if not n.saturated(u, d)]
+        if heads:
+            grown.append((saturate(n, *rng.choice(heads)), 'saturate'))
+    except (Stuck, BudgetExceeded):
+        pass
+    for out, tag in grown:
+        if out is not n:
+            out.made_by = tag
+            network.compute_timeouts(out)
+    if is_anticonfluent(n):
+        for (u, did), steps in sorted(network.compute_timeouts(n).items()):
+            if steps is None:
+                try:
+                    finish_deferral(n, u, did, Budget(60, 4, 4))
+                except (Stuck, BudgetExceeded):
+                    pass
+    cand = _amalgam_candidates(rng, ctx)
+    if cand is not None:
+        base, pairs = cand
+        network.compute_timeouts(base)
+        network.compute_timeouts(amalgamate(base, pairs))
+    construct.build(ctx, rng.choice(ctx.atoms_by_duty), Budget(60, 4, 3))
+
+
+@given(which=st.integers(0, len(TIMEOUT_CTXS) - 1),
+       seed=st.integers(0, 2 ** 32), size=st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_seeded_timeouts_match_the_sweeps(which, seed, size):
+    with _tables_checked_against_the_oracle():
+        _grow_and_tabulate(TIMEOUT_CTXS[which], random.Random(seed), size)
+
+
+def test_every_constructor_hands_its_parent_to_the_timeouts():
+    with _tables_checked_against_the_oracle() as seeded:
+        rng = random.Random(3)
+        for ctx in TIMEOUT_CTXS:
+            for _ in range(40):
+                _grow_and_tabulate(ctx, rng, 8)
+    assert set(seeded) == {'phase', 'saturate', 'draft', 'graft',
+                           'amalgamate'}
+
+
+FOCUS_R = Sharp(REACH, (Q,))
+R_ROOT = atom_with(CTX_REACH, [FOCUS_R, Dia('F', FOCUS_R)],
+                   no=[Q, Dia('F', BOT)])
+R_GOOD = atom_with(CTX_REACH, [FOCUS_R, Q, box('F', BOT), Dia('B', Neg(BOT))])
+R_BAD = atom_with(CTX_REACH, [box('F', BOT), Dia('B', Neg(BOT))],
+                  no=[FOCUS_R])
+
+
+def _fork_parent():
+    n = mk(CTX_REACH, {0: R_ROOT, 1: R_BAD, 2: R_GOOD}, [(0, 1)], sat_f=(0,))
+    assert compute_timeouts(n)[0, 1] is None
+    return n
+
+
+@pytest.mark.parametrize('labels, edges, sat_f', [
+    # the saturated node 0 gains a successor
+    ({0: R_ROOT, 1: R_BAD, 2: R_GOOD}, [(0, 1), (0, 2)], (0,)),
+    # node 2 is relabeled
+    ({0: R_ROOT, 1: R_BAD, 2: R_BAD}, [(0, 1)], (0,)),
+    # node 2 is gone
+    ({0: R_ROOT, 1: R_BAD}, [(0, 1)], (0,)),
+    # node 0 loses its flag
+    ({0: R_ROOT, 1: R_BAD, 2: R_GOOD}, [(0, 1)], ()),
+])
+def test_timeouts_refuse_a_parent_that_is_no_sub_network(labels, edges,
+                                                          sat_f):
+    n = mk(CTX_REACH, labels, edges, sat_f=sat_f)
+    n._parent = _fork_parent()
+    with pytest.raises(InvariantError):
+        compute_timeouts(n)
+
+
+def test_timeouts_grow_from_a_sub_network():
+    # node 3 is new and node 1 gains a flag; node 2 gains a predecessor,
+    # which no clause of 2 reads while it is not backward saturated
+    parent = mk(CTX_REACH, {0: R_ROOT, 1: R_BAD, 2: R_GOOD}, [(0, 1)],
+                sat_f=(0,))
+    compute_timeouts(parent)
+    n = mk(CTX_REACH, {0: R_ROOT, 1: R_BAD, 2: R_GOOD, 3: R_ROOT},
+           [(0, 1), (3, 2)], sat_f=(0, 3), sat_p=(1,))
+    n._parent = parent
+    assert network._touched(n, parent) == {1, 3}
+    tt = compute_timeouts(n)
+    assert tt == _oracle_timeouts(n)
+    assert tt[0, 1] is None and tt[3, 1] == 0
+    assert '_parent' not in n.__dict__
 
 
 # -- serialization ------------------------------------------------------------
