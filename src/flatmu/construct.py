@@ -433,8 +433,7 @@ def _fold(n, u, exts):
     try:
         return amalgamate(n, pairs)
     except ValueError as e:  # overlapping, as below an unseparated node
-        raise Stuck('the extensions below node %d do not amalgamate: %s'
-                    % (u, e)) from None
+        raise Stuck('below node %d: %s' % (u, e)) from None
 
 
 def _first_finish(tries, budget, ids, memo):

@@ -615,7 +615,9 @@ def compute_timeouts(n: Network):
         touched, values, out = n.nodes, {}, {}
     else:
         touched = sorted(_touched(n, parent))
-        values, out = dict(parent._values), dict(parent._timeouts)
+        out = dict(parent._timeouts)
+        # finite values never reach cap, so None stands for INF alone
+        values = {p: INF if t is None else t for p, t in out.items()}
     table = n.ctx.table
     deferrals = table.deferrals
     queue = []
@@ -629,7 +631,7 @@ def compute_timeouts(n: Network):
                     queue.append(pair)
     queued = set(queue)
     same, across = table.readers
-    # the nodes that read a value across an edge, and in which direction
+    # a d-clause reads w at the d-saturated neighbours of w the other way
     back = {'F': (n.pred, n.sat_f), 'B': (n.succ, n.sat_p)}
     cap = len(n.nodes) * len(deferrals) + 1
     for pair in queue:  # a list walked while it grows: first in, first out
@@ -648,7 +650,7 @@ def compute_timeouts(n: Network):
             if q in values and values[q] and q not in queued:
                 queued.add(q)
                 queue.append(q)
-    n._values, n._timeouts = values, out
+    n._timeouts = out
     return out
 
 

@@ -604,7 +604,8 @@ def test_finishing_below_an_unseparated_node_gets_stuck():
         base = _grow_network(rng, ctx, 8)
     assert is_anticonfluent(base) and not base.separated
     assert compute_timeouts(base)[0, 1] is None
-    with pytest.raises(Stuck, match='below node 0 do not amalgamate'):
+    with pytest.raises(Stuck, match='below node 0: amalgamation '
+                       'preconditions fail: cones 0 and 1 overlap'):
         finish_deferral(base, 0, 1, Budget(60, 4, 4))
 
 
