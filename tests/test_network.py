@@ -15,10 +15,10 @@ from flatmu.construct import (
 )
 from flatmu.network import (
     INF, Defect, InvariantError, Network, NetworkContext, NetworkContextError,
-    amalgamate,
-    compute_timeouts, cones, downgen, eqdown, equp, find_defects, is_anticonfluent,
-    is_down_cofinal, is_subnetwork, is_up_cofinal, members, network_from_json,
-    network_to_json, restrict, to_dot, union, upgen, validate,
+    amalgamate, compute_timeouts, cones, downgen, eqdown, equp, find_defects,
+    is_anticonfluent, is_down_cofinal, is_subnetwork, is_up_cofinal, members,
+    network_from_json, network_to_json, restrict, to_dot, union, upgen,
+    validate,
 )
 from flatmu.syntax import (
     Bottom, DNabla, DX, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
