@@ -59,10 +59,7 @@ def _load_json(path):
 def _connectives(args):
     if not getattr(args, 'defs', None):
         return {}
-    try:
-        return connectives_from_json(_load_json(args.defs))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _CliError('%s: %s' % (args.defs, exc))
+    return _load(args.defs, connectives_from_json)
 
 
 def _formula(args):

@@ -2,7 +2,7 @@
 
 The builder starts from one seed node and runs repair rounds. A round
 first saturates every current node, forward then backward, in one
-mutable draft that is frozen into a single Network when the phase ends;
+network.Draft that is frozen into a single Network when the phase ends;
 then it finishes every active deferral. Each finished deferral is
 re-checked against the extension shapes and containment predicates of
 the network module and against anticonfluence, and a round that leaves a
@@ -22,13 +22,12 @@ amalgam hands compute_timeouts its start as the parent of its table.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass, field
 
 from .closure import is_atom
 from .network import (
-    GrowingCones, InvariantError, Network, amalgamate, compute_timeouts,
-    extension_fault, find_defects, is_anticonfluent, network_to_json, orient,
+    Draft, InvariantError, Network, amalgamate, compute_timeouts,
+    extension_fault, find_defects, is_anticonfluent, network_to_json,
 )
 from .semantics import KripkeModel
 from .syntax import DAnd, DNabla, DOr, DX, Var, to_string
@@ -71,73 +70,6 @@ class _Ids:
 # ---------------------------------------------------------------------------
 # saturation
 
-def _inserted(ws, w):
-    """The ascending tuple ws with w added."""
-    i = bisect(ws, w)
-    return ws[:i] + (w,) + ws[i:]
-
-
-class _Draft:
-    """A network under growth, frozen into one Network when done.
-
-    It holds the nodes in ascending id order, the edges, the labels, both
-    saturation flag sets and, per direction, each node's neighbours as an
-    ascending tuple: what Network.succ and Network.pred would compute.
-    With link set and a separated start it keeps one GrowingCones, so
-    witnesses may be linked across the network; otherwise growth only
-    adds fresh nodes. A draft that raises is dropped, and the network it
-    started from is left as it was.
-    """
-
-    def __init__(self, n, link=True):
-        self.start = n
-        self.ctx = n.ctx
-        self.nodes = list(n.nodes)
-        self.edges = set(n.edges)
-        self.label = dict(n.label)
-        self.sat = {'F': set(n.sat_f), 'B': set(n.sat_p)}
-        self.nbrs = {'F': dict(n.succ), 'B': dict(n.pred)}
-        self.reach = GrowingCones(n) if link and n.separated else None
-
-    def _attach(self, e):
-        a, b = e
-        self.edges.add(e)
-        self.nbrs['F'][a] = _inserted(self.nbrs['F'][a], b)
-        self.nbrs['B'][b] = _inserted(self.nbrs['B'][b], a)
-
-    def link(self, u, w, direction):
-        """Make w a direction-neighbour of u when the graph stays
-        separated; say whether."""
-        e = orient(u, w, direction)
-        if not self.reach.link(*e):
-            return False
-        self._attach(e)
-        return True
-
-    def grow(self, u, w, bits, direction):
-        """Add the fresh node w, labeled bits, as a direction-neighbour of
-        u. Fresh ids exceed every id in the draft."""
-        self.nodes.append(w)
-        self.label[w] = bits
-        self.nbrs['F'][w] = self.nbrs['B'][w] = ()
-        e = orient(u, w, direction)
-        self._attach(e)
-        if self.reach is not None:
-            self.reach.add_leaf(w, *e)
-
-    def freeze(self):
-        """The grown Network, handed the draft's neighbour tuples, cones
-        and start (the parent of its timeouts). The draft is spent."""
-        out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
-                      self.label, frozenset(self.sat['F']),
-                      frozenset(self.sat['B']))
-        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'],
-                            _parent=self.start)
-        if self.reach is not None:
-            self.reach.hand_to(out)
-        return out
-
-
 def _saturate(draft, u, direction, ids, budget):
     """Complete the witness families of u, which is not yet saturated in
     direction, inside the draft, and flag it.
@@ -175,7 +107,7 @@ def _saturate(draft, u, direction, ids, budget):
             if family is None:
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
-        if draft.reach is not None and have < d:
+        if draft.cones is not None and have < d:
             for w in draft.nodes[:present]:
                 if have >= d:
                     break
@@ -198,7 +130,7 @@ def saturate(n, u, direction, budget=None):
     """Complete the witness families of u in direction ('F' or 'B')."""
     if n.saturated(u, direction):
         return n
-    draft = _Draft(n)
+    draft = Draft(n)
     _saturate(draft, u, direction, _Ids(max(n.nodes) + 1), budget)
     return draft.freeze()
 
@@ -210,7 +142,7 @@ def _saturate_all(n, budget):
     the phase left behind. Returns (network, log); n itself when every
     node was saturated already.
     """
-    draft = _Draft(n)
+    draft = Draft(n)
     ids = _Ids(max(n.nodes) + 1)
     log = []
     for direction in ('F', 'B'):
@@ -387,7 +319,7 @@ def _graft(n, u, tpl, direction, budget, ids):
             len(n.nodes) + _tree_size(tpl) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while growing below %d'
                              % (budget.max_nodes, u))
-    draft = _Draft(n, link=False)
+    draft = Draft(n, link=False)
 
     def place(parent, tree):
         if tree.families:
@@ -486,7 +418,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
                 raise Stuck('no finishing tree for %s below node %d'
                             % (table.describe(did), u))
             return _graft(n, u, tpl, direction, budget, ids)
-        draft = _Draft(n, link=False)
+        draft = Draft(n, link=False)
         _saturate(draft, u, direction, ids, budget)
         n = draft.freeze()
     nbrs = n.neighbors(u, direction)  # ascending

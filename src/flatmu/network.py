@@ -10,12 +10,16 @@ Timeouts track how quickly each active deferral resolves; a node/deferral
 pair with no finite resolution is a defect, as is any node missing a
 saturation flag. A worklist settles each table, starting from the table
 of the sub-network the network grew from, if any, and from INF otherwise.
+
+A Draft grows a network in place and freezes into one Network, handing
+it the caches it kept; only this module fills a Network's caches.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,50 +159,6 @@ def members(bits, nodes):
         bits ^= low
 
 
-class GrowingCones:
-    """The cones of a separated network as edges go in one at a time.
-
-    Seeded from Network.cones, so bit i stands for n.nodes[i]; every
-    fresh node takes the next bit. Separation means no two paths join the
-    same pair of nodes (see Network.separated). An edge a->b keeps it
-    exactly when no node above a already reaches a node below b, and it
-    only grows the down-cones above a and the up-cones below b (a cycle
-    is the case where a itself sits below b). Linked edges must be new.
-    """
-
-    def __init__(self, n):
-        down, up = n.cones
-        self.nodes = list(n.nodes)
-        self.down = dict(down)
-        self.up = dict(up)
-
-    def _add(self, a, b):
-        below, above = self.down[b], self.up[a]
-        for x in members(above, self.nodes):
-            self.down[x] |= below
-        for y in members(below, self.nodes):
-            self.up[y] |= above
-
-    def link(self, a, b):
-        """Add the edge a->b when the graph stays separated; say whether."""
-        below = self.down[b]
-        if any(self.down[x] & below for x in members(self.up[a], self.nodes)):
-            return False
-        self._add(a, b)
-        return True
-
-    def add_leaf(self, w, a, b):
-        """Add the fresh node w with its one edge a->b."""
-        self.down[w] = self.up[w] = 1 << len(self.nodes)
-        self.nodes.append(w)
-        self._add(a, b)
-
-    def hand_to(self, n):
-        """Cache these cones on n, the network the edges grew into."""
-        if list(n.nodes) == self.nodes:
-            n.__dict__.update(cones=(self.down, self.up), separated=True)
-
-
 @dataclass(eq=False)
 class Network:
     ctx: NetworkContext
@@ -212,9 +172,6 @@ class Network:
         self.nodes = tuple(sorted(self.nodes))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError('duplicate node ids')
-        self.edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        self.sat_f = frozenset(self.sat_f)
-        self.sat_p = frozenset(self.sat_p)
         here = set(self.nodes)
         for a, b in self.edges:
             if a not in here or b not in here:
@@ -278,6 +235,79 @@ class Network:
     def __repr__(self):
         return 'Network(%d nodes, %d edges, satF=%d, satP=%d)' % (
             len(self.nodes), len(self.edges), len(self.sat_f), len(self.sat_p))
+
+
+class Draft:
+    """A network under growth, frozen into one Network when done.
+
+    It holds the nodes in ascending id order, the edges, the labels, both
+    saturation flag sets and, per direction, each node's neighbours as an
+    ascending tuple: what Network.succ and Network.pred would compute.
+    With link set and a separated start it keeps the start's cones too,
+    each fresh node taking the next bit, so witnesses may be linked across
+    the network; otherwise cones is None. A draft that raises is dropped,
+    and the network it started from is left as it was.
+    """
+
+    def __init__(self, n, link=True):
+        self.start = n
+        self.ctx = n.ctx
+        self.nodes = list(n.nodes)
+        self.edges = set(n.edges)
+        self.label = dict(n.label)
+        self.sat = {'F': set(n.sat_f), 'B': set(n.sat_p)}
+        self.nbrs = {'F': dict(n.succ), 'B': dict(n.pred)}
+        self.cones = tuple(map(dict, n.cones)) if link and n.separated \
+            else None
+
+    def _attach(self, a, b):
+        """Add the new edge a->b, growing the cones above a and below b."""
+        self.edges.add((a, b))
+        for nbrs, x, y in ((self.nbrs['F'], a, b), (self.nbrs['B'], b, a)):
+            i = bisect(nbrs[x], y)
+            nbrs[x] = nbrs[x][:i] + (y,) + nbrs[x][i:]
+        if self.cones is not None:
+            down, up = self.cones
+            below, above = down[b], up[a]
+            for x in members(above, self.nodes):
+                down[x] |= below
+            for y in members(below, self.nodes):
+                up[y] |= above
+
+    def link(self, u, w, direction):
+        """Make w a new direction-neighbour of u when no node above the
+        edge's tail already reaches a node below its head, which keeps the
+        graph separated (see Network.separated); say whether. Needs cones."""
+        a, b = orient(u, w, direction)
+        down, up = self.cones
+        below = down[b]
+        if any(down[x] & below for x in members(up[a], self.nodes)):
+            return False
+        self._attach(a, b)
+        return True
+
+    def grow(self, u, w, bits, direction):
+        """Add the fresh node w, labeled bits, as a direction-neighbour of
+        u. Fresh ids exceed every id in the draft."""
+        if self.cones is not None:
+            for cone in self.cones:
+                cone[w] = 1 << len(self.nodes)
+        self.nodes.append(w)
+        self.label[w] = bits
+        self.nbrs['F'][w] = self.nbrs['B'][w] = ()
+        self._attach(*orient(u, w, direction))
+
+    def freeze(self):
+        """The grown Network, handed the draft's neighbour tuples, cones
+        and start (the parent of its timeouts). The draft is spent."""
+        out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
+                      self.label, frozenset(self.sat['F']),
+                      frozenset(self.sat['B']))
+        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'],
+                            _parent=self.start)
+        if self.cones is not None:
+            out.__dict__.update(cones=self.cones, separated=True)
+        return out
 
 
 def _same_ctx(a: Network, b: Network):
@@ -657,9 +687,6 @@ def compute_timeouts(n: Network):
 # ---------------------------------------------------------------------------
 # defects
 
-_KIND_ORDER = {'diaF': 0, 'diaB': 1, 'mu': 2}
-
-
 @dataclass(frozen=True)
 class Defect:
     kind: str
@@ -677,10 +704,8 @@ class Defect:
 def find_defects(n: Network):
     out = [Defect('diaF', u) for u in n.nodes if u not in n.sat_f]
     out += [Defect('diaB', u) for u in n.nodes if u not in n.sat_p]
-    out += [Defect('mu', u, did)
-            for (u, did), steps in compute_timeouts(n).items() if steps is None]
-    out.sort(key=lambda d: (_KIND_ORDER[d.kind], d.node,
-                            -1 if d.deferral is None else d.deferral))
+    out += [Defect('mu', u, did) for (u, did), steps
+            in sorted(compute_timeouts(n).items()) if steps is None]
     return out
 
 

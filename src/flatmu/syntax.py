@@ -10,6 +10,7 @@ package pattern-matches on exactly seven node shapes.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -322,18 +323,37 @@ def is_guarded(chi: FixpointConnective) -> bool:
 def connectives_from_json(data) -> dict:
     """Build a name -> FixpointConnective table from decoded JSON.
 
-    Accepts a single {"name", "arity", "body"} object or a list of them.
-    Bodies are parsed with an empty connective table (bodies are #-free).
+    Accepts a single {"name", "arity", "body"} object or a list of them;
+    FileShapeError lists every shape fault. Bodies are parsed with an
+    empty connective table (bodies are #-free).
     """
-    if isinstance(data, dict):
-        data = [data]
+    data = [data] if isinstance(data, dict) else data
+    if not isinstance(data, list):
+        raise FileShapeError(['connectives must be an object or a list'])
+    problems = []
+    for entry in data:
+        if not isinstance(entry, dict) or \
+                set(entry) != {'name', 'arity', 'body'}:
+            problems.append('connective %s must hold exactly a name, an '
+                            'arity and a body' % json.dumps(entry))
+            continue
+        shown, arity = json.dumps(entry['name']), entry['arity']
+        if not isinstance(entry['name'], str):
+            problems.append('connective name %s is not a string' % shown)
+        if not is_int(arity) or arity < 0:
+            problems.append('arity of connective %s must be an integer '
+                            '>= 0, not %s' % (shown, json.dumps(arity)))
+        if not isinstance(entry['body'], str):
+            problems.append('body of connective %s is not a string' % shown)
+    if problems:
+        raise FileShapeError(problems)
     table = {}
     for entry in data:
         name = entry['name']
         if name in table:
             raise ValueError('duplicate connective %r' % name)
         body = parse(entry['body'], {})
-        table[name] = FixpointConnective(name, int(entry['arity']), body)
+        table[name] = FixpointConnective(name, entry['arity'], body)
     return table
 
 
@@ -345,8 +365,8 @@ class ParseError(ValueError):
 
 
 class FileShapeError(ValueError):
-    """A model or network file has the wrong shape; problems lists every
-    fault."""
+    """A model, network or connective file has the wrong shape; problems
+    lists every fault."""
 
     def __init__(self, problems):
         super().__init__('; '.join(problems))

@@ -209,6 +209,31 @@ def test_guardify_refuses_a_non_disjunctive_body(capsys, tmp_path):
     assert code == 2 and 'not disjunctive' in err
 
 
+@pytest.mark.parametrize('edit, problems', [
+    ({'arity': 1.7}, ['arity of connective "r" must be an integer >= 0, '
+                      'not 1.7']),
+    ({'arity': '1'}, ['arity of connective "r" must be an integer >= 0, '
+                      'not "1"']),
+    ({'arity': True}, ['arity of connective "r" must be an integer >= 0, '
+                       'not true']),
+    ({'arity': -1}, ['arity of connective "r" must be an integer >= 0, '
+                     'not -1']),
+    ({'extra': 0}, ['connective {"name": "r", "arity": 1, "body": '
+                    '"q | <F>x", "extra": 0} must hold exactly a name, an '
+                    'arity and a body']),
+    ({'body': 5}, ['body of connective "r" is not a string']),
+    ({'name': ['r']}, ['connective name ["r"] is not a string']),
+])
+def test_parse_refuses_a_malformed_connective_file_line_by_line(
+        capsys, tmp_path, edit, problems):
+    path = tmp_path / 'bad.json'
+    path.write_text(json.dumps([{**DEFS[0], **edit}]))
+    code, out, err = run(capsys, 'parse', '#r(p)', '--defs', str(path))
+    assert code == 1 and out == ''
+    assert err.splitlines() == ['flatmu: error: %s: %s' % (path, p)
+                                for p in problems]
+
+
 # -- network inspection ---------------------------------------------------------
 
 @pytest.fixture

@@ -12,9 +12,9 @@ from flatmu import construct, network
 from flatmu.acceptance import _grow_network, child_env
 from flatmu.closure import atom_formulas, fl_closure
 from flatmu.network import (
-    GrowingCones, Network, NetworkContext, compute_timeouts, cones,
-    find_defects, is_anticonfluent, is_subnetwork, network_from_json,
-    network_to_json, orient, validate,
+    Draft, Network, NetworkContext, compute_timeouts, cones, find_defects,
+    is_anticonfluent, is_subnetwork, network_from_json, network_to_json,
+    orient, validate,
 )
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, _saturate_all, build, extract_model,
@@ -203,39 +203,44 @@ _STEP = st.tuples(st.sampled_from(['link', 'leaf']),
                       max_size=5),
        steps=st.lists(_STEP, max_size=40))
 @settings(max_examples=400, deadline=None)
-def test_growing_cones_link_as_the_oracle_does(ids, pairs, steps):
+def test_a_draft_links_as_the_oracle_does(ids, pairs, steps):
     # a start graph over arbitrary ids, cycles and diamonds included
     ids = sorted(ids)
     edges = {(ids[i % len(ids)], ids[j % len(ids)]) for i, j in pairs}
     n = mk(CTX_P, {u: A_SRC for u in ids}, edges)
     assert n.separated == _keeps_separation(ids, edges)
-    # _saturate links nothing into an unseparated start; adding edges
-    # never separates a graph again, so the oracle refuses every link too
-    reach = GrowingCones(n) if n.separated else None
+    # a draft keeps cones, and links, only over a separated start; adding
+    # edges never separates a graph again, so the oracle refuses every
+    # link into an unseparated one too
+    draft = Draft(n)
+    assert (draft.cones is not None) == n.separated
     nodes = list(ids)
     for kind, i, j, direction in steps:
         u = nodes[i % len(nodes)]
         if kind == 'leaf':
             w = max(nodes) + 1
-            e = orient(u, w, direction)
             nodes.append(w)
-            edges.add(e)
-            if reach is not None:
-                reach.add_leaf(w, *e)
+            edges.add(orient(u, w, direction))
+            draft.grow(u, w, A_SRC, direction)
         else:
-            e = orient(u, nodes[j % len(nodes)], direction)
+            w = nodes[j % len(nodes)]
+            e = orient(u, w, direction)
             if e in edges:
                 continue   # _saturate only links nodes not yet adjacent
-            ok = reach is not None and reach.link(*e)
-            assert ok == _keeps_separation(nodes, edges | {e})
+            ok = _keeps_separation(nodes, edges | {e})
+            if draft.cones is None:
+                assert not ok
+                continue
+            assert draft.link(u, w, direction) == ok
             if ok:
                 edges.add(e)
-        if reach is not None:
-            assert reach.nodes == nodes
-            assert (reach.down, reach.up) == cones(nodes, edges)
-    grown = mk(CTX_P, {u: A_SRC for u in nodes}, edges)
-    if reach is not None:
-        reach.hand_to(grown)
+        assert draft.nodes == nodes
+        assert draft.edges == edges
+        if draft.cones is not None:
+            assert draft.cones == cones(nodes, edges)
+    linked = draft.cones is not None
+    grown = draft.freeze()
+    if linked:
         assert grown.cones == cones(grown.nodes, grown.edges)
     assert grown.separated == _keeps_separation(nodes, edges)
 
@@ -263,7 +268,6 @@ def _oracle_saturate(n, u, direction, ids, budget):
     frozen = n.sat_p if direction == 'F' else n.sat_f
     taken = set(n.neighbors(u, direction))
     linked = set()
-    reach = GrowingCones(n) if n.separated else None
     for _, child_i in ctx.dia_members(n.label[u], direction):
         family = None
         have = 0
@@ -278,7 +282,7 @@ def _oracle_saturate(n, u, direction, ids, budget):
             if family is None:
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
-        if reach is not None and have < d:
+        if n.separated and have < d:
             for w in n.nodes:
                 if have >= d:
                     break
@@ -287,7 +291,7 @@ def _oracle_saturate(n, u, direction, ids, budget):
                 if n.label[w] != family:
                     continue
                 e = orient(u, w, direction)
-                if not reach.link(*e):
+                if not _keeps_separation(nodes, edges | {e}):
                     continue
                 edges.add(e)
                 linked.add(w)
@@ -296,17 +300,11 @@ def _oracle_saturate(n, u, direction, ids, budget):
             w = next(ids)
             nodes.append(w)
             label[w] = family
-            e = orient(u, w, direction)
-            edges.add(e)
-            if reach is not None:
-                reach.add_leaf(w, *e)
+            edges.add(orient(u, w, direction))
     if len(nodes) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while saturating %d'
                              % (budget.max_nodes, u))
-    out = _oracle_grown(n, nodes, edges, label, {u}, direction)
-    if reach is not None:
-        reach.hand_to(out)
-    return out
+    return _oracle_grown(n, nodes, edges, label, {u}, direction)
 
 
 def _oracle_phase(n, budget):

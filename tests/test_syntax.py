@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatmu.syntax import (
-    Bottom, Var, Neg, Or, Dia, Sharp, FixpointConnective, GuardificationResult,
-    ParseError, and_, as_and, as_box, box, classify_disjunctive,
-    connectives_from_json, decompose, disjunctive_form, free_vars, guardify,
-    iff, implies, is_guarded, is_positive_in, nabla, parse, size, subformulas,
-    substitute, to_string, top,
+    Bottom, Var, Neg, Or, Dia, Sharp, FileShapeError, FixpointConnective,
+    GuardificationResult, ParseError, and_, as_and, as_box, box,
+    classify_disjunctive, connectives_from_json, decompose, disjunctive_form,
+    free_vars, guardify, iff, implies, is_guarded, is_positive_in, nabla,
+    parse, size, subformulas, substitute, to_string, top,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -85,6 +85,18 @@ def test_connectives_from_json_accepts_object_or_list():
     ])
     assert one['chi1'] == CHI1
     assert many['chi2'] == CHI2
+
+
+@pytest.mark.parametrize('data, problems', [
+    (5, ['connectives must be an object or a list']),
+    (['r', {'name': 'r', 'arity': 1, 'body': 5}],
+     ['connective "r" must hold exactly a name, an arity and a body',
+      'body of connective "r" is not a string']),
+])
+def test_connectives_from_json_lists_every_shape_fault(data, problems):
+    with pytest.raises(FileShapeError) as info:
+        connectives_from_json(data)
+    assert info.value.problems == problems
 
 
 # ---------------------------------------------------------------------------
