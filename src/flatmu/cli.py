@@ -234,8 +234,11 @@ def _cmd_build(args):
         _emit({'formula': to_string(f), 'atom': chosen[0],
                'tried': len(reports), 'report': chosen[1].to_json()})
     if args.dot:
-        with open(args.dot, 'w') as fh:
-            fh.write(to_dot(chosen[1].network))
+        try:
+            with open(args.dot, 'w') as fh:
+                fh.write(to_dot(chosen[1].network))
+        except OSError as exc:
+            raise _CliError(str(exc))
     return 0 if chosen[1].verdict == 'perfect' else 2
 
 

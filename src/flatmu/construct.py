@@ -159,22 +159,18 @@ def _saturate_all(n, budget):
 # A component is a (closure index, deferral id or None) pair from a
 # Deferral's children: it holds at an atom when the index is in it, and
 # it is done there at once when it has no deferral of its own.
-
-@dataclass(frozen=True)
-class _Tree:
-    """Plan for a grafted subtree: an atom and one witness family per
-    diamond. A root with families gets the direction's saturation flag."""
-    atom: int
-    families: tuple  # (child index, family atom, d copies) per member
-
+#
+# A tree template is an (atom, subtrees) pair planning a grafted subtree:
+# the subtrees are the d copies of each diamond's witness family in turn,
+# each rooted at the family's atom. A root with subtrees gets the
+# direction's saturation flag.
 
 def _leaf(bits):
-    return _Tree(bits, ())
+    return (bits, ())
 
 
 def _tree_size(tpl):
-    return sum(1 + _tree_size(sub)
-               for _, _, copies in tpl.families for sub in copies)
+    return sum(1 + _tree_size(sub) for sub in tpl[1])
 
 
 def _finish_tree(ctx, bits, did, depth, memo):
@@ -294,25 +290,23 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
         for comp in dfl.children:
             if comp[1] is not None:
                 dedicated.setdefault(comp[0], []).append(comp)
-    families = []
-    for dia_i, child_i in members:
-        picked = None
+    subtrees = []
+    for _, child_i in members:
         for cand in ctx.witnesses(bits, child_i, direction):
             copies = _family_copies(ctx, cand, dfl,
                                     dedicated.get(child_i, ()),
                                     depth - 1, memo)
             if copies is not None:
-                picked = (child_i, cand, copies)
                 break
-        if picked is None:
+        else:
             return None
-        families.append(picked)
-    return _Tree(bits, tuple(families))
+        subtrees.extend(copies)
+    return (bits, tuple(subtrees))
 
 
 def _graft(n, u, tpl, direction, budget, ids):
     """Materialize a tree template below u with fresh node ids."""
-    if tpl.atom != n.label[u]:
+    if tpl[0] != n.label[u]:
         raise InvariantError('the tree template does not start at the '
                              'label of node %d' % u)
     if budget is not None and \
@@ -321,16 +315,15 @@ def _graft(n, u, tpl, direction, budget, ids):
                              % (budget.max_nodes, u))
     draft = Draft(n, link=False)
 
-    def place(parent, tree):
-        if tree.families:
+    def place(parent, subtrees):
+        if subtrees:
             draft.sat[direction].add(parent)
-        for _, atom, copies in tree.families:
-            for sub in copies:
-                w = ids.take()
-                draft.grow(parent, w, atom, direction)
-                place(w, sub)
+        for atom, below in subtrees:
+            w = ids.take()
+            draft.grow(parent, w, atom, direction)
+            place(w, below)
 
-    place(u, tpl)
+    place(u, tpl[1])
     return draft.freeze()
 
 

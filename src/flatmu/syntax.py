@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import repeat
 
 
 def _hash_once(cls):
@@ -154,26 +155,6 @@ def as_box(f: Formula):
 # ---------------------------------------------------------------------------
 # basic structural analysis
 
-@lru_cache(maxsize=None)
-def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Neg):
-        return free_vars(f.child)
-    if isinstance(f, Or):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Dia):
-        return free_vars(f.child)
-    if isinstance(f, Sharp):
-        out = frozenset()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    raise TypeError(f)
-
-
 def immediate_subformulas(f: Formula) -> tuple:
     """A Neg's or a Dia's child, an Or's two sides, a Sharp's arguments
     (connective bodies excluded)."""
@@ -184,6 +165,13 @@ def immediate_subformulas(f: Formula) -> tuple:
     if isinstance(f, Sharp):
         return f.args
     return ()
+
+
+@lru_cache(maxsize=None)
+def free_vars(f: Formula) -> frozenset:
+    if isinstance(f, Var):
+        return frozenset((f.name,))
+    return frozenset().union(*map(free_vars, immediate_subformulas(f)))
 
 
 def subformulas(f: Formula):
@@ -209,22 +197,12 @@ def _polarities(f: Formula, v: str) -> frozenset:
         return frozenset((True,)) if f.name == v else frozenset()
     if isinstance(f, Neg):
         return frozenset(not b for b in _polarities(f.child, v))
-    if isinstance(f, Or):
-        return _polarities(f.left, v) | _polarities(f.right, v)
-    if isinstance(f, Dia):
-        return _polarities(f.child, v)
     if isinstance(f, Sharp):
-        out = set()
-        for i, a in enumerate(f.args):
-            inner = _polarities(a, v)
-            if not inner:
-                continue
-            outer = _polarities(f.connective.body, 'q%d' % (i + 1))
-            for p in outer:
-                for c in inner:
-                    out.add(p == c)
-        return frozenset(out)
-    return frozenset()
+        return frozenset(
+            p == c for i, a in enumerate(f.args) for c in _polarities(a, v)
+            for p in _polarities(f.connective.body, 'q%d' % (i + 1)))
+    return frozenset().union(
+        *(_polarities(g, v) for g in immediate_subformulas(f)))
 
 
 def is_positive_in(f: Formula, v: str) -> bool:
@@ -235,15 +213,10 @@ def is_positive_in(f: Formula, v: str) -> bool:
 def _has_unguarded(f: Formula, v: str) -> bool:
     if isinstance(f, Var):
         return f.name == v
-    if isinstance(f, Neg):
-        return _has_unguarded(f.child, v)
-    if isinstance(f, Or):
-        return _has_unguarded(f.left, v) or _has_unguarded(f.right, v)
     if isinstance(f, Dia):
         return False
-    if isinstance(f, Sharp):
-        return any(_has_unguarded(a, v) for a in f.args)
-    return False
+    # map, not a generator, keeps this as deep as free_vars can reach
+    return any(map(_has_unguarded, immediate_subformulas(f), repeat(v)))
 
 
 def substitute(f: Formula, mapping: dict) -> Formula:
@@ -442,6 +415,17 @@ class _Parser:
             f = iff(f, self.implication())
         return f
 
+    def formulas(self, close) -> list:
+        """Comma-separated formulas up to the close token, consumed."""
+        out = []
+        if self.peek() != close:
+            out.append(self.formula())
+            while self.peek() == ',':
+                self.next()
+                out.append(self.formula())
+        self.expect(close)
+        return out
+
     def implication(self) -> Formula:
         f = self.disjunction()
         if self.peek() == 'implies':
@@ -495,14 +479,7 @@ class _Parser:
         if kind in ('nablaf', 'nablab'):
             direction = 'F' if kind == 'nablaf' else 'B'
             self.expect('{')
-            comps = []
-            if self.peek() != '}':
-                comps.append(self.formula())
-                while self.peek() == ',':
-                    self.next()
-                    comps.append(self.formula())
-            self.expect('}')
-            return nabla(direction, comps)
+            return nabla(direction, self.formulas('}'))
         if kind == 'sharp':
             name = value[1:]
             conn = self.connectives.get(name)
@@ -510,13 +487,7 @@ class _Parser:
                 raise ParseError('unknown connective %r at position %d'
                                  % (name, pos))
             self.expect('(')
-            args = []
-            if self.peek() != ')':
-                args.append(self.formula())
-                while self.peek() == ',':
-                    self.next()
-                    args.append(self.formula())
-            self.expect(')')
+            args = self.formulas(')')
             if len(args) != conn.arity:
                 raise ParseError(
                     'connective %r takes %d argument(s), got %d (position %d)'

@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatmu.acceptance import child_env
 from flatmu.cli import main
@@ -401,6 +404,16 @@ def test_build_writes_dot_with_saturation_marks(capsys, tmp_path, defs_path):
     assert text.startswith('digraph') and '[FP]' in text
 
 
+@pytest.mark.parametrize('where', ['directory', 'missing-directory'])
+def test_build_dot_to_an_unwritable_path_is_a_one_line_error(capsys, tmp_path,
+                                                             where):
+    dot = tmp_path if where == 'directory' else tmp_path / 'no' / 'n.dot'
+    code, out, err = run(capsys, 'build', 'p', '--dot', str(dot))
+    assert code == 1 and json.loads(out)['report']['verdict'] == 'perfect'
+    assert len(err.splitlines()) == 1
+    assert err.startswith('flatmu: error: ') and str(dot) in err
+
+
 def test_build_under_a_tight_budget_reports_radius(capsys):
     code, out, _ = run(capsys, 'build', '<F>p', '--max-nodes', '1')
     assert code == 2
@@ -483,3 +496,105 @@ def test_importing_the_cli_leaves_numpy_and_the_selftest_unloaded():
                          text=True, env=child_env())
     assert got.returncode == 0, got.stderr
     assert got.stdout == 'False False\n'
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+_SEED_FORMULAS = ('p', '~<F>q | [B]p', '#r(p) & <B>q', 'nablaF{p, ~q}',
+                  '(p -> q) <-> #r(_|_)', 'nablaB{} & #r(~#r(q))')
+_SEED_MODEL = {'states': 3, 'edges': [[0, 1], [1, 2], [2, 0]],
+               'valuation': {'p': [1], 'q': [0, 2]}}
+_SYMBOLS = '()|&~,{}<>[]-#FBnablapqrx_01 '
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2 ** 40)
+    | st.floats(allow_nan=False) | st.text('pqrx#<>F()|~', max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(['id', 'atom', 'name', 'p']), inner,
+                      max_size=2),
+    max_leaves=5)
+
+
+@st.composite
+def _mutated_text(draw, text):
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:i] + draw(st.sampled_from(_SYMBOLS)) + text[i + cut:]
+    return text
+
+
+def _slots(doc):
+    """Every (container, key) pair inside a decoded JSON value."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in items:
+        out.append((doc, key))
+        out.extend(_slots(value))
+    return out
+
+
+@st.composite
+def _mutated_file(draw, doc):
+    """The JSON text of doc after a few of its slots are replaced, deleted
+    or edited as text, sometimes cut short."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        holder, key = draw(st.sampled_from(slots))
+        how = draw(st.sampled_from(['replace', 'delete', 'text']))
+        if how == 'delete':
+            del holder[key]
+        elif how == 'text' and isinstance(holder[key], str):
+            holder[key] = draw(_mutated_text(holder[key]))
+        else:
+            holder[key] = draw(_JSON_VALUES)
+    text = json.dumps(doc)
+    return text[:draw(st.sampled_from([len(text)] * 7 + [len(text) // 2]))]
+
+
+def _fuzz_argv(tmp):
+    formula = st.sampled_from(_SEED_FORMULAS).flatmap(_mutated_text)
+    defs = ['--defs', str(tmp / 'defs.json')]
+    budget = ['--max-nodes', '12', '--max-depth', '2', '--max-rounds', '2']
+    dots = [str(tmp / 'n.dot')] * 2 + [str(tmp), str(tmp / 'no' / 'n.dot')]
+    return st.one_of(
+        st.tuples(st.sampled_from(['parse', 'closure']), formula).map(
+            lambda t: [*t, *defs]),
+        st.tuples(st.sampled_from(['0', '2', '7']), formula).map(
+            lambda t: ['check', str(tmp / 'model.json'), *t, *defs]),
+        st.tuples(st.sampled_from(['1', '2']), formula).map(
+            lambda t: ['sat', t[1], '--max-states', t[0], *defs]),
+        st.sampled_from(['validate', 'defects', 'timeouts']).map(
+            lambda q: ['net', q, str(tmp / 'network.json')]),
+        st.tuples(formula, st.sampled_from(dots)).map(
+            lambda t: ['build', t[0], *budget, '--dot', t[1], *defs]),
+    )
+
+
+def test_cli_never_prints_a_traceback_on_mutated_input(tmp_path,
+                                                     network_path):
+    seeds = (('defs.json', DEFS), ('model.json', _SEED_MODEL),
+             ('network.json', json.load(open(network_path))))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, database=None)
+    def one_run(data):
+        for name, seed in seeds:
+            (tmp_path / name).write_text(data.draw(_mutated_file(seed)))
+        argv = data.draw(_fuzz_argv(tmp_path))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+                assert code == 1
+        assert code in (0, 1, 2), argv
+        assert 'Traceback' not in err.getvalue()
+        assert all(line.startswith(('flatmu', 'usage:', ' '))
+                   for line in err.getvalue().splitlines()), argv
+
+    one_run()

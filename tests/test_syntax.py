@@ -171,18 +171,20 @@ def test_to_string_examples():
 _conn_table = {'chi1': CHI1, 'reach': REACH}
 
 
-def _formulas():
+def _formulas(conns=(CHI1,)):
     base = st.sampled_from([Bottom(), Var('p'), Var('q'), Var('r')])
+    # one branch per arity, not per constructor: hypothesis labels a
+    # recursive strategy in time that grows with its branches
+    unary = [Neg, lambda f: Dia('F', f), lambda f: Dia('B', f),
+             lambda f: box('F', f)]
+    unary += [lambda f, c=c: Sharp(c, (f,)) for c in conns]
 
     def extend(children):
         return st.one_of(
-            children.map(Neg),
-            children.map(lambda f: Dia('F', f)),
-            children.map(lambda f: Dia('B', f)),
-            st.tuples(children, children).map(lambda t: Or(*t)),
-            st.tuples(children, children).map(lambda t: and_(*t)),
-            children.map(lambda f: box('F', f)),
-            children.map(lambda f: Sharp(CHI1, (f,))),
+            st.tuples(st.sampled_from(unary), children).map(
+                lambda t: t[0](t[1])),
+            st.tuples(st.sampled_from([Or, and_]), children, children).map(
+                lambda t: t[0](t[1], t[2])),
         )
 
     return st.recursive(base, extend, max_leaves=25)
@@ -408,6 +410,49 @@ def test_guardify_invariants_on_small_corpus():
         assert classify_disjunctive(r.gamma2) == classify_disjunctive(chi)
         seen += 1
     assert seen > 500
+
+
+# ---------------------------------------------------------------------------
+# the walkers against path oracles
+
+# a body using its parameter negatively, so # composes polarities
+DOWN = FixpointConnective('down', 1, parse('~q1 | <F>x'))
+
+
+def _paths_to(f, v):
+    """(negations, diamonds) on every root-to-v path through f. Below a #,
+    the path to argument i goes on through each q<i> in the body."""
+    if isinstance(f, Var):
+        return [(0, 0)] if f.name == v else []
+    if isinstance(f, Neg):
+        return [(n + 1, d) for n, d in _paths_to(f.child, v)]
+    if isinstance(f, Dia):
+        return [(n, d + 1) for n, d in _paths_to(f.child, v)]
+    if isinstance(f, Or):
+        return _paths_to(f.left, v) + _paths_to(f.right, v)
+    if isinstance(f, Sharp):
+        return [(n + m, d + e) for i, a in enumerate(f.args)
+                for n, d in _paths_to(f.connective.body, 'q%d' % (i + 1))
+                for m, e in _paths_to(a, v)]
+    return []
+
+
+@given(_formulas((CHI1, DOWN)), _formulas(()))
+@settings(max_examples=200, deadline=None)
+def test_walkers_agree_with_path_oracles(f, plain):
+    assert free_vars(f) == {g.name for g in subformulas(f)
+                            if isinstance(g, Var)}
+    for v in ('p', 'q', 'r'):
+        assert is_positive_in(f, v) == \
+            all(n % 2 == 0 for n, _ in _paths_to(f, v))
+    body = substitute(plain, {'p': Var('x'), 'q': Var('q1'), 'r': Var('q2')})
+    paths = _paths_to(body, 'x')
+    if any(n % 2 for n, _ in paths):
+        with pytest.raises(ValueError, match='not positive'):
+            FixpointConnective('t', 2, body)
+    else:
+        chi = FixpointConnective('t', 2, body)
+        assert is_guarded(chi) == all(d > 0 for _, d in paths)
 
 
 # ---------------------------------------------------------------------------
