@@ -324,9 +324,15 @@ def check_nabla_relation():
 # 4. fixpoint stages approximate from below and close at |W|
 
 def check_approximants():
-    # (connective, argument) -> stage formulas 1..7 by index
-    stages = {(chi, theta): [approximant(chi, k, (theta,)) for k in range(7)]
-              for chi in _STAGE_CONNS for theta in _STAGE_ARGS}
+    # (connective, argument) -> stage formulas 1..7 by index, each built
+    # on the one before, so that memo lookups hit by identity
+    stages = {}
+    for chi in _STAGE_CONNS:
+        for theta in _STAGE_ARGS:
+            forms = [approximant(chi, 0, (theta,))]
+            while len(forms) < 7:
+                forms.append(chi.instantiate(forms[-1], (theta,)))
+            stages[chi, theta] = forms
 
     def bounded(offset, m):
         memo = {}

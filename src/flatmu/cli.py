@@ -27,7 +27,7 @@ from .network import (
 from .semantics import KripkeModel, brute_force_sat, eval_bits
 from .syntax import (
     FileShapeError, ParseError, classify_disjunctive, connectives_from_json,
-    guardify, parse, to_string,
+    guardify, parse, size, to_string,
 )
 
 
@@ -87,13 +87,28 @@ def _emit(obj):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# Printing walks formulas as trees, where a nested nabla repeats its
+# components: output of more nodes than this is refused.
+MAX_PRINTED_NODES = 1_000_000
+
+
+def _printable(formulas):
+    memo = {}
+    if sum(size(f, memo) for f in formulas) > MAX_PRINTED_NODES:
+        raise _CliError('output would print more than %d formula nodes'
+                        % MAX_PRINTED_NODES)
+
+
 def _cmd_parse(args):
-    print(to_string(_formula(args)))
+    f = _formula(args)
+    _printable([f])
+    print(to_string(f))
     return 0
 
 
 def _cmd_closure(args):
     sigma = fl_closure(_formula(args))
+    _printable(sigma.formulas)
     if args.json:
         _emit([to_string(f) for f in sigma.formulas])
     else:

@@ -6,9 +6,11 @@ indices throughout the package; this module owns the conversions.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .syntax import (
     Bottom, Dia, Neg, Or, Sharp, Var, box, disjunctive_form,
@@ -138,54 +140,73 @@ def atom_formulas(sigma: ClosureSet, bits: int):
 
 def is_atom(bits: int, sigma: ClosureSet) -> bool:
     """Hintikka conditions on a bitset: no bottom, or-coherent,
-    negation-complete, and every # formula agrees with its unfolding."""
-    if bits >> len(sigma) != 0:
-        raise ValueError('bitset uses indices outside the closure')
-    return _completed(bits, sigma) == bits and _unfoldings_agree(bits, sigma)
-
-
-def _completed(bits: int, sigma: ClosureSet) -> int:
-    """bits with every _|_, Neg and Or bit recomputed from its children,
-    the Var, Dia and # bits kept.
+    negation-complete, and every # formula agrees with its unfolding.
 
     Every non-Neg formula's negation is in the closure, so an atom is
-    exactly a bitset this leaves alone whose # bits agree with their
-    unfoldings.
+    exactly a bitset that _settled, on one lane, leaves alone and keeps.
     """
+    if bits >> len(sigma) != 0:
+        raise ValueError('bitset uses indices outside the closure')
+    given = [bits >> i & 1 for i in range(len(sigma))]
+    v = list(given)
+    return _settled(sigma, v, 1) == 1 and v == given
+
+
+def _settled(sigma: ClosureSet, v, full) -> int:
+    """Set every Neg, Or and _|_ slice of v from its children's, in
+    sigma.shapes order, keeping the Var, Dia and # slices. Returns the
+    lanes where each # slice equals its unfolding's."""
     for i, cls, kids in sigma.shapes:
         if cls is Neg:
-            value = not bits >> kids[0] & 1
+            v[i] = full ^ v[kids[0]]
         elif cls is Or:
-            value = (bits >> kids[0] | bits >> kids[1]) & 1
+            v[i] = v[kids[0]] | v[kids[1]]
         elif cls is Bottom:
-            value = False
-        else:
-            continue
-        bits = bits | 1 << i if value else bits & ~(1 << i)
-    return bits
+            v[i] = 0
+    keep = full
+    for i, (unfold_i, _) in sigma.sharp_unfoldings.items():
+        keep &= ~(v[i] ^ v[unfold_i])
+    return keep
 
 
-def _unfoldings_agree(bits: int, sigma: ClosureSet) -> bool:
-    return all(bits >> i & 1 == bits >> unfold_i & 1
-               for i, (unfold_i, _) in sigma.sharp_unfoldings.items())
+LANES = 1 << 16   # candidates evaluated together by enumerate_atoms
 
 
 def enumerate_atoms(sigma: ClosureSet):
     """All atoms over sigma, ascending as bitset integers.
 
     Bits for variables, diamonds and # formulas are free choices; boolean
-    structure determines the rest, in sigma.shapes order; # choices are
-    filtered against their unfoldings afterwards.
+    structure determines the rest. Candidates are bit-sliced, up to LANES
+    at a time: each closure index holds an int whose lane m is its value
+    in candidate m, the free bits take the lane patterns of m's binary
+    digits, and _settled makes every Neg, Or and _|_ one big-int
+    operation. Only the lanes it keeps are decoded, ascending.
     """
     base = [i for i, cls, _ in sigma.shapes if cls in (Var, Dia, Sharp)]
+    width = min(1 << len(base), LANES)
+    full = (1 << width) - 1
+    # lane m of pattern[k] is bit k of m, for the digits inside a chunk:
+    # 2**k zeros then 2**k ones, repeated across the chunk
+    pattern = []
+    for k in range(width.bit_length() - 1):
+        block = (1 << (1 << k)) - 1 << (1 << k)
+        pattern.append(full // ((1 << (2 << k)) - 1) * block)
+    digits = '0%db' % width     # lane m is the character at width - 1 - m
     out = []
-    for mask in range(1 << len(base)):
-        bits = 0
+    for start in range(0, 1 << len(base), width):
+        v = [0] * len(sigma)
         for k, i in enumerate(base):
-            bits |= (mask >> k & 1) << i
-        bits = _completed(bits, sigma)
-        if _unfoldings_agree(bits, sigma):
-            out.append(bits)
+            if k < len(pattern):
+                v[i] = pattern[k]
+            elif start >> k & 1:
+                v[i] = full
+        keep = format(_settled(sigma, v, full), digits)
+        spots = [m.start() for m in re.finditer('1', keep)]
+        if spots:
+            # one row of characters per kept lane, spelling its bitset
+            pick = itemgetter(*spots)
+            rows = zip(*(pick(format(col, digits)) for col in reversed(v)))
+            out.extend(int(''.join(row), 2) for row in rows)
     out.sort()
     return out
 

@@ -53,7 +53,12 @@ class InvariantError(AssertionError):
 
 
 class NetworkContext:
-    """Closure, deferral table, and atom list shared by a family of networks."""
+    """Closure, deferral table, and atom list shared by a family of networks.
+
+    Atom elimination runs on lane masks: lane k stands for the k-th atom
+    in duty order (see atoms_by_duty), doomed atoms included, and
+    having[i] holds the lanes of the atoms that contain closure index i.
+    """
 
     def __init__(self, sigma: ClosureSet):
         self.sigma = sigma
@@ -71,32 +76,63 @@ class NetworkContext:
         return [(i, c) for i, c in self.sigma.dia_pairs[direction]
                 if bits >> i & 1]
 
-    def witnesses(self, bits, child_i, direction, among=None):
+    @cached_property
+    def _lanes(self):
+        """(every atom in duty order, having)."""
+        dias = sum(1 << i for pairs in self.sigma.dia_pairs.values()
+                   for i, _ in pairs)
+        order = sorted(self.atoms, key=lambda a: ((a & dias).bit_count(), a))
+        # column i of the atoms' digits, read from the last atom, is having[i]
+        rows = (format(a, '0%db' % len(self.sigma)) for a in reversed(order))
+        return order, [int(''.join(col), 2) for col in zip(*rows)][::-1]
+
+    def _partners(self, bits, direction):
+        """Lanes of the atoms that may label a direction-neighbour of a node
+        labeled bits: they hold no child of a diamond that bits lacks, and
+        the diamond back to each child that bits holds."""
+        order, having = self._lanes
+        lanes = (1 << len(order)) - 1
+        for dia_i, child_i in self.sigma.dia_pairs[direction]:
+            if not bits >> dia_i & 1:
+                lanes &= ~having[child_i]
+        back = 'B' if direction == 'F' else 'F'
+        for dia_i, child_i in self.sigma.dia_pairs[back]:
+            if bits >> child_i & 1:
+                lanes &= having[dia_i]
+        return lanes
+
+    def witnesses(self, bits, child_i, direction):
         """Atoms a direction-neighbour of a node labeled bits may carry to
-        witness its diamond over child_i: those of among that hold the
-        child and cohere, in order. among defaults to atoms_by_duty."""
-        for b in self.atoms_by_duty if among is None else among:
-            if b >> child_i & 1 and self.coherent(*orient(bits, b, direction)):
-                yield b
+        witness its diamond over child_i: those of atoms_by_duty that hold
+        the child and cohere, in order."""
+        order, having = self._lanes
+        lanes = self._partners(bits, direction) & having[child_i]
+        return members(lanes & self._viable, order)
 
     @cached_property
     def _viable(self):
-        alive = set(self.atoms)
-        while True:
-            dropped = {a for a in alive if any(
-                a >> dia_i & 1 and
-                next(self.witnesses(a, child_i, direction, alive), None) is None
-                for direction in ('F', 'B')
-                for dia_i, child_i in self.sigma.dia_pairs[direction])}
-            if not dropped:
-                return frozenset(alive)
-            alive -= dropped
+        """Lanes of the greatest atom set in which every diamond of every
+        member has a coherent partner in the set holding its child."""
+        order, having = self._lanes
+        needs = []
+        for k, a in enumerate(order):
+            for direction in ('F', 'B'):
+                partners = self._partners(a, direction)
+                needs += [(1 << k, partners & having[child_i])
+                          for _, child_i in self.dia_members(a, direction)]
+        alive, before = (1 << len(order)) - 1, 0
+        while alive != before:
+            before = alive
+            for lane, lanes in needs:
+                if not alive & lanes:
+                    alive &= ~lane
+        return alive
 
     def doomed(self, bits: int) -> bool:
         """True when some diamond of bits can never get a witness: no
         coherent partner contains the child, among atoms passing the same
         test. Doomed atoms label no fresh node; saturating one gets stuck."""
-        return bits not in self._viable
+        return bits not in self.atoms_by_duty
 
     @cached_property
     def atoms_by_duty(self):
@@ -106,14 +142,7 @@ class NetworkContext:
         they carry, then by value: every diamond is a future witness
         family, so labels that close off come first.
         """
-        dias = [i for pairs in self.sigma.dia_pairs.values()
-                for i, _ in pairs]
-
-        def duty(a):
-            return sum(a >> i & 1 for i in dias)
-
-        return tuple(sorted((a for a in self.atoms if not self.doomed(a)),
-                            key=lambda a: (duty(a), a)))
+        return tuple(members(self._viable, self._lanes[0]))
 
 
 def cones(nodes, edges):
@@ -385,15 +414,22 @@ def is_anticonfluent(n: Network) -> bool:
     Comparable pairs never count, so chains and trees always pass; the
     forbidden shape is a genuine diamond, two paths that part ways and
     meet again.
+
+    One pass each way: below[v] holds the nodes that share a descendant
+    with v, above[v] those that share an ancestor.
     """
     down, up = n.cones
-    for i, v in enumerate(n.nodes):
-        for j, v2 in enumerate(n.nodes[i + 1:], i + 1):
-            if down[v] >> j & 1 or down[v2] >> i & 1:
-                continue
-            if down[v] & down[v2] and up[v] & up[v2]:
-                return False
-    return True
+    order = sorted(n.nodes, key=lambda v: up[v].bit_count())
+    above, below = {}, {}
+    for v in order:
+        above[v] = down[v]
+        for p in n.pred[v]:
+            above[v] |= above[p]
+    for v in reversed(order):
+        below[v] = up[v]
+        for s in n.succ[v]:
+            below[v] |= below[s]
+    return not any(above[v] & below[v] & ~(down[v] | up[v]) for v in order)
 
 
 # ---------------------------------------------------------------------------

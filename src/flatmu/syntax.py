@@ -181,8 +181,16 @@ def subformulas(f: Formula):
         yield from subformulas(g)
 
 
-def size(f: Formula) -> int:
-    return sum(1 for _ in subformulas(f))
+def size(f: Formula, _memo=None) -> int:
+    """Node count of f read as a tree, as printing walks it: a subtree
+    with k parents counts k times but is visited once."""
+    memo = {} if _memo is None else _memo
+    if id(f) not in memo:
+        count = 1
+        for g in immediate_subformulas(f):
+            count += size(g, memo)
+        memo[id(f)] = count
+    return memo[id(f)]
 
 
 @lru_cache(maxsize=None)

@@ -56,6 +56,43 @@ def test_deep_nesting_is_a_one_line_error(capsys, argv):
     assert 'Traceback' not in err
 
 
+def _nested_nabla(depth):
+    return 'nablaF{' * depth + 'p' + '}' * depth
+
+
+@pytest.mark.parametrize('command', ['parse', 'closure'])
+def test_a_deep_nabla_is_refused_in_seconds(command):
+    # each level prints its component twice: 4**101 characters otherwise
+    got = subprocess.run(
+        [sys.executable, '-m', 'flatmu', command, _nested_nabla(101)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert got.returncode == 1 and got.stdout == ''
+    assert len(got.stderr.splitlines()) == 1
+    assert got.stderr.startswith('flatmu: error: ')
+
+
+@pytest.mark.parametrize('command, length, digest', [
+    ('parse', 372,
+     '5ebfab5af69bdca78fab9206e47065a692fbdbddc1e620c3951b36133a3a7f6e'),
+    ('closure', 3466,
+     'ba7e768cf22c7ea6c196b696d0cc62c8f9a308b150fddbaa5e2c9cea5f8b6170'),
+])
+def test_a_shallow_nabla_prints_in_full(capsys, command, length, digest):
+    code, out, _ = run(capsys, command, _nested_nabla(5))
+    assert code == 0 and len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_output_over_the_print_limit_is_refused(capsys):
+    # 14 levels print 1,473,760 closure nodes but a 196,596-byte formula
+    code, out, err = run(capsys, 'closure', _nested_nabla(14))
+    assert code == 1 and out == ''
+    assert err == ('flatmu: error: output would print more than 1000000 '
+                   'formula nodes\n')
+    code, out, _ = run(capsys, 'parse', _nested_nabla(14))
+    assert code == 0 and len(out) == 196596
+
+
 def test_closure_lists_members_one_per_line(capsys):
     code, out, _ = run(capsys, 'closure', 'p')
     lines = out.splitlines()

@@ -5,11 +5,11 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from flatmu import construct, network
+from flatmu import closure, construct, network
 from flatmu.acceptance import _amalgam_candidates, _grow_network
-from flatmu.closure import fl_closure
+from flatmu.closure import coherent, enumerate_atoms, fl_closure
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, _saturate_all, finish_deferral, saturate,
 )
@@ -17,12 +17,12 @@ from flatmu.network import (
     INF, Defect, InvariantError, Network, NetworkContext, NetworkContextError,
     amalgamate, compute_timeouts, cones, downgen, eqdown, equp, find_defects,
     is_anticonfluent, is_down_cofinal, is_subnetwork, is_up_cofinal, members,
-    network_from_json, network_to_json, restrict, to_dot, union, upgen,
-    validate,
+    network_from_json, network_to_json, orient, restrict, to_dot, union,
+    upgen, validate,
 )
 from flatmu.syntax import (
     Bottom, DNabla, DX, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
-    parse,
+    nabla, parse,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -202,6 +202,137 @@ def test_anticonfluence_matches_quadruple_oracle():
     for _ in range(200):
         n = random_net(rng, rng.randint(1, 7), prob=rng.uniform(0.1, 0.5))
         assert is_anticonfluent(n) == _anticonfluent_oracle(n)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_anticonfluence_matches_the_oracle_whatever_the_node_order(data):
+    # node ids in any order, so that no walk can rely on ids ascending
+    # along edges
+    size = data.draw(st.integers(1, 8))
+    ids = data.draw(st.permutations(range(size)))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, size - 1),
+                                        st.integers(0, size - 1))
+                              .filter(lambda e: e[0] < e[1])))
+    n = mk(CTX_P, {u: A_SRC for u in ids},
+           [(ids[a], ids[b]) for a, b in edges])
+    assert is_anticonfluent(n) == _anticonfluent_oracle(n)
+
+
+# -- atom elimination ----------------------------------------------------------
+#
+# The per-candidate enumeration and pairwise elimination that the lane
+# masks of closure.enumerate_atoms and NetworkContext replaced.
+
+def _oracle_completed(bits, sigma):
+    for i, cls, kids in sigma.shapes:
+        if cls is Neg:
+            value = not bits >> kids[0] & 1
+        elif cls is Or:
+            value = (bits >> kids[0] | bits >> kids[1]) & 1
+        elif cls is Bottom:
+            value = False
+        else:
+            continue
+        bits = bits | 1 << i if value else bits & ~(1 << i)
+    return bits
+
+
+def _oracle_atoms(sigma):
+    base = [i for i, cls, _ in sigma.shapes if cls in (Var, Dia, Sharp)]
+    out = []
+    for mask in range(1 << len(base)):
+        bits = 0
+        for k, i in enumerate(base):
+            bits |= (mask >> k & 1) << i
+        bits = _oracle_completed(bits, sigma)
+        if all(bits >> i & 1 == bits >> unfold_i & 1
+               for i, (unfold_i, _) in sigma.sharp_unfoldings.items()):
+            out.append(bits)
+    out.sort()
+    return out
+
+
+def _oracle_witnesses(sigma, bits, child_i, direction, among):
+    for b in among:
+        if b >> child_i & 1 and coherent(*orient(bits, b, direction), sigma):
+            yield b
+
+
+def _oracle_viable(sigma, atoms):
+    alive = set(atoms)
+    while True:
+        dropped = {a for a in alive if any(
+            a >> dia_i & 1 and next(_oracle_witnesses(
+                sigma, a, child_i, direction, alive), None) is None
+            for direction in ('F', 'B')
+            for dia_i, child_i in sigma.dia_pairs[direction])}
+        if not dropped:
+            return frozenset(alive)
+        alive -= dropped
+
+
+def _oracle_by_duty(sigma, atoms):
+    viable = _oracle_viable(sigma, atoms)
+    dias = [i for pairs in sigma.dia_pairs.values() for i, _ in pairs]
+    return tuple(sorted((a for a in atoms if a in viable),
+                        key=lambda a: (sum(a >> i & 1 for i in dias), a)))
+
+
+STAGES = [FixpointConnective(name, 1, parse(body, {})) for name, body in (
+    ('rf', 'q | <F>x'), ('rb', 'q | <B>x'),
+    ('sf', '[F]x | q'), ('sb', '[B]x | q'))]
+
+
+def _elimination_formulas(depth=2):
+    """Formulas over p, q and _|_ built from Neg, Or, both diamonds, the
+    four stage connectives and nablas of up to two components."""
+    out = st.sampled_from([Bottom(), Var('p'), Var('q')])
+    for _ in range(depth):
+        sub = out
+        out = st.one_of(
+            sub,
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda t: Or(*t)),
+            st.tuples(st.sampled_from('FB'), sub).map(lambda t: Dia(*t)),
+            st.tuples(st.sampled_from(STAGES), sub).map(
+                lambda t: Sharp(t[0], (t[1],))),
+            st.tuples(st.sampled_from('FB'), st.lists(sub, max_size=2)).map(
+                lambda t: nabla(*t)),
+        )
+    return out
+
+
+@given(_elimination_formulas())
+@settings(max_examples=80, deadline=None)
+def test_lane_masks_eliminate_atoms_as_the_pairwise_oracle(f):
+    sigma = fl_closure(f)
+    free = sum(cls in (Var, Dia, Sharp) for _, cls, _ in sigma.shapes)
+    assume(free <= 10)
+    ctx = NetworkContext(sigma)
+    atoms = _oracle_atoms(sigma)
+    assert list(ctx.atoms) == atoms
+    by_duty = _oracle_by_duty(sigma, atoms)
+    assert ctx.atoms_by_duty == by_duty
+    for a in atoms:
+        assert ctx.doomed(a) == (a not in by_duty)
+        for direction in ('F', 'B'):
+            for _, child_i in sigma.dia_pairs[direction]:
+                assert list(ctx.witnesses(a, child_i, direction)) == list(
+                    _oracle_witnesses(sigma, a, child_i, direction, by_duty))
+    # a bitset that is no atom is doomed
+    assert all(ctx.doomed(a ^ 1 << i) for a in atoms[:4]
+               for i in range(len(sigma)))
+
+
+@pytest.mark.parametrize('text', ['p', '#rf(p) & #rb(q)',
+                                  'nablaF{nablaB{p, q}, ~p}'])
+@pytest.mark.parametrize('lanes', [1, 2, 8])
+def test_atoms_enumerated_in_chunks_match_the_oracle(monkeypatch, text,
+                                                     lanes):
+    sigma = fl_closure(parse(text, {c.name: c for c in STAGES}))
+    monkeypatch.setattr(closure, 'LANES', lanes)
+    assert enumerate_atoms(sigma) == _oracle_atoms(sigma)
 
 
 # -- containment and generated subsets ---------------------------------------
