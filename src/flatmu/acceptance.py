@@ -638,7 +638,7 @@ def check_network_algebra():
         if cand is None:
             continue
         base, pairs = cand
-        out = amalgamate(base, pairs)
+        out = amalgamate(base, pairs, 'F')
         if not is_anticonfluent(out):
             _fail('8', 'amalgamation result lost anticonfluence')
         if not all(is_subnetwork(ext, out) for _, ext in pairs):

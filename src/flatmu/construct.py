@@ -169,10 +169,6 @@ def _leaf(bits):
     return (bits, ())
 
 
-def _tree_size(tpl):
-    return sum(1 + _tree_size(sub) for sub in tpl[1])
-
-
 def _finish_tree(ctx, bits, did, depth, memo):
     """Search for a tree of fresh atoms finishing the deferral at its root.
 
@@ -309,16 +305,15 @@ def _graft(n, u, tpl, direction, budget, ids):
     if tpl[0] != n.label[u]:
         raise InvariantError('the tree template does not start at the '
                              'label of node %d' % u)
-    if budget is not None and \
-            len(n.nodes) + _tree_size(tpl) > budget.max_nodes:
-        raise BudgetExceeded('node budget %d exceeded while growing below %d'
-                             % (budget.max_nodes, u))
     draft = Draft(n, link=False)
 
     def place(parent, subtrees):
         if subtrees:
             draft.sat[direction].add(parent)
         for atom, below in subtrees:
+            if len(draft.nodes) >= budget.max_nodes:  # amalgams may exceed it
+                raise BudgetExceeded('node budget %d exceeded while growing '
+                                     'below %d' % (budget.max_nodes, u))
             w = ids.take()
             draft.grow(parent, w, atom, direction)
             place(w, below)
@@ -351,12 +346,12 @@ def _finish_component(n, w, comp, budget, ids, memo):
     return _finish(n, w, cid, budget, ids, memo, frozenset())
 
 
-def _fold(n, u, exts):
+def _fold(n, u, exts, direction):
     pairs = [(w, ext) for w, ext in sorted(exts.items()) if ext is not n]
     if not pairs:
         return n
     try:
-        return amalgamate(n, pairs)
+        return amalgamate(n, pairs, direction)
     except ValueError as e:  # overlapping, as below an unseparated node
         raise Stuck('below node %d: %s' % (u, e)) from None
 
@@ -424,7 +419,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
             if _component_done(n, w, comps[0]):
                 continue
             exts[w] = _finish_component(n, w, comps[0], budget, ids, memo)
-        return _fold(n, u, exts)
+        return _fold(n, u, exts, direction)
     if node.kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):
             return n
@@ -460,7 +455,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
         exts[w] = hit[1]
-    return _fold(n, u, exts)
+    return _fold(n, u, exts, direction)
 
 
 def finish_deferral(n, u, did, budget=None):

@@ -128,12 +128,6 @@ class NetworkContext:
                     alive &= ~lane
         return alive
 
-    def doomed(self, bits: int) -> bool:
-        """True when some diamond of bits can never get a witness: no
-        coherent partner contains the child, among atoms passing the same
-        test. Doomed atoms label no fresh node; saturating one gets stuck."""
-        return bits not in self.atoms_by_duty
-
     @cached_property
     def atoms_by_duty(self):
         """Atoms worth giving to a fresh node, cheapest first.
@@ -574,21 +568,18 @@ def _check_amalgamation(base: Network, pairs, direction):
     return None
 
 
-def amalgamate(base: Network, pairs) -> Network:
+def amalgamate(base: Network, pairs, direction) -> Network:
     """Glue pairwise cone-disjoint extensions of base back together.
 
-    pairs is a list of (node, extension). All extensions must grow the
-    same way; forward growth is tried first, then backward.
+    pairs is a list of (node, extension); every extension grows base
+    inside its node's cone in direction ('F' or 'B').
     """
     pairs = list(pairs)
     if not pairs:
         return base
-    fwd = _check_amalgamation(base, pairs, 'F')
-    if fwd is not None:
-        bwd = _check_amalgamation(base, pairs, 'B')
-        if bwd is not None:
-            raise ValueError('amalgamation preconditions fail: %s / %s'
-                             % (fwd, bwd))
+    fault = _check_amalgamation(base, pairs, direction)
+    if fault is not None:
+        raise ValueError('amalgamation preconditions fail: %s' % fault)
     out = union([base] + [ext for _, ext in pairs])
     out._parent = base
     if not is_subnetwork(base, out):

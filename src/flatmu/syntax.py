@@ -175,10 +175,15 @@ def free_vars(f: Formula) -> frozenset:
 
 
 def subformulas(f: Formula):
-    """Preorder walk over f, yielding every node (connective bodies excluded)."""
-    yield f
-    for g in immediate_subformulas(f):
-        yield from subformulas(g)
+    """Preorder walk over f (connective bodies excluded) that yields each
+    distinct node once, by identity as size counts them."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            yield g
+            stack.extend(reversed(immediate_subformulas(g)))
 
 
 def size(f: Formula, _memo=None) -> int:
@@ -227,25 +232,33 @@ def _has_unguarded(f: Formula, v: str) -> bool:
     return any(map(_has_unguarded, immediate_subformulas(f), repeat(v)))
 
 
-def substitute(f: Formula, mapping: dict) -> Formula:
+def substitute(f: Formula, mapping: dict, _memo=None) -> Formula:
     """Simultaneous replacement of free variables; mapping is name -> Formula.
 
     There are no binders inside a Formula (connective bodies are opaque),
-    so plain recursion is capture-safe.
+    so plain recursion is capture-safe; it visits a shared subtree once.
     """
+    memo = {} if _memo is None else _memo
+    if id(f) in memo:
+        return memo[id(f)]
     if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Neg):
-        return Neg(substitute(f.child, mapping))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Dia):
-        return Dia(f.direction, substitute(f.child, mapping))
-    if isinstance(f, Sharp):
-        return Sharp(f.connective, tuple(substitute(a, mapping) for a in f.args))
-    raise TypeError(f)
+        out = mapping.get(f.name, f)
+    elif isinstance(f, Bottom):
+        out = f
+    elif isinstance(f, Neg):
+        out = Neg(substitute(f.child, mapping, memo))
+    elif isinstance(f, Or):
+        out = Or(substitute(f.left, mapping, memo),
+                 substitute(f.right, mapping, memo))
+    elif isinstance(f, Dia):
+        out = Dia(f.direction, substitute(f.child, mapping, memo))
+    elif isinstance(f, Sharp):
+        out = Sharp(f.connective,
+                    tuple(substitute(a, mapping, memo) for a in f.args))
+    else:
+        raise TypeError(f)
+    memo[id(f)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

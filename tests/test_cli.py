@@ -83,6 +83,31 @@ def test_a_shallow_nabla_prints_in_full(capsys, command, length, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize('arity, tail', [(0, ''), (1, ', q')])
+def test_a_deep_nabla_connective_body_is_read_in_seconds(tmp_path, arity,
+                                                         tail):
+    # each level's expansion holds the one below twice, so reading the
+    # body as a tree took 15.7 s at 18 levels (arity 0), and 4.4 s to
+    # parse and 9.0 s to close at 14 levels (arity 1)
+    body = 'x'
+    for _ in range(40):
+        body = 'nablaF{%s%s}' % (body, tail)
+    defs = tmp_path / 'defs.json'
+    defs.write_text(json.dumps([{'name': 'c', 'arity': arity, 'body': body}]))
+
+    def flatmu(*argv):
+        return subprocess.run(
+            [sys.executable, '-m', 'flatmu', *argv, '--defs', str(defs)],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+
+    got = flatmu('parse', 'p')
+    assert got.returncode == 0 and got.stdout == 'p\n'
+    got = flatmu('closure', '#c(p)' if arity else '#c()')
+    assert got.returncode == 1 and got.stdout == ''
+    assert got.stderr == ('flatmu: error: output would print more than '
+                          '1000000 formula nodes\n')
+
+
 def test_output_over_the_print_limit_is_refused(capsys):
     # 14 levels print 1,473,760 closure nodes but a 196,596-byte formula
     code, out, err = run(capsys, 'closure', _nested_nabla(14))
@@ -414,6 +439,9 @@ BENCH_DEFS = [
     {'name': 'sf', 'arity': 1, 'body': '[F]x | q'},
     {'name': 'sb', 'arity': 1, 'body': '[B]x | q'},
 ]
+DEEP_GRAFT = '#sf(#rb(#sf(q)))'
+DEEP_GRAFT_DIGEST = \
+    '7bdf2aff39e8695ab6bf86929d14a0c215432d6c9a53c22c31328cfdffd59261'
 
 
 @pytest.mark.parametrize('formula, digest', [
@@ -423,6 +451,11 @@ BENCH_DEFS = [
      'f8848d8f479a8ead1782aa502e1a12793ff6f47bcb7975de5e6775588659d9bb'),
     ('#rf(p) & #rb(q)',
      '84e3899af5d24f9898517dfc2baf6b870ccceecb99cea1abfdd4fdf6916bd0a8'),
+    # a graft that would pass the node budget below an amalgam already
+    # over it
+    ('#rf(#sb(p)) & #rb(#sf(q))',
+     'c6fd26450cdeb05f861430320ad851781f4f7d2cd30b817daab8843cf3728735'),
+    (DEEP_GRAFT, DEEP_GRAFT_DIGEST),
 ])
 def test_build_all_prints_the_pinned_bytes(capsys, tmp_path, formula, digest):
     p = tmp_path / 'defs.json'
@@ -430,6 +463,20 @@ def test_build_all_prints_the_pinned_bytes(capsys, tmp_path, formula, digest):
     code, out, _ = run(capsys, 'build', '--all', formula, '--defs', str(p))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_deep_graft_template_builds_in_seconds(tmp_path):
+    # the template's family copies share subtrees: read as a tree it has
+    # millions of nodes at this depth, against a 200-node budget
+    p = tmp_path / 'defs.json'
+    p.write_text(json.dumps(BENCH_DEFS))
+    got = subprocess.run(
+        [sys.executable, '-m', 'flatmu', 'build', '--all', DEEP_GRAFT,
+         '--defs', str(p), '--max-depth', '8'],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert got.returncode == 0
+    assert hashlib.sha256(got.stdout.encode()).hexdigest() == \
+        DEEP_GRAFT_DIGEST
 
 
 def test_build_writes_dot_with_saturation_marks(capsys, tmp_path, defs_path):

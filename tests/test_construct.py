@@ -337,7 +337,7 @@ def _start_networks(draw):
     # phase link to witnesses made for earlier ones, and a doomed one, so
     # that saturation gets stuck
     palette = ctx.atoms_by_duty[2:6] + tuple(
-        a for a in ctx.atoms if ctx.doomed(a))[:1]
+        a for a in ctx.atoms if a not in ctx.atoms_by_duty)[:1]
     ids = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=7,
                                unique=True)))
     labels = {u: draw(st.sampled_from(palette)) for u in ids}
@@ -701,7 +701,7 @@ def test_build_reach_reaches_perfect():
     focus = Sharp(REACH, (Q,))
     seed = atom_with(CTX_REACH, [focus, Dia('F', focus), Dia('F', Neg(BOT))],
                      no=[Q, Dia('F', BOT)])
-    assert not CTX_REACH.doomed(seed)
+    assert seed in CTX_REACH.atoms_by_duty
     report = build(CTX_REACH, seed)
     assert report.verdict == 'perfect', report.detail
     assert len(report.network.nodes) == 9
@@ -725,7 +725,8 @@ def test_build_rejects_a_non_atom_seed():
 def test_build_reports_stuck_on_a_tangled_connective():
     ctx = ctx_for(Sharp(TANGLE, (Q,)))
     fi = ctx.sigma.index_of(Sharp(TANGLE, (Q,)))
-    seed = next(a for a in ctx.atoms if a >> fi & 1 and not ctx.doomed(a))
+    seed = next(a for a in ctx.atoms
+                if a >> fi & 1 and a in ctx.atoms_by_duty)
     report = build(ctx, seed)
     assert report.verdict == 'stuck'
     assert 'disjunctive' in report.detail

@@ -315,13 +315,12 @@ def test_lane_masks_eliminate_atoms_as_the_pairwise_oracle(f):
     by_duty = _oracle_by_duty(sigma, atoms)
     assert ctx.atoms_by_duty == by_duty
     for a in atoms:
-        assert ctx.doomed(a) == (a not in by_duty)
         for direction in ('F', 'B'):
             for _, child_i in sigma.dia_pairs[direction]:
                 assert list(ctx.witnesses(a, child_i, direction)) == list(
                     _oracle_witnesses(sigma, a, child_i, direction, by_duty))
     # a bitset that is no atom is doomed
-    assert all(ctx.doomed(a ^ 1 << i) for a in atoms[:4]
+    assert all(a ^ 1 << i not in ctx.atoms_by_duty for a in atoms[:4]
                for i in range(len(sigma)))
 
 
@@ -472,11 +471,11 @@ def test_amalgamate_forward_extensions():
               [(0, 1), (0, 2), (1, 3)], sat_f=(0, 1), sat_p=())
     ext2 = mk(CTX_P, {0: A_SRC, 1: A_SNK, 2: A_SNK, 4: A_SNK},
               [(0, 1), (0, 2), (2, 4)], sat_f=(0, 2), sat_p=())
-    out = amalgamate(base, [(1, ext1), (2, ext2)])
+    out = amalgamate(base, [(1, ext1), (2, ext2)], 'F')
     assert set(out.nodes) == {0, 1, 2, 3, 4}
     assert out.edges == {(0, 1), (0, 2), (1, 3), (2, 4)}
     assert out.sat_f == {0, 1, 2}
-    assert amalgamate(base, []) is base
+    assert amalgamate(base, [], 'F') is base
 
 
 def test_amalgamate_rejects_overlapping_cones():
@@ -486,7 +485,7 @@ def test_amalgamate_rejects_overlapping_cones():
     ext1 = mk(CTX_P, {0: A_SRC, 1: A_SNK, 2: A_SNK, 4: A_SNK},
               [(0, 1), (0, 2), (1, 4)], sat_f=(0,))
     with pytest.raises(ValueError):
-        amalgamate(base, [(0, ext0), (1, ext1)])
+        amalgamate(base, [(0, ext0), (1, ext1)], 'F')
 
 
 def test_amalgamate_rejects_edits_outside_cone():
@@ -494,7 +493,7 @@ def test_amalgamate_rejects_edits_outside_cone():
     sneaky = mk(CTX_P, {0: A_SRC, 1: A_SNK, 2: A_SNK, 3: A_SNK},
                 [(0, 1), (0, 2), (1, 3)], sat_f=(0,), sat_p=(2,))
     with pytest.raises(ValueError):
-        amalgamate(base, [(1, sneaky)])
+        amalgamate(base, [(1, sneaky)], 'F')
 
 
 def test_amalgamate_backward_extensions():
@@ -504,9 +503,12 @@ def test_amalgamate_backward_extensions():
               [(0, 2), (1, 2), (3, 0)], sat_p=(2, 0))
     ext1 = mk(CTX_P, {0: A_SRC, 1: A_SRC, 2: A_SNK, 4: A_SRC},
               [(0, 2), (1, 2), (4, 1)], sat_p=(2, 1))
-    out = amalgamate(base, [(0, ext0), (1, ext1)])
+    out = amalgamate(base, [(0, ext0), (1, ext1)], 'B')
     assert out.edges == {(0, 2), (1, 2), (3, 0), (4, 1)}
     assert out.sat_p == {0, 1, 2}
+    # the direction is the caller's, not guessed
+    with pytest.raises(ValueError, match='preconditions fail: extension'):
+        amalgamate(base, [(0, ext0), (1, ext1)], 'F')
 
 
 # -- timeouts -----------------------------------------------------------------
@@ -760,7 +762,7 @@ def _grow_and_tabulate(ctx, rng, size):
     if cand is not None:
         base, pairs = cand
         network.compute_timeouts(base)
-        network.compute_timeouts(amalgamate(base, pairs))
+        network.compute_timeouts(amalgamate(base, pairs, 'F'))
     construct.build(ctx, rng.choice(ctx.atoms_by_duty), Budget(60, 4, 3))
 
 
