@@ -135,10 +135,10 @@ def _anchors(offset, batch, pick):
             yield offset + f, lane, i
 
 
-def _random_models(count=500, seed=1729):
-    rng = random.Random(seed)
+def _random_models():
+    rng = random.Random(1729)
     out = []
-    for _ in range(count):
+    for _ in range(500):
         states = rng.choice((5, 6))
         edges = [(i, j) for i in range(states) for j in range(states)
                  if rng.random() < 0.28]
@@ -267,8 +267,7 @@ def _vec_cover(members, fr, direction, memo):
     out = np.zeros_like(fr.zero)
     vecs = [eval_bits(m, fr, None, memo) for m in members]
     missed = fr.full_mask & ~reduce(np.bitwise_or, vecs, out)
-    nbrs = fr.succ_mask if direction == 'F' else fr.pred_mask
-    for w, nb in enumerate(nbrs):
+    for w, nb in enumerate(fr.nbr_masks[direction]):
         ok = (nb & missed) == 0
         for v in vecs:
             ok &= (nb & v) != 0
@@ -403,8 +402,8 @@ def check_no_finite_model():
 # ---------------------------------------------------------------------------
 # 7. guardification: equivalence valid, gamma2 guarded and disjunctive
 
-def _bodies_by_size(limit):
-    """Every candidate body up to the size limit, smallest first.
+def _bodies_by_size():
+    """Every candidate body up to size 8, smallest first.
 
     The grammar stays inside the disjunctive fragment on purpose: leaves,
     disjunction, diamonds, and guards conjoined to the left.
@@ -412,7 +411,7 @@ def _bodies_by_size(limit):
     x, q1 = Var('x'), Var('q1')
     level = {1: [Bottom(), x, q1], 2: [top(), Neg(q1)]}
     guards = [q1, Neg(q1)]
-    for s in range(3, limit + 1):
+    for s in range(3, 9):
         here = list(level.get(s, []))
         for a in level.get(s - 1, []):
             here.append(Dia('F', a))
@@ -426,13 +425,13 @@ def _bodies_by_size(limit):
             for a in level.get(s - 3 - gs, []):
                 here.append(and_(g, a))
         level[s] = here
-    for s in range(1, limit + 1):
+    for s in range(1, 9):
         yield from level.get(s, [])
 
 
-def _disjunctive_corpus(count=50, limit=8):
+def _disjunctive_corpus():
     out, seen = [], set()
-    for body in _bodies_by_size(limit):
+    for body in _bodies_by_size():
         if 'x' not in free_vars(body) or not is_positive_in(body, 'x'):
             continue
         key = to_string(body)
@@ -443,7 +442,7 @@ def _disjunctive_corpus(count=50, limit=8):
         if classify_disjunctive(chi) == 'none':
             continue
         out.append(chi)
-        if len(out) == count:
+        if len(out) == 50:
             return out
     raise AssertionError('corpus generator ran dry at %d bodies' % len(out))
 
@@ -530,10 +529,9 @@ def _grow_network(rng, ctx, max_nodes):
         if i < j and (i, j) not in edges and rng.random() < 0.08 \
                 and ctx.coherent(label[i], label[j]):
             edges.add((i, j))
-    sat_f = {u for u in nodes if rng.random() < 0.3}
-    sat_p = {u for u in nodes if rng.random() < 0.3}
-    return Network(ctx, tuple(nodes), frozenset(edges), label,
-                   frozenset(sat_f), frozenset(sat_p))
+    sat = {d: frozenset(u for u in nodes if rng.random() < 0.3)
+           for d in ('F', 'B')}
+    return Network(ctx, tuple(nodes), frozenset(edges), label, sat)
 
 
 def _check_ops_against_brute(n, rng):
@@ -553,7 +551,7 @@ def _check_ops_against_brute(n, rng):
     want = (tuple(sorted(keep)),
             frozenset(e for e in n.edges if e[0] in keep and e[1] in keep),
             tuple(sorted((u, n.label[u]) for u in keep)),
-            n.sat_f & keep, n.sat_p & keep)
+            n.sat['F'] & keep, n.sat['B'] & keep)
     if sub.structure() != want:
         return 'restriction differs from the induced-subgraph recomputation'
     half = set(rng.sample(n.nodes, (len(n.nodes) + 1) // 2))
@@ -562,7 +560,8 @@ def _check_ops_against_brute(n, rng):
     want_nodes = tuple(sorted(set(ra.nodes) | set(rb.nodes)))
     if glued.structure() != (want_nodes, ra.edges | rb.edges,
                              tuple(sorted({**rb.label, **ra.label}.items())),
-                             ra.sat_f | rb.sat_f, ra.sat_p | rb.sat_p):
+                             ra.sat['F'] | rb.sat['F'],
+                             ra.sat['B'] | rb.sat['B']):
         return 'union differs from componentwise recomputation'
     if is_anticonfluent(n) != _brute_anticonfluent(n.nodes, n.edges):
         return 'anticonfluence votes differ'
@@ -576,14 +575,14 @@ def _shift_fresh(base, ext, offset):
     return Network(ext.ctx, tuple(f(u) for u in ext.nodes),
                    frozenset((f(a), f(b)) for a, b in ext.edges),
                    {f(u): ext.label[u] for u in ext.nodes},
-                   frozenset(map(f, ext.sat_f)), frozenset(map(f, ext.sat_p)))
+                   {d: frozenset(map(f, ext.sat[d])) for d in ext.sat})
 
 
 def _amalgam_candidates(rng, ctx):
     base = _grow_network(rng, ctx, 6)
     if not is_anticonfluent(base):
         return None
-    heads = [u for u in base.nodes if u not in base.sat_f]
+    heads = [u for u in base.nodes if u not in base.sat['F']]
     rng.shuffle(heads)
     pairs = []
     offset = (max(base.nodes) + 1) * 10
@@ -663,8 +662,7 @@ def _extension_pair(rng, ctx):
     try:
         if mode < 2:
             direction = 'FB'[mode]
-            heads = [u for u in base.nodes
-                     if not base.saturated(u, direction)]
+            heads = [u for u in base.nodes if u not in base.sat[direction]]
             if not heads:
                 return None
             ext = saturate(base, rng.choice(heads), direction)
@@ -702,7 +700,7 @@ def check_stay_finished():
         base, ext = got
         # ext's own table starts from base's; a parentless copy's does not
         told, tnew = compute_timeouts(base), compute_timeouts(Network(
-            ext.ctx, ext.nodes, ext.edges, ext.label, ext.sat_f, ext.sat_p))
+            ext.ctx, ext.nodes, ext.edges, ext.label, ext.sat))
         for (u, did), v in sorted(told.items()):
             if v is None:
                 continue

@@ -119,7 +119,10 @@ def _cmd_closure(args):
 
 def _cmd_atoms(args):
     sigma = fl_closure(_formula(args))
-    atoms = list(enumerate_atoms(sigma))
+    try:
+        atoms = enumerate_atoms(sigma)
+    except ValueError as exc:
+        raise _CliError(str(exc))
     if args.count:
         print(len(atoms))
         return 0
@@ -217,16 +220,14 @@ def _cmd_build(args):
     fi = sigma.index_of(f)
     try:
         budget = Budget(args.max_nodes, args.max_depth, args.max_rounds)
+        candidates = ([args.atom] if args.atom is not None
+                      else [a for a in ctx.atoms_by_duty if a >> fi & 1])
     except ValueError as exc:
         raise _CliError(str(exc))
-    if args.atom is not None:
-        candidates = [args.atom]
-    else:
-        candidates = [a for a in ctx.atoms_by_duty if a >> fi & 1]
-        if not candidates:
-            print('flatmu: no viable atom contains %s' % to_string(f),
-                  file=sys.stderr)
-            return 2
+    if not candidates:
+        print('flatmu: no viable atom contains %s' % to_string(f),
+              file=sys.stderr)
+        return 2
     reports = []
     for bits in candidates:
         try:

@@ -170,6 +170,7 @@ def _settled(sigma: ClosureSet, v, full) -> int:
 
 
 LANES = 1 << 16   # candidates evaluated together by enumerate_atoms
+MAX_FREE_BITS = 20   # enumerate_atoms walks 2^k candidates for k free bits
 
 
 def enumerate_atoms(sigma: ClosureSet):
@@ -180,9 +181,14 @@ def enumerate_atoms(sigma: ClosureSet):
     at a time: each closure index holds an int whose lane m is its value
     in candidate m, the free bits take the lane patterns of m's binary
     digits, and _settled makes every Neg, Or and _|_ one big-int
-    operation. Only the lanes it keeps are decoded, ascending.
+    operation. Only the lanes it keeps are decoded, ascending. Raises
+    ValueError beyond MAX_FREE_BITS free bits.
     """
     base = [i for i, cls, _ in sigma.shapes if cls in (Var, Dia, Sharp)]
+    if len(base) > MAX_FREE_BITS:
+        raise ValueError('the closure has %d free atom bits (letters, '
+                         'diamonds and # formulas); atoms are enumerated '
+                         'for at most %d' % (len(base), MAX_FREE_BITS))
     width = min(1 << len(base), LANES)
     full = (1 << width) - 1
     # lane m of pattern[k] is bit k of m, for the digits inside a chunk:

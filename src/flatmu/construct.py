@@ -30,7 +30,7 @@ from .network import (
     extension_fault, find_defects, is_anticonfluent, network_to_json,
 )
 from .semantics import KripkeModel
-from .syntax import DAnd, DNabla, DOr, DX, Var, to_string
+from .syntax import CONVERSE, DIRECTIONS, DAnd, DNabla, DOr, DX, Var, to_string
 
 
 class Stuck(Exception):
@@ -89,7 +89,7 @@ def _saturate(draft, u, direction, ids, budget):
     for w in draft.nbrs[direction][u]:
         pool.setdefault(draft.label[w], []).append(w)
     present = len(draft.nodes)
-    frozen = draft.sat['B' if direction == 'F' else 'F']
+    frozen = draft.sat[CONVERSE[direction]]
     # u's neighbours, the ones it has now and the ones linked below
     taken = set(draft.nbrs[direction][u])
     for _, child_i in ctx.dia_members(draft.label[u], direction):
@@ -128,7 +128,7 @@ def _saturate(draft, u, direction, ids, budget):
 
 def saturate(n, u, direction, budget=None):
     """Complete the witness families of u in direction ('F' or 'B')."""
-    if n.saturated(u, direction):
+    if u in n.sat[direction]:
         return n
     draft = Draft(n)
     _saturate(draft, u, direction, _Ids(max(n.nodes) + 1), budget)
@@ -145,7 +145,7 @@ def _saturate_all(n, budget):
     draft = Draft(n)
     ids = _Ids(max(n.nodes) + 1)
     log = []
-    for direction in ('F', 'B'):
+    for direction in DIRECTIONS:
         for u in n.nodes:
             if u not in draft.sat[direction]:
                 _saturate(draft, u, direction, ids, budget)
@@ -399,8 +399,8 @@ def _finish(n, u, did, budget, ids, memo, seen):
     if not isinstance(node, DNabla):
         raise InvariantError('unexpected grammar position %r' % (node,))
     direction = dfl.direction
-    if not n.saturated(u, direction):
-        if not n.neighbors(u, direction):
+    if u not in n.sat[direction]:
+        if not n.nbrs[direction][u]:
             tpl = _finish_tree(n.ctx, n.label[u], did, budget.max_depth, memo)
             if tpl is None:
                 raise Stuck('no finishing tree for %s below node %d'
@@ -409,7 +409,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
         draft = Draft(n, link=False)
         _saturate(draft, u, direction, ids, budget)
         n = draft.freeze()
-    nbrs = n.neighbors(u, direction)  # ascending
+    nbrs = n.nbrs[direction][u]  # ascending
     if not nbrs:
         raise Stuck('node %d is saturated without neighbours but %s needs one'
                     % (u, table.describe(did)))
@@ -541,7 +541,7 @@ def _radius(n):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in sorted(n.succ[u] + n.pred[u]):
+            for v in sorted(n.nbrs['F'][u] + n.nbrs['B'][u]):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -555,7 +555,7 @@ def build(ctx, seed, budget=None) -> ConstructionReport:
     if not is_atom(seed, ctx.sigma):
         raise ValueError('seed is not an atom of the closure')
     n = Network(ctx, (0,), frozenset(), {0: seed},
-                frozenset(), frozenset())
+                {'F': frozenset(), 'B': frozenset()})
     rounds = []
     for _ in range(budget.max_rounds):
         if not find_defects(n):

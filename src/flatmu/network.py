@@ -27,8 +27,8 @@ from .closure import (
     ClosureSet, DeferralTable, coherent, enumerate_atoms, fl_closure, is_atom,
 )
 from .syntax import (
-    DNabla, DX, FileShapeError, Sharp, connectives_from_json, is_int, parse,
-    subformulas, to_string,
+    CONVERSE, DIRECTIONS, DNabla, DX, FileShapeError, Sharp,
+    connectives_from_json, is_int, parse, subformulas, to_string,
 )
 
 INF = math.inf
@@ -95,8 +95,7 @@ class NetworkContext:
         for dia_i, child_i in self.sigma.dia_pairs[direction]:
             if not bits >> dia_i & 1:
                 lanes &= ~having[child_i]
-        back = 'B' if direction == 'F' else 'F'
-        for dia_i, child_i in self.sigma.dia_pairs[back]:
+        for dia_i, child_i in self.sigma.dia_pairs[CONVERSE[direction]]:
             if bits >> child_i & 1:
                 lanes &= having[dia_i]
         return lanes
@@ -116,7 +115,7 @@ class NetworkContext:
         order, having = self._lanes
         needs = []
         for k, a in enumerate(order):
-            for direction in ('F', 'B'):
+            for direction in DIRECTIONS:
                 partners = self._partners(a, direction)
                 needs += [(1 << k, partners & having[child_i])
                           for _, child_i in self.dia_members(a, direction)]
@@ -188,8 +187,7 @@ class Network:
     nodes: tuple
     edges: frozenset
     label: dict
-    sat_f: frozenset
-    sat_p: frozenset
+    sat: dict       # direction -> frozenset of the nodes saturated that way
 
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes))
@@ -201,28 +199,18 @@ class Network:
                 raise ValueError('edge (%s, %s) leaves the node set' % (a, b))
         if set(self.label) != here:
             raise ValueError('label must cover exactly the nodes')
-        if not self.sat_f <= here or not self.sat_p <= here:
+        if not self.sat['F'] | self.sat['B'] <= here:
             raise ValueError('saturation flags must name nodes')
 
     @cached_property
-    def succ(self):
-        out = {u: [] for u in self.nodes}
+    def nbrs(self):
+        """direction -> node -> its direction-neighbours, ascending."""
+        out = {d: {u: [] for u in self.nodes} for d in DIRECTIONS}
         for a, b in sorted(self.edges):
-            out[a].append(b)
-        return {u: tuple(vs) for u, vs in out.items()}
-
-    @cached_property
-    def pred(self):
-        out = {u: [] for u in self.nodes}
-        for a, b in sorted(self.edges):
-            out[b].append(a)
-        return {u: tuple(vs) for u, vs in out.items()}
-
-    def neighbors(self, u, direction):
-        return self.succ[u] if direction == 'F' else self.pred[u]
-
-    def saturated(self, u, direction):
-        return u in (self.sat_f if direction == 'F' else self.sat_p)
+            out['F'][a].append(b)
+            out['B'][b].append(a)
+        return {d: {u: tuple(vs) for u, vs in nbrs.items()}
+                for d, nbrs in out.items()}
 
     @cached_property
     def cones(self):
@@ -243,21 +231,22 @@ class Network:
             down, _ = self.cones
         except ValueError:
             return False
-        for u in self.nodes:
+        for succ in self.nbrs['F'].values():
             seen = 0
-            for v in self.succ[u]:
+            for v in succ:
                 if seen & down[v]:
                     return False
                 seen |= down[v]
         return True
 
     def structure(self):
-        return (self.nodes, self.edges,
-                tuple(sorted(self.label.items())), self.sat_f, self.sat_p)
+        return (self.nodes, self.edges, tuple(sorted(self.label.items())),
+                self.sat['F'], self.sat['B'])
 
     def __repr__(self):
         return 'Network(%d nodes, %d edges, satF=%d, satP=%d)' % (
-            len(self.nodes), len(self.edges), len(self.sat_f), len(self.sat_p))
+            len(self.nodes), len(self.edges), len(self.sat['F']),
+            len(self.sat['B']))
 
 
 class Draft:
@@ -265,7 +254,7 @@ class Draft:
 
     It holds the nodes in ascending id order, the edges, the labels, both
     saturation flag sets and, per direction, each node's neighbours as an
-    ascending tuple: what Network.succ and Network.pred would compute.
+    ascending tuple: what Network.nbrs would compute.
     With link set and a separated start it keeps the start's cones too,
     each fresh node taking the next bit, so witnesses may be linked across
     the network; otherwise cones is None. A draft that raises is dropped,
@@ -278,8 +267,8 @@ class Draft:
         self.nodes = list(n.nodes)
         self.edges = set(n.edges)
         self.label = dict(n.label)
-        self.sat = {'F': set(n.sat_f), 'B': set(n.sat_p)}
-        self.nbrs = {'F': dict(n.succ), 'B': dict(n.pred)}
+        self.sat = {'F': set(n.sat['F']), 'B': set(n.sat['B'])}
+        self.nbrs = {'F': dict(n.nbrs['F']), 'B': dict(n.nbrs['B'])}
         self.cones = tuple(map(dict, n.cones)) if link and n.separated \
             else None
 
@@ -324,10 +313,9 @@ class Draft:
         """The grown Network, handed the draft's neighbour tuples, cones
         and start (the parent of its timeouts). The draft is spent."""
         out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
-                      self.label, frozenset(self.sat['F']),
-                      frozenset(self.sat['B']))
-        out.__dict__.update(succ=self.nbrs['F'], pred=self.nbrs['B'],
-                            _parent=self.start)
+                      self.label, {'F': frozenset(self.sat['F']),
+                                   'B': frozenset(self.sat['B'])})
+        out.__dict__.update(nbrs=self.nbrs, _parent=self.start)
         if self.cones is not None:
             out.__dict__.update(cones=self.cones, separated=True)
         return out
@@ -354,7 +342,7 @@ def _family_slots(n: Network, u: int, direction: str):
     d = ctx.table.multiplicity
     members = ctx.dia_members(n.label[u], direction)
     groups = {}
-    for w in n.neighbors(u, direction):
+    for w in n.nbrs[direction][u]:
         groups.setdefault(n.label[w], []).append(w)
     slots = []
     for bits in sorted(groups):
@@ -395,10 +383,9 @@ def validate(n: Network):
     for a, b in sorted(n.edges):
         if not n.ctx.coherent(n.label[a], n.label[b]):
             out.append('edge (%d, %d) is not coherent' % (a, b))
-    for d, flags, side in (('F', n.sat_f, 'forward'),
-                           ('B', n.sat_p, 'backward')):
+    for d, side in DIRECTIONS.items():
         out += ['node %d lacks %s families' % (u, side)
-                for u in sorted(flags) if not _family_slots(n, u, d)]
+                for u in sorted(n.sat[d]) if not _family_slots(n, u, d)]
     return out
 
 
@@ -415,13 +402,14 @@ def is_anticonfluent(n: Network) -> bool:
     down, up = n.cones
     order = sorted(n.nodes, key=lambda v: up[v].bit_count())
     above, below = {}, {}
+    succ, pred = n.nbrs['F'], n.nbrs['B']
     for v in order:
         above[v] = down[v]
-        for p in n.pred[v]:
+        for p in pred[v]:
             above[v] |= above[p]
     for v in reversed(order):
         below[v] = up[v]
-        for s in n.succ[v]:
+        for s in succ[v]:
             below[v] |= below[s]
     return not any(above[v] & below[v] & ~(down[v] | up[v]) for v in order)
 
@@ -438,7 +426,7 @@ def _is_contained(a: Network, b: Network) -> bool:
     induced = {e for e in b.edges if e[0] in here and e[1] in here}
     if a.edges != induced:
         return False
-    return a.sat_f <= b.sat_f and a.sat_p <= b.sat_p
+    return a.sat['F'] <= b.sat['F'] and a.sat['B'] <= b.sat['B']
 
 
 def is_subnetwork(a: Network, b: Network) -> bool:
@@ -447,8 +435,8 @@ def is_subnetwork(a: Network, b: Network) -> bool:
     _same_ctx(a, b)
     here = set(a.nodes)
     return _is_contained(a, b) and all(
-        here.issuperset(b.neighbors(u, d))
-        for d, flags in (('F', a.sat_f), ('B', a.sat_p)) for u in flags)
+        here.issuperset(b.nbrs[d][u]) for d, flags in a.sat.items()
+        for u in flags)
 
 
 def union(networks) -> Network:
@@ -457,18 +445,16 @@ def union(networks) -> Network:
         raise ValueError('union of nothing')
     first = networks[0]
     label = {}
-    edges, sat_f, sat_p = set(), set(), set()
     for n in networks:
         _same_ctx(first, n)
         for u in n.nodes:
             if u in label and label[u] != n.label[u]:
                 raise ValueError('conflicting labels at node %d' % u)
             label[u] = n.label[u]
-        edges |= n.edges
-        sat_f |= n.sat_f
-        sat_p |= n.sat_p
-    return Network(first.ctx, tuple(sorted(label)), frozenset(edges),
-                   label, frozenset(sat_f), frozenset(sat_p))
+    return Network(first.ctx, tuple(sorted(label)),
+                   frozenset().union(*(n.edges for n in networks)), label,
+                   {d: frozenset().union(*(n.sat[d] for n in networks))
+                    for d in DIRECTIONS})
 
 
 def restrict(n: Network, xs) -> Network:
@@ -477,7 +463,7 @@ def restrict(n: Network, xs) -> Network:
         n.ctx, tuple(sorted(keep)),
         frozenset(e for e in n.edges if e[0] in keep and e[1] in keep),
         {u: n.label[u] for u in keep},
-        n.sat_f & keep, n.sat_p & keep)
+        {d: flags & keep for d, flags in n.sat.items()})
 
 
 def _gen(n: Network, xs, direction) -> frozenset:
@@ -521,7 +507,7 @@ def _is_cofinal(a: Network, b: Network, direction) -> bool:
     if not _is_contained(a, b):
         return False
     here = set(a.nodes)
-    return all(v in here for u in a.nodes for v in b.neighbors(u, direction))
+    return all(v in here for u in a.nodes for v in b.nbrs[direction][u])
 
 
 def is_down_cofinal(a: Network, b: Network) -> bool:
@@ -619,7 +605,7 @@ def _clause_value(n: Network, values, u, dfl):
     if node.kind == 'box' and \
             n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
         return 0
-    nbrs = n.neighbors(u, direction) if n.saturated(u, direction) else ()
+    nbrs = n.nbrs[direction][u] if u in n.sat[direction] else ()
     if not nbrs:
         return INF
     if node.kind == 'box':
@@ -643,9 +629,8 @@ def _touched(n: Network, parent: Network):
         if n.label.get(u) != bits:
             raise InvariantError('node %d of the parent network is missing '
                                  'or relabeled' % u)
-    for d, nbrs, was, flags, had in (
-            ('F', n.succ, parent.succ, n.sat_f, parent.sat_f),
-            ('B', n.pred, parent.pred, n.sat_p, parent.sat_p)):
+    for d, flags in n.sat.items():
+        had, nbrs, was = parent.sat[d], n.nbrs[d], parent.nbrs[d]
         touched |= flags - had
         for u in had:
             if u not in flags or nbrs[u] != was[u]:
@@ -689,7 +674,7 @@ def compute_timeouts(n: Network):
     queued = set(queue)
     same, across = table.readers
     # a d-clause reads w at the d-saturated neighbours of w the other way
-    back = {'F': (n.pred, n.sat_f), 'B': (n.succ, n.sat_p)}
+    back = {d: (n.nbrs[CONVERSE[d]], flags) for d, flags in n.sat.items()}
     cap = len(n.nodes) * len(deferrals) + 1
     for pair in queue:  # a list walked while it grows: first in, first out
         queued.discard(pair)
@@ -724,13 +709,13 @@ class Defect:
         if self.kind == 'mu':
             return 'mu defect at %d (%s)' % (
                 self.node, ctx.table.describe(self.deferral))
-        side = 'forward' if self.kind == 'diaF' else 'backward'
-        return '%s saturation missing at %d' % (side, self.node)
+        return '%s saturation missing at %d' % (DIRECTIONS[self.kind[-1]],
+                                                self.node)
 
 
 def find_defects(n: Network):
-    out = [Defect('diaF', u) for u in n.nodes if u not in n.sat_f]
-    out += [Defect('diaB', u) for u in n.nodes if u not in n.sat_p]
+    out = [Defect('dia' + d, u) for d in DIRECTIONS for u in n.nodes
+           if u not in n.sat[d]]
     out += [Defect('mu', u, did) for (u, did), steps
             in sorted(compute_timeouts(n).items()) if steps is None]
     return out
@@ -756,8 +741,8 @@ def network_to_json(n: Network):
                                      if n.label[u] >> i & 1]}
                   for u in n.nodes],
         'edges': sorted([a, b] for a, b in n.edges),
-        'satF': sorted(n.sat_f),
-        'satP': sorted(n.sat_p),
+        'satF': sorted(n.sat['F']),
+        'satP': sorted(n.sat['B']),
     }
 
 
@@ -837,7 +822,8 @@ def network_from_json(obj, ctx: NetworkContext = None) -> Network:
     if problems:
         raise FileShapeError(problems)
     return Network(ctx, tuple(label), frozenset(map(tuple, obj['edges'])),
-                   label, frozenset(obj['satF']), frozenset(obj['satP']))
+                   label, {'F': frozenset(obj['satF']),
+                           'B': frozenset(obj['satP'])})
 
 
 def to_dot(n: Network):
@@ -846,17 +832,13 @@ def to_dot(n: Network):
     lines = ['digraph network {', '  rankdir=LR;',
              '  node [shape=box, fontname="monospace"];']
     for u in n.nodes:
-        marks = []
-        if u in n.sat_f:
-            marks.append('F')
-        if u in n.sat_p:
-            marks.append('P')
-        text = '%d%s' % (u, (' [%s]' % ''.join(marks)) if marks else '')
+        marks = ''.join(m for d, m in zip(DIRECTIONS, 'FP') if u in n.sat[d])
+        text = '%d%s' % (u, (' [%s]' % marks) if marks else '')
         open_ids = [str(did) for (w, did), steps in sorted(tt.items())
                     if w == u and steps is None]
         if open_ids:
             text += '\\nopen: ' + ','.join(open_ids)
-        style = 'filled' if u in n.sat_f and u in n.sat_p else 'solid'
+        style = 'filled' if len(marks) == 2 else 'solid'
         lines.append('  n%d [label="%s", style=%s];' % (u, text, style))
     for a, b in sorted(n.edges):
         lines.append('  n%d -> n%d;' % (a, b))

@@ -5,16 +5,17 @@ on two carriers. On a KripkeModel they are Python int masks. On a
 FrameBatch they are numpy uint8 arrays with one mask per lane, where a
 lane is one frame (up to isomorphism, at most four states) under one
 joint valuation: the brute-force search and the selftest sweeps
-evaluate a chunk of CHUNK lanes per numpy pass, and <d> on lanes is one
-lookup per lane in a per-size image table. Fixpoint connectives are
-evaluated by Kleene iteration from the empty set, which converges within
-|W| rounds by positivity of the body. numpy is imported only when lanes
-arrive.
+evaluate a chunk of CHUNK lanes per numpy pass. The carrier answers <d>
+(image) and whether two truth sets are equal (same). Fixpoint
+connectives are evaluated by Kleene iteration from the empty set, which
+converges within |W| rounds by positivity of the body. numpy is
+imported only when lanes arrive.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from functools import cached_property, lru_cache
 from itertools import permutations
 
@@ -25,9 +26,10 @@ from .syntax import (
 
 
 class KripkeModel:
-    """Finite model: states 0..n-1, held as per-state successor and
-    predecessor masks and a state mask per letter. The edge set and the
-    valuation name -> state set are derived when asked for."""
+    """Finite model: states 0..n-1, held as per-state neighbour masks per
+    direction (successors under 'F', predecessors under 'B') and a state
+    mask per letter. The edge set and the valuation name -> state set are
+    derived when asked for."""
 
     zero = 0
 
@@ -42,7 +44,7 @@ class KripkeModel:
                 raise ValueError('edge (%d, %d) out of range' % (a, b))
             succ[a] |= 1 << b
             pred[b] |= 1 << a
-        self.succ_mask, self.pred_mask = tuple(succ), tuple(pred)
+        self.nbr_masks = {'F': tuple(succ), 'B': tuple(pred)}
         self._valuation = {}
         for name, ws in (valuation or {}).items():
             ws = [int(w) for w in ws]
@@ -52,7 +54,7 @@ class KripkeModel:
 
     @cached_property
     def edges(self) -> frozenset:
-        return frozenset((a, b) for a, m in enumerate(self.succ_mask)
+        return frozenset((a, b) for a, m in enumerate(self.nbr_masks['F'])
                          for b in range(self.states) if m >> b & 1)
 
     @property
@@ -62,6 +64,16 @@ class KripkeModel:
 
     def valuation_mask(self, name: str) -> int:
         return self._valuation.get(name, 0)
+
+    def image(self, direction, arg):
+        """<d>: the states with a d-neighbour in arg."""
+        masks, out = self.nbr_masks[direction], 0
+        for w in range(self.states):
+            if masks[w] & arg:
+                out |= 1 << w
+        return out
+
+    same = staticmethod(operator.eq)
 
     def to_json(self):
         return {
@@ -83,7 +95,7 @@ class KripkeModel:
 
     def __repr__(self):
         return 'KripkeModel(%d states, %d edges)' % (
-            self.states, sum(m.bit_count() for m in self.succ_mask))
+            self.states, sum(m.bit_count() for m in self.nbr_masks['F']))
 
 
 # The most states a model file may declare. Each state's successor and
@@ -127,24 +139,6 @@ def _file_problems(obj):
     return out
 
 
-def _dia_image(direction, arg, model):
-    if isinstance(arg, int):
-        masks = model.succ_mask if direction == 'F' else model.pred_mask
-        out = 0
-        for w in range(model.states):
-            if masks[w] & arg:
-                out |= 1 << w
-        return out
-    return model.image(direction, arg)
-
-
-def _same(a, b):
-    if isinstance(a, int):
-        return a == b
-    import numpy as np
-    return np.array_equal(a, b)
-
-
 def eval_bits(formula, model, env=None, _memo=None):
     """Truth set of formula as a bitmask; env overlays the valuation.
 
@@ -172,8 +166,8 @@ def eval_bits(formula, model, env=None, _memo=None):
         out = (eval_bits(formula.left, model, env, memo)
                | eval_bits(formula.right, model, env, memo))
     elif isinstance(formula, Dia):
-        out = _dia_image(formula.direction,
-                         eval_bits(formula.child, model, env, memo), model)
+        out = model.image(formula.direction,
+                          eval_bits(formula.child, model, env, memo))
     elif isinstance(formula, Sharp):
         inner = {'q%d' % (k + 1): eval_bits(a, model, env, memo)
                  for k, a in enumerate(formula.args)}
@@ -181,7 +175,7 @@ def eval_bits(formula, model, env=None, _memo=None):
         for _ in range(model.states + 1):
             inner['x'] = out
             nxt = eval_bits(formula.connective.body, model, inner, {})
-            if _same(nxt, out):
+            if model.same(nxt, out):
                 break
             out = nxt
         else:
@@ -203,7 +197,7 @@ def _set_to_mask(ws) -> int:
 def eval_nabla_via_relation(components, direction, model, w) -> bool:
     """Cover semantics at state w: every neighbour satisfies some member,
     every member holds at some neighbour."""
-    nbr = (model.succ_mask if direction == 'F' else model.pred_mask)[w]
+    nbr = model.nbr_masks[direction][w]
     union = 0
     for c in components:
         mask = eval_bits(c, model)
@@ -296,10 +290,10 @@ def _frame_reps(n: int):
 
 @lru_cache(maxsize=None)
 def _frame_tables(n: int):
-    """Per-state successor and predecessor masks of the frames of
-    _frame_reps(n), each of shape (n, frames), and per direction the flat
-    <d> image table: entry frame * 2^n + S is the set of states with a
-    d-neighbour in the state set S of that frame."""
+    """Per direction, the per-state neighbour masks of the frames of
+    _frame_reps(n), of shape (n, frames), and the flat <d> image table:
+    entry frame * 2^n + S is the set of states with a d-neighbour in the
+    state set S of that frame."""
     import numpy as np
 
     reps = _frame_reps(n)
@@ -307,7 +301,7 @@ def _frame_tables(n: int):
     pred = np.stack([
         np.bitwise_or.reduce([(reps >> i * n + j & 1) << i for i in range(n)])
         for j in range(n)])
-    succ, pred = succ.astype(np.uint8), pred.astype(np.uint8)
+    masks = {'F': succ.astype(np.uint8), 'B': pred.astype(np.uint8)}
 
     def images(toward):
         # the image of S is the union of toward[v] over v in S, built one
@@ -318,8 +312,8 @@ def _frame_tables(n: int):
             out[:, s] = out[:, s ^ low] | toward[low.bit_length() - 1]
         return out.ravel()
 
-    tables = succ, pred, {'F': images(pred), 'B': images(succ)}
-    for table in (succ, pred, *tables[2].values()):
+    tables = masks, {'F': images(masks['B']), 'B': images(masks['F'])}
+    for table in (*masks.values(), *tables[1].values()):
         table.flags.writeable = False
     return tables
 
@@ -342,8 +336,8 @@ class FrameBatch:
     len(batch), at most CHUNK, and is the model eval_bits runs on for
     lanes: it supplies the valuation of names, the all-zero carrier, and
     <d> as one lookup per lane in the size's cached image table. Masks
-    are uint8, as four states fit in a byte. Per-lane successor and
-    predecessor masks are built when first read.
+    are uint8, as four states fit in a byte. Per-lane neighbour masks
+    are built when first read.
     """
 
     def __init__(self, states, names, start):
@@ -368,22 +362,17 @@ class FrameBatch:
             for k, nm in enumerate(names)}
         self.zero = np.zeros(len(rel), dtype=np.uint8)
         self.zero.flags.writeable = False
-        self._images = _frame_tables(states)[2]
+        self._images = _frame_tables(states)[1]
 
     def __len__(self):
         return len(self.zero)
 
     @cached_property
-    def succ_mask(self):
-        return tuple(_frame_tables(self.states)[0][:, self._frame])
-
-    @cached_property
-    def pred_mask(self):
-        return tuple(_frame_tables(self.states)[1][:, self._frame])
-
-    @property
-    def _frame(self):
-        return self._base >> self.states
+    def nbr_masks(self):
+        """Per direction, each state's neighbour masks across the lanes."""
+        frame = self._base >> self.states
+        return {d: tuple(masks[:, frame])
+                for d, masks in _frame_tables(self.states)[0].items()}
 
     def valuation_mask(self, name):
         return self._valuation.get(name, self.zero)
@@ -391,6 +380,10 @@ class FrameBatch:
     def image(self, direction, arg):
         """<d> on every lane: the states with a d-neighbour in arg."""
         return self._images[direction][self._base + arg]
+
+    @staticmethod
+    def same(a, b):
+        return bool((a == b).all())
 
     @property
     def frames(self):

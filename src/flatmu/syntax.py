@@ -76,13 +76,18 @@ class Or(Formula):
     right: Formula
 
 
+# the two directions in output order, and each one's converse
+DIRECTIONS = {'F': 'forward', 'B': 'backward'}
+CONVERSE = {'F': 'B', 'B': 'F'}
+
+
 @_hash_once
 class Dia(Formula):
-    direction: str  # 'F' (forward) or 'B' (backward)
+    direction: str  # a key of DIRECTIONS
     child: Formula
 
     def __post_init__(self):
-        if self.direction not in ('F', 'B'):
+        if self.direction not in DIRECTIONS:
             raise ValueError("diamond direction must be 'F' or 'B'")
 
 
@@ -533,7 +538,7 @@ def parse(text: str, connectives=None) -> Formula:
 # box are printed whenever the tree matches their expansions, so printed
 # text reparses to the identical tree.
 
-_LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
+_LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3
 
 
 def to_string(f: Formula) -> str:
@@ -644,15 +649,15 @@ def _nabla_components(f: Formula, direction: str):
     return comps
 
 
-def decompose(f: Formula, direction: str, var: str = 'x'):
-    """Match f against the disjunctive grammar; None when it fails."""
-    if var not in free_vars(f):
+def decompose(f: Formula, direction: str):
+    """Match f against the disjunctive grammar in x; None when it fails."""
+    if 'x' not in free_vars(f):
         return DFree(f)
-    if isinstance(f, Var) and f.name == var:
+    if isinstance(f, Var) and f.name == 'x':
         return DX(f)
     if isinstance(f, Or):
-        left = decompose(f.left, direction, var)
-        right = decompose(f.right, direction, var)
+        left = decompose(f.left, direction)
+        right = decompose(f.right, direction)
         if left is None or right is None:
             return None
         return DOr(left, right, f)
@@ -660,24 +665,24 @@ def decompose(f: Formula, direction: str, var: str = 'x'):
     if pair is not None:
         comps = _nabla_components(f, direction)
         if comps is not None:
-            sub = tuple(decompose(c, direction, var) for c in comps)
+            sub = tuple(decompose(c, direction) for c in comps)
             if all(s is not None for s in sub):
                 return DNabla(direction, 'nabla', sub, f)
         guard, rest = pair
-        if var in free_vars(guard):
+        if 'x' in free_vars(guard):
             return None
-        child = decompose(rest, direction, var)
+        child = decompose(rest, direction)
         if child is None:
             return None
         return DAnd(guard, child, f)
     if isinstance(f, Dia) and f.direction == direction:
-        child = decompose(f.child, direction, var)
+        child = decompose(f.child, direction)
         if child is None:
             return None
         return DNabla(direction, 'dia', (child,), f)
     bx = as_box(f)
     if bx is not None and bx[0] == direction:
-        child = decompose(bx[1], direction, var)
+        child = decompose(bx[1], direction)
         if child is None:
             return None
         return DNabla(direction, 'box', (child,), f)
@@ -690,7 +695,7 @@ def disjunctive_form(chi: FixpointConnective):
 
     Bodies matching both grammars report 'F'.
     """
-    for d in ('F', 'B'):
+    for d in DIRECTIONS:
         df = decompose(chi.body, d)
         if df is not None:
             return (d, df)
@@ -701,7 +706,7 @@ def classify_disjunctive(chi: FixpointConnective) -> str:
     df = disjunctive_form(chi)
     if df is None:
         return 'none'
-    return 'forward' if df[0] == 'F' else 'backward'
+    return DIRECTIONS[df[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,23 @@ def test_a_deep_nabla_connective_body_is_read_in_seconds(tmp_path, arity,
                           '1000000 formula nodes\n')
 
 
+def test_atoms_within_the_free_bit_limit_are_counted(capsys):
+    code, out, _ = run(capsys, 'atoms', '--count', _nested_nabla(5))
+    assert code == 0 and out == '8192\n'
+
+
+@pytest.mark.parametrize('argv', [['atoms', '--count'], ['atoms'], ['build']])
+def test_atoms_beyond_the_free_bit_limit_are_refused_in_seconds(argv):
+    # 20 nested nablas leave 43 free bits: 2^43 candidates otherwise
+    got = subprocess.run(
+        [sys.executable, '-m', 'flatmu', *argv, _nested_nabla(20)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert got.returncode == 1 and got.stdout == ''
+    assert got.stderr == (
+        'flatmu: error: the closure has 43 free atom bits (letters, '
+        'diamonds and # formulas); atoms are enumerated for at most 20\n')
+
+
 def test_output_over_the_print_limit_is_refused(capsys):
     # 14 levels print 1,473,760 closure nodes but a 196,596-byte formula
     code, out, err = run(capsys, 'closure', _nested_nabla(14))

@@ -1,7 +1,7 @@
 import hashlib
 
 from flatmu.closure import (
-    ClosureSet, DeferralTable, atom_formulas, coherent,
+    MAX_FREE_BITS, ClosureSet, DeferralTable, atom_formulas, coherent,
     enumerate_atoms, fl_closure, is_atom,
 )
 from flatmu.syntax import (
@@ -127,6 +127,16 @@ def test_atoms_of_variable_closure():
         assert Neg(Bottom()) in fs
         assert (Var('p') in fs) != (Neg(Var('p')) in fs)
         assert sum(1 << sigma.index_of(f) for f in fs) == a
+
+
+def test_atoms_beyond_the_free_bit_limit_are_refused():
+    # 9 nested nablas leave 21 free bits (letters, diamonds and #), 8
+    # leave 19; the refusal comes before any candidate is built
+    sigma = fl_closure(parse('nablaF{' * 9 + 'p' + '}' * 9, {}))
+    assert MAX_FREE_BITS == 20
+    with pytest.raises(ValueError, match=r'^the closure has 21 free atom '
+                       r'bits .*; atoms are enumerated for at most 20$'):
+        enumerate_atoms(sigma)
 
 
 def test_atoms_respect_sharp_unfolding():

@@ -57,7 +57,7 @@ def atom_with(ctx, yes=(), no=()):
 
 def mk(ctx, labels, edges=(), sat_f=(), sat_p=()):
     return Network(ctx, tuple(labels), frozenset(edges), dict(labels),
-                   frozenset(sat_f), frozenset(sat_p))
+                   {'F': frozenset(sat_f), 'B': frozenset(sat_p)})
 
 
 # Over the closure of a bare letter the eight atoms work out, by hand, to
@@ -88,8 +88,8 @@ def test_saturate_forward_picks_the_least_coherent_atom():
     assert out.nodes == (0, 1)
     assert out.label[1] == A_SNK
     assert out.edges == {(0, 1)}
-    assert out.sat_f == {0}
-    assert out.sat_p == frozenset()
+    assert out.sat['F'] == {0}
+    assert out.sat['B'] == frozenset()
 
 
 def test_saturate_forward_reuses_existing_witnesses():
@@ -98,7 +98,7 @@ def test_saturate_forward_reuses_existing_witnesses():
     out = saturate(n, 0, 'F')
     assert out.nodes == n.nodes
     assert out.edges == n.edges
-    assert out.sat_f == {0}
+    assert out.sat['F'] == {0}
 
 
 def test_saturate_tops_up_reused_groups_to_multiplicity():
@@ -125,7 +125,7 @@ def test_saturate_backward_mirrors():
     out = saturate(n, 0, 'B')
     assert out.nodes == (0, 1)
     assert out.edges == {(1, 0)}
-    assert out.sat_p == {0}
+    assert out.sat['B'] == {0}
     assert CTX_P.coherent(out.label[1], A_SNK)
 
 
@@ -248,10 +248,8 @@ def test_a_draft_links_as_the_oracle_does(ids, pairs, steps):
 # -- a saturation phase against step-by-step growth --------------------------
 
 def _oracle_grown(n, nodes, edges, label, flagged, direction):
-    sat = {'F': n.sat_f, 'B': n.sat_p}
-    sat[direction] = sat[direction] | flagged
-    return Network(n.ctx, tuple(nodes), frozenset(edges), label,
-                   sat['F'], sat['B'])
+    sat = {**n.sat, direction: n.sat[direction] | flagged}
+    return Network(n.ctx, tuple(nodes), frozenset(edges), label, sat)
 
 
 def _oracle_saturate(n, u, direction, ids, budget):
@@ -260,13 +258,13 @@ def _oracle_saturate(n, u, direction, ids, budget):
     ctx = n.ctx
     d = ctx.table.multiplicity
     pool = {}
-    for w in n.neighbors(u, direction):
+    for w in n.nbrs[direction][u]:
         pool.setdefault(n.label[w], []).append(w)
     label = dict(n.label)
     edges = set(n.edges)
     nodes = list(n.nodes)
-    frozen = n.sat_p if direction == 'F' else n.sat_f
-    taken = set(n.neighbors(u, direction))
+    frozen = n.sat['B' if direction == 'F' else 'F']
+    taken = set(n.nbrs[direction][u])
     linked = set()
     for _, child_i in ctx.dia_members(n.label[u], direction):
         family = None
@@ -312,7 +310,7 @@ def _oracle_phase(n, budget):
     log = []
     for direction in ('F', 'B'):
         for u in todo:
-            if not n.saturated(u, direction):
+            if u not in n.sat[direction]:
                 n = _oracle_saturate(n, u, direction,
                                      itertools.count(max(n.nodes) + 1),
                                      budget)
@@ -353,19 +351,19 @@ def _start_networks(draw):
 @settings(max_examples=300, deadline=None)
 def test_a_saturation_phase_grows_as_step_by_step_saturation(n, max_nodes):
     budget = Budget(max_nodes=max_nodes)
-    before = n.structure(), dict(n.succ), dict(n.pred)
+    before = n.structure(), {d: dict(m) for d, m in n.nbrs.items()}
     want = _outcome(_oracle_phase, n, budget)
     got = _outcome(_saturate_all, n, budget)
     # the draft leaves its start alone, whatever happens
-    assert (n.structure(), n.succ, n.pred) == before
+    assert (n.structure(), n.nbrs) == before
     if isinstance(want[0], str):
         assert got == want
         return
     (ref, ref_log), (out, log) = want, got
     assert log == ref_log
     assert out.structure() == ref.structure()
-    assert list(out.succ.items()) == list(ref.succ.items())
-    assert list(out.pred.items()) == list(ref.pred.items())
+    assert list(out.nbrs['F'].items()) == list(ref.nbrs['F'].items())
+    assert list(out.nbrs['B'].items()) == list(ref.nbrs['B'].items())
     try:
         scratch = cones(out.nodes, out.edges)
     except ValueError:
@@ -428,7 +426,7 @@ def test_a_build_starts_its_timeout_tables_from_their_parents(monkeypatch):
     build(ctx, seed)
     seeded, calls[0] = calls[0], 0
     for n in tables:
-        bare = Network(n.ctx, n.nodes, n.edges, n.label, n.sat_f, n.sat_p)
+        bare = Network(n.ctx, n.nodes, n.edges, n.label, n.sat)
         assert timeouts(bare) == timeouts(n)
     assert len(tables) >= 5
     assert seeded < calls[0]
@@ -447,7 +445,7 @@ def test_finish_x_deferral_below_a_fresh_head():
     assert is_subnetwork(n, out)
     assert out.nodes == (0, 1, 2, 3)
     assert len({out.label[w] for w in (1, 2, 3)}) == 1
-    assert 0 in out.sat_f
+    assert 0 in out.sat['F']
     tt = compute_timeouts(out)
     # the unfolding chain: x steps to the body, the body rides its box
     assert tt[0, 0] == tt[0, 1]
@@ -491,7 +489,7 @@ def test_finish_backward_connective_grows_predecessors():
     out = finish_deferral(n, 0, x_did)
     assert len(out.nodes) > 1
     assert all(b == 0 for _, b in out.edges)
-    assert 0 in out.sat_p
+    assert 0 in out.sat['B']
     assert compute_timeouts(out).get((0, x_did)) is not None
 
 
@@ -624,7 +622,8 @@ avoid = [Var('q'), Dia('F', Neg(focus))]
 seed = next(a for a in ctx.atoms
             if all(a >> ctx.sigma.index_of(f) & 1 for f in want)
             and not any(a >> ctx.sigma.index_of(f) & 1 for f in avoid))
-n = Network(ctx, (0,), frozenset(), {0: seed}, frozenset(), frozenset())
+n = Network(ctx, (0,), frozenset(), {0: seed},
+            {'F': frozenset(), 'B': frozenset()})
 construct.extension_fault = lambda *args: 'planted fault'
 construct.finish_deferral(n, 0, 2)
 """
@@ -656,7 +655,7 @@ def test_build_over_a_letter_is_a_two_chain():
     assert n.nodes == (0, 1)
     assert n.edges == {(0, 1)}
     assert n.label == {0: A_SRC, 1: A_SNK}
-    assert n.sat_f == {0, 1} and n.sat_p == {0, 1}
+    assert n.sat['F'] == {0, 1} and n.sat['B'] == {0, 1}
     assert report.rounds == [['satF 0', 'satB 0'], ['satF 1', 'satB 1']]
 
 

@@ -52,7 +52,7 @@ def atom_with(ctx, yes=(), no=()):
 
 def mk(ctx, labels, edges=(), sat_f=(), sat_p=()):
     return Network(ctx, tuple(labels), frozenset(edges), dict(labels),
-                   frozenset(sat_f), frozenset(sat_p))
+                   {'F': frozenset(sat_f), 'B': frozenset(sat_p)})
 
 
 P, BOT = Var('p'), Bottom()
@@ -101,7 +101,8 @@ def test_constructor_rejects_malformed_shapes():
     with pytest.raises(ValueError):
         mk(CTX_P, {0: A_SRC}, [(0, 1)])
     with pytest.raises(ValueError):
-        Network(CTX_P, (0,), frozenset(), {}, frozenset(), frozenset())
+        Network(CTX_P, (0,), frozenset(), {},
+                {'F': frozenset(), 'B': frozenset()})
     with pytest.raises(ValueError):
         mk(CTX_P, {0: A_SRC}, sat_f=(3,))
 
@@ -379,7 +380,7 @@ def test_restrict_is_induced():
         assert set(r.nodes) == keep
         assert r.edges == {e for e in n.edges
                            if e[0] in keep and e[1] in keep}
-        assert r.sat_f == n.sat_f & keep
+        assert r.sat['F'] == n.sat['F'] & keep
         assert r.label == {u: n.label[u] for u in keep}
 
 
@@ -389,7 +390,7 @@ def test_subnetwork_freezes_saturated_frontiers():
                sat_f=(1, 2), sat_p=(0, 1))
     # node 0 is forward saturated in n but gains successor 2
     assert not is_subnetwork(n, grown)
-    relaxed = replace(n, sat_f=frozenset({1}))
+    relaxed = replace(n, sat={**n.sat, 'F': frozenset({1})})
     assert is_subnetwork(relaxed, grown)
 
 
@@ -408,11 +409,12 @@ def test_restricted_random_nets_are_subnetworks_after_frontier_fix():
         big = random_net(rng, rng.randint(2, 7))
         keep = {u for u in big.nodes if rng.random() < 0.6}
         small = restrict(big, keep)
-        ok_f = {u for u in small.sat_f
-                if all(v in keep for v in big.succ[u])}
-        ok_p = {u for u in small.sat_p
-                if all(v in keep for v in big.pred[u])}
-        fixed = replace(small, sat_f=frozenset(ok_f), sat_p=frozenset(ok_p))
+        ok_f = {u for u in small.sat['F']
+                if all(v in keep for v in big.nbrs['F'][u])}
+        ok_p = {u for u in small.sat['B']
+                if all(v in keep for v in big.nbrs['B'][u])}
+        fixed = replace(small, sat={'F': frozenset(ok_f),
+                                    'B': frozenset(ok_p)})
         assert is_subnetwork(fixed, big)
 
 
@@ -427,7 +429,7 @@ def test_union_merges_and_rejects_conflicts():
     u = union([a, b])
     assert u.nodes == (0, 1, 2)
     assert u.edges == {(0, 1), (2, 1)}
-    assert u.sat_f == {0} and u.sat_p == {1}
+    assert u.sat['F'] == {0} and u.sat['B'] == {1}
     with pytest.raises(ValueError):
         union([a, mk(CTX_P, {0: A_SNK})])
 
@@ -441,13 +443,13 @@ def test_equp_compares_outside_the_cone():
     assert equp(n, ext, 0)
     assert equp(n, ext, 1)
     assert not is_subnetwork(n, ext)
-    flag_flip = replace(n, sat_p=frozenset({1}))
+    flag_flip = replace(n, sat={**n.sat, 'B': frozenset({1})})
     assert not equp(n, flag_flip, 1)
-    assert eqdown(n, replace(n, sat_f=frozenset({1})), 0)
+    assert eqdown(n, replace(n, sat={**n.sat, 'F': frozenset({1})}), 0)
 
 
 def test_cofinality_checks_new_neighbours():
-    n = replace(two_chain(), sat_f=frozenset({1}), sat_p=frozenset({1}))
+    n = replace(two_chain(), sat={'F': frozenset({1}), 'B': frozenset({1})})
     above = mk(CTX_P, {0: A_SRC, 1: A_SNK, 2: A_SRC}, [(0, 1), (2, 0)],
                sat_f=(1,), sat_p=(1,))
     assert is_up_cofinal(n, n)
@@ -474,7 +476,7 @@ def test_amalgamate_forward_extensions():
     out = amalgamate(base, [(1, ext1), (2, ext2)], 'F')
     assert set(out.nodes) == {0, 1, 2, 3, 4}
     assert out.edges == {(0, 1), (0, 2), (1, 3), (2, 4)}
-    assert out.sat_f == {0, 1, 2}
+    assert out.sat['F'] == {0, 1, 2}
     assert amalgamate(base, [], 'F') is base
 
 
@@ -505,7 +507,7 @@ def test_amalgamate_backward_extensions():
               [(0, 2), (1, 2), (4, 1)], sat_p=(2, 1))
     out = amalgamate(base, [(0, ext0), (1, ext1)], 'B')
     assert out.edges == {(0, 2), (1, 2), (3, 0), (4, 1)}
-    assert out.sat_p == {0, 1, 2}
+    assert out.sat['B'] == {0, 1, 2}
     # the direction is the caller's, not guessed
     with pytest.raises(ValueError, match='preconditions fail: extension'):
         amalgamate(base, [(0, ext0), (1, ext1)], 'F')
@@ -642,15 +644,15 @@ def _oracle_clause(n, values, u, dfl):
         best = INF
         if n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
             best = 0
-        if n.saturated(u, direction):
-            nbrs = n.neighbors(u, direction)
+        if u in n.sat[direction]:
+            nbrs = n.nbrs[direction][u]
             if nbrs:
                 best = min(best, max(
                     _oracle_component(n, values, w, comps[0]) for w in nbrs))
         return best
-    if not n.saturated(u, direction):
+    if u not in n.sat[direction]:
         return INF
-    nbrs = n.neighbors(u, direction)
+    nbrs = n.nbrs[direction][u]
     if not nbrs:
         return INF
     if node.kind == 'dia':
@@ -742,7 +744,7 @@ def _grow_and_tabulate(ctx, rng, size):
     try:
         grown.append((_saturate_all(n, Budget(max_nodes=60))[0], 'phase'))
         heads = [(u, d) for u in n.nodes for d in 'FB'
-                 if not n.saturated(u, d)]
+                 if u not in n.sat[d]]
         if heads:
             grown.append((saturate(n, *rng.choice(heads)), 'saturate'))
     except (Stuck, BudgetExceeded):

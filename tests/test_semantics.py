@@ -55,8 +55,14 @@ def test_model_validation():
 def test_model_keeps_masks_and_derives_sets():
     m = KripkeModel(3, [(0, 1), (2, 0), (0, 1), (2, 2)],
                     {'p': [2, 0, 2], 'q': []})
-    assert (m.full_mask, m.succ_mask, m.pred_mask) == (
-        0b111, (0b010, 0, 0b101), (0b100, 0b001, 0b100))
+    assert (m.full_mask, m.nbr_masks) == (
+        0b111, {'F': (0b010, 0, 0b101), 'B': (0b100, 0b001, 0b100)})
+    for s in range(1 << 3):
+        assert m.image('F', s) == sum({1 << a for a, b in m.edges
+                                       if s >> b & 1})
+        assert m.image('B', s) == sum({1 << b for a, b in m.edges
+                                       if s >> a & 1})
+        assert m.same(s, s) and not m.same(s, s ^ 1)
     assert [m.valuation_mask(n) for n in 'pqr'] == [0b101, 0, 0]
     assert m.edges == {(0, 1), (2, 0), (2, 2)}
     assert m.valuation == {'p': frozenset({0, 2}), 'q': frozenset()}
@@ -282,20 +288,25 @@ def test_lanes_agree_with_int_masks_lane_by_lane():
         for batch in frame_batches(n, ('p', 'q')):
             assert batch.start == stop and len(batch) <= CHUNK
             stop += len(batch)
+            images = {(d, s): batch.image(d, np.full(len(batch), s, np.uint8))
+                      for d in 'FB' for s in range(1 << n)}
             shared, results = {}, []
             for f in forms:
                 got = eval_bits(f, batch)
                 assert got.dtype == np.uint8 and got.shape == (len(batch),)
                 assert np.array_equal(eval_bits(f, batch, None, shared), got)
+                assert batch.same(got, got.copy())
+                assert not batch.same(got, batch.full_mask & ~got)
                 results.append(got)
             for i in range(len(batch)):
                 frame, k = divmod(batch.start + i, 1 << 2 * n)
                 m = KripkeModel(n, _edges(n, _frame_reps(n)[frame]), {
                     'p': _states(n, k % (1 << n)), 'q': _states(n, k >> n)})
-                assert [int(s[i]) for s in batch.succ_mask] \
-                    == list(m.succ_mask)
-                assert [int(s[i]) for s in batch.pred_mask] \
-                    == list(m.pred_mask)
+                assert {d: [int(s[i]) for s in masks]
+                        for d, masks in batch.nbr_masks.items()} \
+                    == {d: list(masks) for d, masks in m.nbr_masks.items()}
+                for (d, s), image in images.items():
+                    assert int(image[i]) == m.image(d, s)
                 for f, got in zip(forms, results):
                     assert int(got[i]) == eval_bits(f, m)
                     compared += 1
