@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from . import MUTATIONS
-from .closure import fl_closure
+from .closure import coherent, fl_closure
 from .construct import (
     Budget, BudgetExceeded, Stuck, build, extract_model, finish_deferral,
     saturate,
@@ -510,7 +510,7 @@ def _brute_anticonfluent(nodes, edges):
 
 
 def _grow_network(rng, ctx, max_nodes):
-    atoms = ctx.atoms
+    atoms, sigma = ctx.atoms, ctx.sigma
     label = {0: rng.choice(atoms)}
     edges = set()
     for u in range(1, rng.randint(1, max_nodes)):
@@ -518,7 +518,7 @@ def _grow_network(rng, ctx, max_nodes):
             label[u] = rng.choice(atoms)
             continue
         parent = rng.randrange(u)
-        cands = [a for a in atoms if ctx.coherent(label[parent], a)]
+        cands = [a for a in atoms if coherent(label[parent], a, sigma)]
         if not cands:
             label[u] = rng.choice(atoms)
             continue
@@ -527,7 +527,7 @@ def _grow_network(rng, ctx, max_nodes):
     nodes = sorted(label)
     for i, j in product(nodes, repeat=2):
         if i < j and (i, j) not in edges and rng.random() < 0.08 \
-                and ctx.coherent(label[i], label[j]):
+                and coherent(label[i], label[j], sigma):
             edges.add((i, j))
     sat = {d: frozenset(u for u in nodes if rng.random() < 0.3)
            for d in ('F', 'B')}

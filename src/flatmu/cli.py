@@ -32,9 +32,8 @@ from .syntax import (
 
 
 class _CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+    """Usage or input trouble, reported as one error line per line of the
+    message, with exit code 1."""
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -367,7 +366,7 @@ def main(argv=None):
     except _CliError as exc:
         for line in str(exc).splitlines():
             print('flatmu: error: %s' % line, file=sys.stderr)
-        return exc.code
+        return 1
     except Stuck as exc:
         print('flatmu: stuck: %s' % exc, file=sys.stderr)
         return 2

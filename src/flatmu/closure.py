@@ -31,12 +31,6 @@ class ClosureSet:
     def __len__(self):
         return len(self.formulas)
 
-    def __contains__(self, f):
-        return f in self.index
-
-    def __iter__(self):
-        return iter(self.formulas)
-
     def index_of(self, f):
         return self.index[f]
 

@@ -126,12 +126,13 @@ def _saturate(draft, u, direction, ids, budget):
     draft.sat[direction].add(u)
 
 
-def saturate(n, u, direction, budget=None):
-    """Complete the witness families of u in direction ('F' or 'B')."""
+def saturate(n, u, direction):
+    """Complete the witness families of u in direction ('F' or 'B'),
+    with no node budget."""
     if u in n.sat[direction]:
         return n
     draft = Draft(n)
-    _saturate(draft, u, direction, _Ids(max(n.nodes) + 1), budget)
+    _saturate(draft, u, direction, _Ids(max(n.nodes) + 1), None)
     return draft.freeze()
 
 

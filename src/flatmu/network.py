@@ -68,9 +68,6 @@ class NetworkContext:
     def atoms(self):
         return tuple(enumerate_atoms(self.sigma))
 
-    def coherent(self, a: int, b: int) -> bool:
-        return coherent(a, b, self.sigma)
-
     def dia_members(self, bits: int, direction: str):
         """(dia index, child index) pairs of the direction's diamonds in bits."""
         return [(i, c) for i, c in self.sigma.dia_pairs[direction]
@@ -381,7 +378,7 @@ def validate(n: Network):
         if not is_anticonfluent(n):
             out.append('relation is not anticonfluent')
     for a, b in sorted(n.edges):
-        if not n.ctx.coherent(n.label[a], n.label[b]):
+        if not coherent(n.label[a], n.label[b], sigma):
             out.append('edge (%d, %d) is not coherent' % (a, b))
     for d, side in DIRECTIONS.items():
         out += ['node %d lacks %s families' % (u, side)
@@ -746,15 +743,13 @@ def network_to_json(n: Network):
     }
 
 
-def _file_problems(obj, need_closure):
+def _file_problems(obj):
     """What keeps obj from describing a network, closure size aside."""
     if not isinstance(obj, dict):
         return ['the file is not a JSON object']
-    keys = ['nodes', 'edges', 'satF', 'satP']
-    if need_closure:
-        keys.insert(0, 'closure')
+    keys = ['closure', 'nodes', 'edges', 'satF', 'satP']
     out = ['missing key %r' % k for k in keys if k not in obj]
-    if need_closure and 'closure' in obj:
+    if 'closure' in obj:
         closure = obj['closure']
         if not (isinstance(closure, dict)
                 and isinstance(closure.get('formula'), str)
@@ -798,16 +793,15 @@ def _file_problems(obj, need_closure):
     return out
 
 
-def network_from_json(obj, ctx: NetworkContext = None) -> Network:
-    """The network a JSON object describes. FileShapeError lists every
-    shape fault, checked before anything is built."""
-    problems = _file_problems(obj, ctx is None)
+def network_from_json(obj) -> Network:
+    """The network a JSON object describes, over the closure it names.
+    FileShapeError lists every shape fault, checked before anything is
+    built."""
+    problems = _file_problems(obj)
     if problems:
         raise FileShapeError(problems)
-    if ctx is None:
-        defs = connectives_from_json(obj['closure']['connectives'])
-        sigma = fl_closure(parse(obj['closure']['formula'], defs))
-        ctx = NetworkContext(sigma)
+    defs = connectives_from_json(obj['closure']['connectives'])
+    ctx = NetworkContext(fl_closure(parse(obj['closure']['formula'], defs)))
     size = len(ctx.sigma)
     label = {}
     for rec in obj['nodes']:

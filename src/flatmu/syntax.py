@@ -382,12 +382,9 @@ _TOKEN_RE = re.compile(r"""
     | (?P<bottom>_\|_)
     | (?P<iff><->)
     | (?P<implies>->)
-    | (?P<diaf><F>)
-    | (?P<diab><B>)
-    | (?P<boxf>\[F\])
-    | (?P<boxb>\[B\])
-    | (?P<nablaf>nablaF)
-    | (?P<nablab>nablaB)
+    | (?P<dia><[FB]>)
+    | (?P<box>\[[FB]\])
+    | (?P<nabla>nabla[FB])
     | (?P<sharp>\#[a-z0-9_]+)
     | (?P<ident>[a-z][a-z0-9_]*)
     | (?P<punct>[()|&~,{}])
@@ -413,6 +410,11 @@ def _tokenize(text: str):
     return tokens
 
 
+# binding power and constructor of each binary connective, loosest first;
+# -> nests to the right, the others to the left
+_BINARY = {'iff': (0, iff), 'implies': (1, implies), '|': (2, Or), '&': (3, and_)}
+
+
 class _Parser:
     def __init__(self, tokens, connectives):
         self.tokens = tokens
@@ -434,11 +436,15 @@ class _Parser:
                              % (tok[2], kind, tok[1] or 'end of input'))
         return tok
 
-    def formula(self) -> Formula:
-        f = self.implication()
-        while self.peek() == 'iff':
-            self.next()
-            f = iff(f, self.implication())
+    def formula(self, loosest=0) -> Formula:
+        """Binary connectives of binding power loosest or tighter."""
+        f = self.unary()
+        while self.peek() in _BINARY:
+            power, make = _BINARY[self.peek()]
+            if power < loosest:
+                break
+            right = power if self.next()[0] == 'implies' else power + 1
+            f = make(f, self.formula(right))
         return f
 
     def formulas(self, close) -> list:
@@ -452,44 +458,14 @@ class _Parser:
         self.expect(close)
         return out
 
-    def implication(self) -> Formula:
-        f = self.disjunction()
-        if self.peek() == 'implies':
-            self.next()
-            return implies(f, self.implication())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == '|':
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek() == '&':
-            self.next()
-            f = and_(f, self.unary())
-        return f
-
     def unary(self) -> Formula:
         kind = self.peek()
         if kind == '~':
             self.next()
             return Neg(self.unary())
-        if kind == 'diaf':
-            self.next()
-            return Dia('F', self.unary())
-        if kind == 'diab':
-            self.next()
-            return Dia('B', self.unary())
-        if kind == 'boxf':
-            self.next()
-            return box('F', self.unary())
-        if kind == 'boxb':
-            self.next()
-            return box('B', self.unary())
+        if kind in ('dia', 'box'):
+            direction = self.next()[1][1]  # <F>, [B]: the second character
+            return (Dia if kind == 'dia' else box)(direction, self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
@@ -502,10 +478,9 @@ class _Parser:
             f = self.formula()
             self.expect(')')
             return f
-        if kind in ('nablaf', 'nablab'):
-            direction = 'F' if kind == 'nablaf' else 'B'
+        if kind == 'nabla':
             self.expect('{')
-            return nabla(direction, self.formulas('}'))
+            return nabla(value[-1], self.formulas('}'))
         if kind == 'sharp':
             name = value[1:]
             conn = self.connectives.get(name)
@@ -538,7 +513,8 @@ def parse(text: str, connectives=None) -> Formula:
 # box are printed whenever the tree matches their expansions, so printed
 # text reparses to the identical tree.
 
-_LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 1, 2, 3
+_LEVEL_OR, _LEVEL_AND = _BINARY['|'][0], _BINARY['&'][0]
+_LEVEL_UNARY = _LEVEL_AND + 1
 
 
 def to_string(f: Formula) -> str:

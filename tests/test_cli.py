@@ -56,6 +56,11 @@ def test_deep_nesting_is_a_one_line_error(capsys, argv):
     assert 'Traceback' not in err
 
 
+def test_two_hundred_nested_parentheses_parse(capsys):
+    code, out, _ = run(capsys, 'parse', '(' * 200 + 'p' + ')' * 200)
+    assert code == 0 and out == 'p\n'
+
+
 def _nested_nabla(depth):
     return 'nablaF{' * depth + 'p' + '}' * depth
 

@@ -79,15 +79,15 @@ def test_closure_of_plain_variable():
 def test_closure_of_sharp_contains_both_unfoldings():
     focus = Sharp(CHI1, (Var('q'),))
     sigma = fl_closure(focus)
-    assert Or(box('F', focus), Var('q')) in sigma
-    assert Or(box('F', Bottom()), Var('q')) in sigma
+    assert Or(box('F', focus), Var('q')) in sigma.index
+    assert Or(box('F', Bottom()), Var('q')) in sigma.index
     assert len(sigma) == 16
 
 
 def test_closure_idempotent():
     for f in CORPUS:
         sigma = fl_closure(f)
-        for g in sigma:
+        for g in sigma.formulas:
             assert set(fl_closure(g).formulas) <= set(sigma.formulas)
 
 
@@ -365,7 +365,7 @@ def test_deferral_table_of_box_or_body():
     }
     for d in table.deferrals:
         assert d.host == focus
-        assert d.instantiation in sigma
+        assert d.instantiation in sigma.index
         assert d.index == sigma.index_of(d.instantiation)
         assert d.direction == 'F'
         assert d.dnode is not None
@@ -414,7 +414,7 @@ def test_deferral_table_non_disjunctive_fallback():
         Neg(Dia('F', x)), Dia('F', x), x, Neg(Dia('B', x)), Dia('B', x),
     ]
     for did in range(len(table)):
-        assert table.deferrals[did].instantiation in sigma
+        assert table.deferrals[did].instantiation in sigma.index
 
 
 def test_deferral_instantiations_use_host_arguments():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatmu import construct, network
 from flatmu.acceptance import _grow_network, child_env
-from flatmu.closure import atom_formulas, fl_closure
+from flatmu.closure import atom_formulas, coherent, fl_closure
 from flatmu.network import (
     Draft, Network, NetworkContext, compute_timeouts, cones, find_defects,
     is_anticonfluent, is_subnetwork, network_from_json, network_to_json,
@@ -106,7 +106,7 @@ def test_saturate_tops_up_reused_groups_to_multiplicity():
     assert CTX_CHI1.table.multiplicity == 3
     u = atom_with(CTX_CHI1, [FOCUS1, Dia('F', Neg(BOT))],
                   no=[Dia('F', Neg(FOCUS1))])
-    kid = next(b for b in CTX_CHI1.atoms if CTX_CHI1.coherent(u, b))
+    kid = next(b for b in CTX_CHI1.atoms if coherent(u, b, CTX_CHI1.sigma))
     n = mk(CTX_CHI1, {0: u, 1: kid}, [(0, 1)])
     out = saturate(n, 0, 'F')
     assert out.nodes == (0, 1, 2, 3)
@@ -126,7 +126,7 @@ def test_saturate_backward_mirrors():
     assert out.nodes == (0, 1)
     assert out.edges == {(1, 0)}
     assert out.sat['B'] == {0}
-    assert CTX_P.coherent(out.label[1], A_SNK)
+    assert coherent(out.label[1], A_SNK, CTX_P.sigma)
 
 
 def test_saturate_forward_links_to_an_existing_witness():

@@ -1,10 +1,12 @@
-"""Every definition and module-level name in the package is used by the
-package itself.
+"""Every definition, module-level name and parameter default in the
+package is used by the package itself.
 
 A function, class or method that no code under src/ names is dead weight
 that only tests keep alive, and so is a module-level name that no code
 under src/ reads. Dunders are called or read by Python, and
-_ArgParser.error by argparse, so they are exempt.
+_ArgParser.error by argparse, so they are exempt. A parameter default
+that no call under src/ overrides is a knob nobody turns; cli.main's
+argv is set by the console script and by tests, so it is exempt.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / 'src' / 'flatmu'
 CALLED_FROM_OUTSIDE = {('cli.py', '_ArgParser', 'error')}
+SET_FROM_OUTSIDE = {('cli.py', 'main', 'argv')}
 
 
 def _trees():
@@ -63,6 +66,58 @@ def _module_assignments_and_reads():
     return assigned, read
 
 
+def _signature(owner, node):
+    """(callee name, parameter names a call can pass) of a definition:
+    a method drops self or cls, and __init__ is called by its class."""
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    if not isinstance(owner, ast.ClassDef):
+        return node.name, params
+    static = any(getattr(d, 'id', None) == 'staticmethod'
+                 for d in node.decorator_list)
+    params = params if static else params[1:]
+    return (owner.name if node.name == '__init__' else node.name), params
+
+
+def _defaults_and_overrides():
+    """(file, callee, parameter) of every parameter default, and the
+    (callee, parameter) pairs that some call under src/ sets.
+
+    Calls match definitions by name. A parameter counts as set when a
+    call passes it by keyword or by position, or passes a *args or
+    **kwargs that could reach it.
+    """
+    trees = _trees()
+    defaults, signatures = [], {}
+    for name, tree in trees:
+        for owner in ast.walk(tree):
+            for node in ast.iter_child_nodes(owner):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    callee, params = _signature(owner, node)
+                    signatures.setdefault(callee, []).append(params)
+                    args = node.args
+                    given = params[len(params) - len(args.defaults):] + [
+                        a.arg for a, d in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+                        if d is not None]
+                    defaults += [(name, callee, p) for p in given]
+    overridden = set()
+    for _, tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, 'id', None) or \
+                getattr(call.func, 'attr', None)
+            for params in signatures.get(callee, ()):
+                for i, arg in enumerate(call.args):
+                    reached = params[i:] if isinstance(arg, ast.Starred) \
+                        else params[i:i + 1]
+                    overridden.update((callee, p) for p in reached)
+                for kw in call.keywords:
+                    reached = params if kw.arg is None else [kw.arg]
+                    overridden.update((callee, p) for p in reached)
+    return defaults, overridden
+
+
 def test_every_definition_is_named_somewhere_in_src():
     defined, named = _definitions_and_names()
     unused = [d for d in defined
@@ -75,3 +130,10 @@ def test_every_module_level_name_is_read_somewhere_in_src():
     assigned, read = _module_assignments_and_reads()
     unread = [a for a in assigned if a[1] not in read and not _is_dunder(a[1])]
     assert unread == []
+
+
+def test_every_parameter_default_is_overridden_somewhere_in_src():
+    defaults, overridden = _defaults_and_overrides()
+    unturned = [d for d in defaults if d[1:] not in overridden
+                and d not in SET_FROM_OUTSIDE]
+    assert unturned == []

@@ -46,13 +46,33 @@ def test_parse_sugar():
     assert parse('p <-> q') == iff(Var('p'), Var('q'))
 
 
-def test_parse_precedence_and_associativity():
-    assert parse('p | q | r') == Or(Or(Var('p'), Var('q')), Var('r'))
-    assert parse('p & q | r') == Or(and_(Var('p'), Var('q')), Var('r'))
-    assert parse('~p | q') == Or(Neg(Var('p')), Var('q'))
-    # implication nests to the right
-    assert parse('p -> q -> r') == implies(Var('p'), implies(Var('q'), Var('r')))
-    assert parse('<F>p & q') == and_(Dia('F', Var('p')), Var('q'))
+P, Q, R = Var('p'), Var('q'), Var('r')
+
+
+# ~ and the modalities bind tightest, then &, |, -> and <->; implication
+# nests to the right, the others to the left
+@pytest.mark.parametrize('text, tree', [
+    ('~p | q', Or(Neg(P), Q)),
+    ('<F>p & q', and_(Dia('F', P), Q)),
+    ('p <-> q <-> r', iff(iff(P, Q), R)),
+    ('p <-> q -> r', iff(P, implies(Q, R))),
+    ('p <-> q | r', iff(P, Or(Q, R))),
+    ('p <-> q & r', iff(P, and_(Q, R))),
+    ('p -> q <-> r', iff(implies(P, Q), R)),
+    ('p -> q -> r', implies(P, implies(Q, R))),
+    ('p -> q | r', implies(P, Or(Q, R))),
+    ('p -> q & r', implies(P, and_(Q, R))),
+    ('p | q <-> r', iff(Or(P, Q), R)),
+    ('p | q -> r', implies(Or(P, Q), R)),
+    ('p | q | r', Or(Or(P, Q), R)),
+    ('p | q & r', Or(P, and_(Q, R))),
+    ('p & q <-> r', iff(and_(P, Q), R)),
+    ('p & q -> r', implies(and_(P, Q), R)),
+    ('p & q | r', Or(and_(P, Q), R)),
+    ('p & q & r', and_(and_(P, Q), R)),
+])
+def test_parse_precedence_and_associativity(text, tree):
+    assert parse(text) == tree
 
 
 def test_parse_nabla_expansion():
