@@ -8,8 +8,8 @@ joint valuation: the brute-force search and the selftest sweeps
 evaluate a chunk of CHUNK lanes per numpy pass. The carrier answers <d>
 (image) and whether two truth sets are equal (same). Fixpoint
 connectives are evaluated by Kleene iteration from the empty set, which
-converges within |W| rounds by positivity of the body. numpy is
-imported only when lanes arrive.
+converges within |W| rounds by positivity of the body; each round runs
+the connective's plan. numpy is imported only when lanes arrive.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .syntax import (
-    Bottom, Dia, FileShapeError, Neg, Or, Sharp, Var, box, free_vars,
-    implies, iff, is_int, subformulas,
+    CONVERSE, Bottom, Dia, FileShapeError, Neg, Or, Sharp, Var, box,
+    free_vars, implies, iff, is_int, subformulas,
 )
 
 
@@ -67,10 +67,11 @@ class KripkeModel:
 
     def image(self, direction, arg):
         """<d>: the states with a d-neighbour in arg."""
-        masks, out = self.nbr_masks[direction], 0
-        for w in range(self.states):
-            if masks[w] & arg:
-                out |= 1 << w
+        masks, out = self.nbr_masks[CONVERSE[direction]], 0
+        while arg:
+            low = arg & -arg
+            out |= masks[low.bit_length() - 1]
+            arg ^= low
         return out
 
     same = staticmethod(operator.eq)
@@ -145,8 +146,8 @@ def eval_bits(formula, model, env=None, _memo=None):
     model is a KripkeModel (int masks) or a FrameBatch (numpy uint8
     lanes); env values and the result are in the model's carrier. _memo
     maps formulas to results for this one model and env: share it across
-    formulas, never across models or envs. Each fixpoint iteration runs
-    its body under a fresh env and so a fresh memo.
+    formulas, never across models or envs. A connective's body runs as
+    its plan, over slots, and never reads or fills the memo.
     """
     env = env or {}
     memo = {} if _memo is None else _memo
@@ -169,15 +170,23 @@ def eval_bits(formula, model, env=None, _memo=None):
         out = model.image(formula.direction,
                           eval_bits(formula.child, model, env, memo))
     elif isinstance(formula, Sharp):
-        inner = {'q%d' % (k + 1): eval_bits(a, model, env, memo)
-                 for k, a in enumerate(formula.args)}
-        out = model.zero
+        body, steps = formula.connective.plan
+        slots = [model.zero, *(eval_bits(a, model, env, memo)
+                               for a in formula.args), model.zero]
+        fixed, out = len(slots), model.zero
         for _ in range(model.states + 1):
-            inner['x'] = out
-            nxt = eval_bits(formula.connective.body, model, inner, {})
-            if model.same(nxt, out):
+            slots[0] = out
+            del slots[fixed:]
+            for op, a, b in steps:
+                if op == 'or':
+                    slots.append(slots[a] | slots[b])
+                elif op == 'dia':
+                    slots.append(model.image(a, slots[b]))
+                else:
+                    slots.append(model.full_mask & ~slots[a])
+            if model.same(slots[body], out):
                 break
-            out = nxt
+            out = slots[body]
         else:
             raise AssertionError('fixpoint iteration failed to converge')
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 
 
@@ -22,10 +22,17 @@ def _hash_once(cls):
 
     The stored value is the generated dataclass hash, hash of the field
     tuple, so dicts and sets of formulas iterate in the same order as
-    without the cache. Equality stays structural. String hashes are
-    seeded per process, so the stored value stays out of pickled and
-    copied state.
+    without the cache. Equality stays structural. A node stores it when
+    built, from its children's, so no hash recurses. String hashes are
+    seeded per process, so copies and pickles leave it out and hash anew.
     """
+    check = cls.__dict__.get('__post_init__', lambda self: None)
+
+    def __post_init__(self):
+        check(self)
+        object.__setattr__(self, '_hash', self._field_hash())
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     cls._field_hash = cls.__hash__
     cls.__hash__ = _stored_hash
@@ -302,6 +309,30 @@ class FixpointConnective:
         if not is_positive_in(body, 'x'):
             raise ValueError(
                 'connective %r: body is not positive in x' % self.name)
+
+    @cached_property
+    def plan(self):
+        """The body as straight-line code: (its slot, steps). Slot 0 holds
+        x, slot i qi and slot arity + 1 _|_; each step (op, a, b) fills the
+        next slot from earlier ones, one per further distinct subformula in
+        post-order: ('neg', child, 0), ('or', left, right) or ('dia',
+        direction, child)."""
+        slot = {Var('q%d' % i if i else 'x'): i for i in range(self.arity + 1)}
+        slot[Bottom()] = len(slot)
+        steps = []
+
+        def visit(f):
+            if f not in slot:
+                if isinstance(f, Or):
+                    steps.append(('or', visit(f.left), visit(f.right)))
+                elif isinstance(f, Dia):
+                    steps.append(('dia', f.direction, visit(f.child)))
+                else:
+                    steps.append(('neg', visit(f.child), 0))
+                slot[f] = len(slot)
+            return slot[f]
+
+        return visit(self.body), tuple(steps)
 
     def instantiate(self, x_value: Formula, args) -> Formula:
         """body[x := x_value, q_i := args[i]]."""

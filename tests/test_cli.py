@@ -46,14 +46,22 @@ def test_parse_rejects_garbage_with_exit_1(capsys):
 @pytest.mark.parametrize('argv', [
     ('parse', '~' * 3000 + 'p'),
     ('parse', '(' * 1200 + 'p' + ')' * 1200),
-    ('closure', '~' * 600 + 'p'),
+    ('closure', '~' * 1200 + 'p'),
 ], ids=['parse-3000-negations', 'parse-1200-parentheses',
-        'closure-600-negations'])
+        'closure-1200-negations'])
 def test_deep_nesting_is_a_one_line_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert len(err.splitlines()) == 1 and 'nested too deeply' in err
     assert 'Traceback' not in err
+
+
+def test_the_closure_of_six_hundred_negations_is_listed(capsys):
+    # no formula's first hash recurses, so closure nests as deep as parse
+    code, out, _ = run(capsys, 'closure', '~' * 600 + 'p')
+    assert code == 0
+    assert [m for m in out.splitlines() if m.endswith('p')] == [
+        '~' * k + 'p' for k in range(600, -1, -1)]
 
 
 def test_two_hundred_nested_parentheses_parse(capsys):
@@ -74,6 +82,15 @@ def test_a_deep_nabla_is_refused_in_seconds(command):
     assert got.returncode == 1 and got.stdout == ''
     assert len(got.stderr.splitlines()) == 1
     assert got.stderr.startswith('flatmu: error: ')
+
+
+def test_the_closure_of_a_deep_nabla_meets_the_print_limit():
+    got = subprocess.run(
+        [sys.executable, '-m', 'flatmu', 'closure', _nested_nabla(101)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (got.returncode, got.stdout, got.stderr) == (
+        1, '', 'flatmu: error: output would print more than 1000000 '
+        'formula nodes\n')
 
 
 @pytest.mark.parametrize('command, length, digest', [
@@ -593,6 +610,27 @@ def test_module_entry_point_runs():
     got = subprocess.run([sys.executable, '-m', 'flatmu', 'parse', 'p'],
                          capture_output=True, env=child_env())
     assert got.returncode == 0 and got.stdout == b'p\n'
+
+
+def test_building_and_model_checking_leave_numpy_unloaded():
+    probe = '\n'.join([
+        'import sys',
+        'from flatmu import acceptance, construct, network, semantics',
+        'from flatmu.closure import fl_closure',
+        'from flatmu.syntax import FixpointConnective, Sharp, Var, parse',
+        "chi = FixpointConnective('r', 1, parse('q | <F>x', {}))",
+        "f = Sharp(chi, (Var('p'),))",
+        'ctx = network.NetworkContext(fl_closure(f))',
+        'seed = next(a for a in ctx.atoms_by_duty',
+        '            if a >> ctx.sigma.index_of(f) & 1)',
+        "assert construct.build(ctx, seed).verdict == 'perfect'",
+        "m = semantics.KripkeModel(2, [(0, 1)], {'p': [1]})",
+        'assert semantics.eval_bits(f, m) == 0b11',
+        "print('numpy' in sys.modules)"])
+    got = subprocess.run([sys.executable, '-c', probe], capture_output=True,
+                         text=True, env=child_env())
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == 'False\n'
 
 
 def test_importing_the_cli_leaves_numpy_and_the_selftest_unloaded():

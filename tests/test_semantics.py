@@ -166,6 +166,109 @@ def test_kleene_matches_prefixpoint_intersection():
                 chi, (Var('p'),), m)
 
 
+def _kleene_walk(chi, args, model):
+    """The fixpoint by Kleene rounds, each a recursive walk of the body
+    under an env binding x and the parameters."""
+    env = {'q%d' % (k + 1): eval_bits(a, model) for k, a in enumerate(args)}
+    env['x'] = out = model.zero
+    while True:
+        nxt = eval_bits(chi.body, model, env)
+        if model.same(nxt, out):
+            return out
+        env['x'] = out = nxt
+
+
+def _bodies():
+    """(arity, body) pairs: arity 0 to 2, a body over x and q1..q_arity
+    built from _|_, letters, negated parameters, disjunction, conjunction,
+    diamonds, boxes and nablas, so positive in x."""
+    def over(arity):
+        qs = [Var('q%d' % (i + 1)) for i in range(arity)]
+        leaves = st.sampled_from([Var('x'), Bottom(), *qs, *map(Neg, qs)])
+        side = st.sampled_from('FB')
+
+        def extend(children):
+            return st.one_of(
+                st.tuples(children, children).map(lambda t: Or(*t)),
+                st.tuples(children, children).map(lambda t: and_(*t)),
+                st.tuples(side, children).map(lambda t: Dia(*t)),
+                st.tuples(side, children).map(lambda t: box(*t)),
+                st.tuples(side, st.lists(children, max_size=2)).map(
+                    lambda t: nabla(*t)),
+            )
+
+        return st.tuples(st.just(arity),
+                         st.recursive(leaves, extend, max_leaves=6))
+
+    return st.integers(0, 2).flatmap(over)
+
+
+_ARGS = [Var('p'), Var('q'), Neg(Var('p')), Dia('B', Var('q')), Bottom()]
+
+
+@given(_bodies(), st.lists(st.sampled_from(_ARGS), min_size=2, max_size=2),
+       st.integers(1, 4), st.integers(0, 2 ** 32), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_a_compiled_body_computes_what_the_body_walk_does(
+        arity_body, args, states, seed, lane_states):
+    arity, body = arity_body
+    chi = FixpointConnective('c', arity, body)
+    args = tuple(args[:arity])
+    f = Sharp(chi, args)
+    rng = random.Random(seed)
+    for m in [random_model(rng, states) for _ in range(3)]:
+        got = eval_bits(f, m)
+        assert got == eval_fixpoint_by_intersection(chi, args, m)
+        assert got == _kleene_walk(chi, args, m)
+    for batch in frame_batches(lane_states, ('p', 'q')):
+        got = eval_bits(f, batch)
+        assert np.array_equal(got, _kleene_walk(chi, args, batch))
+        for i in rng.sample(range(len(batch)), 3):
+            m = batch.model(i)
+            assert int(got[i]) == eval_fixpoint_by_intersection(chi, args, m)
+
+
+def test_a_connective_compiles_its_plan_once_on_first_evaluation():
+    chi = FixpointConnective('c', 1, parse('q | <F>x', {}))
+    assert 'plan' not in vars(chi)
+    m = KripkeModel(3, [(0, 1), (1, 2)], {'p': [2]})
+    assert eval_bits(Sharp(chi, (Var('p'),)), m) == 0b111
+    plan = vars(chi)['plan']
+    # slots: x, q1, _|_, <F>x, q1 | <F>x
+    assert plan == (4, (('dia', 'F', 0), ('or', 1, 3)))
+    assert eval_bits(Sharp(chi, (Var('q'),)), m) == 0
+    batch = next(frame_batches(2, ('p',)))
+    assert np.array_equal(eval_bits(Sharp(chi, (Var('p'),)), batch),
+                          _kleene_walk(chi, (Var('p'),), batch))
+    assert vars(chi)['plan'] is plan and chi.plan is plan
+
+
+def test_a_plan_gives_each_distinct_subformula_one_slot():
+    chi = FixpointConnective('c', 2, parse('(q1 | x) & <B>(q1 | x) | _|_', {}))
+    # slots 0-3 are x, q1, q2 and _|_; q1 | x fills slot 4 once, and the
+    # conjunction is ~(~a | ~b)
+    assert chi.plan == (10, (
+        ('or', 1, 0), ('neg', 4, 0), ('dia', 'B', 4), ('neg', 6, 0),
+        ('or', 5, 7), ('neg', 8, 0), ('or', 9, 3)))
+
+
+def test_a_stage_chain_under_one_memo_matches_fresh_memos():
+    # row 4's shape: stage k is built on stage k - 1, so a shared memo
+    # meets each earlier stage as a subformula of the next
+    rng = random.Random(17)
+    models = [random_model(rng, n) for n in (1, 2, 3, 5) for _ in range(4)]
+    for chi in (REACH, CHI1, CHI2, REACH_B):
+        theta = parse('p & <B>q', {})
+        forms = [Sharp(chi, (theta,)), approximant(chi, 0, (theta,))]
+        while len(forms) < 8:
+            forms.append(chi.instantiate(forms[-1], (theta,)))
+        for m in models + list(frame_batches(3, ('p', 'q')))[:2]:
+            memo = {}
+            for form in forms:
+                assert np.array_equal(eval_bits(form, m, None, memo),
+                                      eval_bits(form, m))
+
+
 def test_axiom_instances_are_valid():
     pool = [parse('p', {}), parse('q', {}), parse('<F>p', {}),
             Sharp(REACH, (Var('p'),))]

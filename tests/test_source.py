@@ -1,5 +1,6 @@
 """Every definition, module-level name and parameter default in the
-package is used by the package itself.
+package is used by the package itself, and numpy is imported only
+inside functions.
 
 A function, class or method that no code under src/ names is dead weight
 that only tests keep alive, and so is a module-level name that no code
@@ -137,3 +138,26 @@ def test_every_parameter_default_is_overridden_somewhere_in_src():
     unturned = [d for d in defaults if d[1:] not in overridden
                 and d not in SET_FROM_OUTSIDE]
     assert unturned == []
+
+
+def _run_on_import(tree):
+    """The nodes of a module that run when it is imported: everything
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # the builder and scalar model checking never load it (see test_cli)
+    found = [(name, node.lineno) for name, tree in _trees()
+             for node in _run_on_import(tree)
+             if isinstance(node, ast.Import)
+             and any(a.name.split('.')[0] == 'numpy' for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or '').split('.')[0] == 'numpy']
+    assert found == []

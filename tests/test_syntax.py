@@ -234,6 +234,14 @@ def test_hash_is_the_field_tuple_hash_and_equality_is_structural(f):
         assert twin is not f and twin == f and hash(twin) == hash(f)
 
 
+def test_a_deep_formula_built_in_process_hashes_without_recursion():
+    f = Var('p')
+    for _ in range(100_000):
+        f = Neg(f)
+    assert hash(f) == hash(_field_tuple(f))
+    assert '_hash' in vars(f) and '_hash' in vars(Var('p'))
+
+
 # ---------------------------------------------------------------------------
 # disjunctive classification
 
