@@ -337,14 +337,14 @@ def _component_done(n, w, comp):
     return cid is None or _finished(n, w, cid)
 
 
-def _finish_component(n, w, comp, budget, ids, memo):
+def _finish_component(n, w, comp, budget, ids, memo, seen):
     inst, cid = comp
     if not n.label[w] >> inst & 1:
         raise Stuck('%s is absent at node %d'
                     % (to_string(n.ctx.sigma.formulas[inst]), w))
     if cid is None:
         return n
-    return _finish(n, w, cid, budget, ids, memo, frozenset())
+    return _finish(n, w, cid, budget, ids, memo, seen)
 
 
 def _fold(n, u, exts, direction):
@@ -357,7 +357,7 @@ def _fold(n, u, exts, direction):
         raise Stuck('below node %d: %s' % (u, e)) from None
 
 
-def _first_finish(tries, budget, ids, memo):
+def _first_finish(tries, budget, ids, memo, seen):
     """The first of the (network, node, component) tries whose component
     is in the node's label and finishes there, as (node, extension); None
     when none does. A try that gets stuck hands its ids back."""
@@ -366,7 +366,7 @@ def _first_finish(tries, budget, ids, memo):
             continue
         start = ids.next
         try:
-            return w, _finish_component(n, w, comp, budget, ids, memo)
+            return w, _finish_component(n, w, comp, budget, ids, memo, seen)
         except Stuck:
             ids.next = start
     return None
@@ -390,13 +390,14 @@ def _finish(n, u, did, budget, ids, memo, seen):
         # the 0-step escape was the finished check above
         return _finish(n, u, dfl.body, budget, ids, memo, seen)
     if isinstance(node, DOr):
-        hit = _first_finish(((n, u, c) for c in comps), budget, ids, memo)
+        hit = _first_finish(((n, u, c) for c in comps), budget, ids, memo,
+                            seen)
         if hit is None:
             raise Stuck('no disjunct of %s resolves at node %d'
                         % (table.describe(did), u))
         return hit[1]
     if isinstance(node, DAnd):
-        return _finish_component(n, u, comps[0], budget, ids, memo)
+        return _finish_component(n, u, comps[0], budget, ids, memo, seen)
     if not isinstance(node, DNabla):
         raise InvariantError('unexpected grammar position %r' % (node,))
     direction = dfl.direction
@@ -419,13 +420,14 @@ def _finish(n, u, did, budget, ids, memo, seen):
         for w in nbrs:
             if _component_done(n, w, comps[0]):
                 continue
-            exts[w] = _finish_component(n, w, comps[0], budget, ids, memo)
+            exts[w] = _finish_component(n, w, comps[0], budget, ids, memo,
+                                        frozenset())
         return _fold(n, u, exts, direction)
     if node.kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):
             return n
         hit = _first_finish(((n, w, comps[0]) for w in nbrs), budget, ids,
-                            memo)
+                            memo, frozenset())
         if hit is None:
             raise Stuck('no neighbour of %d can finish %s'
                         % (u, table.describe(did)))
@@ -441,7 +443,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
         if any(_component_done(net_at(w), w, comp) for w in nbrs):
             continue
         hit = _first_finish(((net_at(w), w, comp) for w in nbrs), budget,
-                            ids, memo)
+                            ids, memo, frozenset())
         if hit is None:
             raise Stuck('component %s of %s has no home below node %d'
                         % (to_string(part.src), table.describe(did), u))
@@ -451,7 +453,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
         if any(_component_done(net_at(w), w, c) for c in comps):
             continue
         hit = _first_finish(((net_at(w), w, c) for c in comps), budget, ids,
-                            memo)
+                            memo, frozenset())
         if hit is None:
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))

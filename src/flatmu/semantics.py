@@ -327,11 +327,11 @@ def _frame_tables(n: int):
     return tables
 
 
-# Lanes per numpy pass: a batch holds one byte per lane for each live
-# subformula, and numpy's per-call overhead is spread over this many
-# lanes. Row 4's frame half on 2 vCPUs took 0.72 s at 1,024 lanes, 0.45 s
-# at 2,048 and 0.32 s at 4,096, with the same 31.2 MB peak.
-CHUNK = 2048
+# Lanes per numpy pass: a batch holds a byte per lane for each live
+# subformula, and numpy's per-call cost is spread over them. Row 4's frame
+# half on 2 vCPUs: 0.58 s, 30.1 MB peak at 2,048 lanes; 0.44 s, 30.1 MB at
+# 4,096; 0.24 s, 30.7 MB at 8,192; 0.28 s, 31.9 MB at 16,384.
+CHUNK = 8192
 _CHUNK_BITS = CHUNK.bit_length() - 1
 
 
@@ -388,7 +388,7 @@ class FrameBatch:
 
     def image(self, direction, arg):
         """<d> on every lane: the states with a d-neighbour in arg."""
-        return self._images[direction][self._base + arg]
+        return self._images[direction].take(self._base + arg)
 
     @staticmethod
     def same(a, b):

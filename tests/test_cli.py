@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from flatmu.acceptance import child_env
 from flatmu.cli import main
 from flatmu.closure import fl_closure
-from flatmu.network import NetworkContext
-from flatmu.semantics import MAX_STATES, KripkeModel
+from flatmu.construct import extract_model
+from flatmu.network import NetworkContext, network_from_json, validate
+from flatmu.semantics import MAX_STATES, KripkeModel, eval_bits
 from flatmu.syntax import connectives_from_json, parse
 
 DEFS = [{'name': 'r', 'arity': 1, 'body': 'q | <F>x'}]
@@ -556,6 +557,28 @@ def test_build_stuck_atom_is_reported_not_hidden(capsys, tmp_path):
     assert code == 2
     rep = json.loads(out)['report']
     assert rep['verdict'] == 'stuck' and 'disjunctive' in rep['detail']
+
+
+def test_build_over_an_unguarded_connective_ends_in_verdicts(tmp_path):
+    # x | q1 puts x outside every modality, so finishing the deferral
+    # meets itself at the same node
+    defs = [{'name': 'u', 'arity': 1, 'body': 'x | q1'}]
+    p = tmp_path / 'defs.json'
+    p.write_text(json.dumps(defs))
+    got = subprocess.run(
+        [sys.executable, '-m', 'flatmu', 'build', '#u(p)', '--defs', str(p),
+         '--all'], capture_output=True, text=True, env=child_env(),
+        timeout=60)
+    assert (got.returncode, got.stderr) == (0, '')
+    runs = json.loads(got.stdout)['runs']
+    verdicts = [r['report']['verdict'] for r in runs]
+    assert verdicts.count('perfect') == 4 and verdicts.count('stuck') == 4
+    f = parse('#u(p)', connectives_from_json(defs))
+    for r in runs:
+        if r['report']['verdict'] == 'perfect':
+            n = network_from_json(r['report']['network'])
+            assert validate(n) == []
+            assert eval_bits(f, extract_model(n)) & 1
 
 
 def test_build_rejects_a_non_atom_seed(capsys, defs_path):

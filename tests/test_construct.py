@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatmu import construct, network
-from flatmu.acceptance import _grow_network, child_env
+from flatmu.acceptance import _disjunctive_corpus, _grow_network, child_env
 from flatmu.closure import atom_formulas, coherent, fl_closure
 from flatmu.network import (
     Draft, Network, NetworkContext, compute_timeouts, cones, find_defects,
@@ -22,7 +22,8 @@ from flatmu.construct import (
 )
 from flatmu.semantics import eval_bits
 from flatmu.syntax import (
-    Bottom, Dia, FixpointConnective, Neg, Sharp, Var, box, parse, to_string,
+    Bottom, Dia, FixpointConnective, Neg, Sharp, Var, box, is_guarded, parse,
+    to_string,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -730,6 +731,26 @@ def test_build_reports_stuck_on_a_tangled_connective():
     assert report.verdict == 'stuck'
     assert 'disjunctive' in report.detail
     assert report.radius == -1  # the failing round is rolled back whole
+
+
+def test_unguarded_bodies_build_to_a_verdict():
+    # an x outside every modality unfolds at its own node: finishing it
+    # must meet its own deferral again and get stuck, not recurse forever
+    bodies = [chi for chi in _disjunctive_corpus() if not is_guarded(chi)]
+    assert len(bodies) == 22
+    verdicts = []
+    for chi in bodies:
+        f = Sharp(chi, (P,))
+        ctx = ctx_for(f)
+        fi = ctx.sigma.index_of(f)
+        for seed in [a for a in ctx.atoms_by_duty if a >> fi & 1][:2]:
+            report = build(ctx, seed)
+            verdicts.append(report.verdict)
+            if report.verdict == 'perfect':
+                assert not validate(report.network)
+                assert eval_bits(f, extract_model(report.network)) & 1
+    assert len(verdicts) == 44 and 'perfect' in verdicts
+    assert set(verdicts) <= {'perfect', 'radius', 'stuck'}
 
 
 def test_build_reports_radius_when_nodes_run_out():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
-    CHUNK, FrameBatch, KripkeModel, _frame_reps, approximant, axiom_instances,
-    brute_force_sat, eval_bits, eval_fixpoint_by_intersection,
+    CHUNK, _CHUNK_BITS, FrameBatch, KripkeModel, _frame_reps, approximant,
+    axiom_instances, brute_force_sat, eval_bits, eval_fixpoint_by_intersection,
     eval_nabla_via_relation, frame_batches,
 )
 from flatmu.syntax import (
@@ -430,7 +430,7 @@ def test_a_third_chunk_lane_decodes_as_the_per_frame_walk_names_it():
             break
         before += 256
     lane = third.start + i - before
-    assert (fi, lane) == (20, 210)
+    assert (fi, lane) == (68, 210)
     assert third.locate(i) == (fi, lane) and third.index(fi, lane) == i
     m = third.model(i)
     assert m.edges == set(_edges(4, mask))
@@ -438,6 +438,20 @@ def test_a_third_chunk_lane_decodes_as_the_per_frame_walk_names_it():
                            'q': _states(4, lane // 16)}
     f = Sharp(REACH, (parse('<B>p & ~q', {}),))
     assert int(eval_bits(f, third)[i]) == eval_bits(f, m)
+
+
+def test_lane_offsets_fit_their_uint16_arrays():
+    # _CHUNK_BITS reads CHUNK as a power of two, and the in-chunk offsets
+    # are uint16; at four states a lane's image-table row plus its
+    # largest state set is a uint16 index too
+    assert CHUNK == 1 << _CHUNK_BITS <= 1 << 16
+    top = (len(_frame_reps(4)) - 1 << 4) + 15
+    assert top < 1 << 16
+    *_, batch = frame_batches(4, ('p', 'q'))
+    assert batch._base.dtype == np.uint16
+    assert int(batch._base[-1]) + batch.full_mask == top
+    full = np.full(len(batch), batch.full_mask, np.uint8)
+    assert int(batch.image('F', full)[-1]) == 15
 
 
 def test_lanes_past_32_bits_decode_from_python_ints():
