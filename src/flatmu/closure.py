@@ -242,9 +242,8 @@ class Deferral:
     """
     host: object          # the Sharp formula in the closure
     body_part: object     # source subformula of the connective body
-    instantiation: object # body_part[x -> host, q -> args]
     dnode: object         # grammar position (None when the body is not disjunctive)
-    index: int            # closure index of the instantiation
+    index: int            # closure index of body_part[x -> host, q -> args]
     direction: object     # direction of the host's disjunctive form, or None
     children: tuple       # (closure index, deferral id or None) per child
     bottom: object        # x only: closure index of chi(_|_, args)
@@ -305,9 +304,9 @@ class DeferralTable:
             bottom = sigma.sharp_unfoldings[i][1]
             for src, node in slots.items():
                 at_x = isinstance(node, DX)
-                inst = substitute(src, mapping)
+                index = sigma.index_of(substitute(src, mapping))
                 deferrals.append(Deferral(
-                    host, src, inst, node, sigma.index_of(inst), direction,
+                    host, src, node, index, direction,
                     tuple(resolve(c) for c in _grammar_children(node)),
                     bottom if at_x else None, ids[chi.body] if at_x else None))
         self.deferrals = tuple(deferrals)
@@ -316,9 +315,6 @@ class DeferralTable:
     @property
     def multiplicity(self) -> int:
         return max(1, self.d)
-
-    def __len__(self):
-        return len(self.deferrals)
 
     @cached_property
     def readers(self):

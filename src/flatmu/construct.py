@@ -503,13 +503,14 @@ def repair_all(n, budget=None):
     table = n.ctx.table
     tt = compute_timeouts(n)
     for u in todo:
-        for did in range(len(table)):
+        for did in range(table.d):
             if (u, did) not in tt or tt[u, did] is not None:
                 continue
             n = finish_deferral(n, u, did, budget)
             tt = compute_timeouts(n)
             log.append('mu %d/%d' % (u, did))
-    leftovers = [d for d in find_defects(n) if d.node in set(todo)]
+    todo = set(todo)
+    leftovers = [d for d in find_defects(n) if d.node in todo]
     if leftovers:
         raise InvariantError('repairs left defects at the input nodes: %r'
                              % (leftovers,))
@@ -557,7 +558,7 @@ def build(ctx, seed, budget=None) -> ConstructionReport:
     budget = budget or Budget()
     if not is_atom(seed, ctx.sigma):
         raise ValueError('seed is not an atom of the closure')
-    n = Network(ctx, (0,), frozenset(), {0: seed},
+    n = Network(ctx, frozenset(), {0: seed},
                 {'F': frozenset(), 'B': frozenset()})
     rounds = []
     for _ in range(budget.max_rounds):

@@ -181,23 +181,24 @@ def members(bits, nodes):
 @dataclass(eq=False)
 class Network:
     ctx: NetworkContext
-    nodes: tuple
     edges: frozenset
-    label: dict
+    label: dict     # node -> its atom; the nodes are its keys
     sat: dict       # direction -> frozenset of the nodes saturated that way
 
     def __post_init__(self):
-        self.nodes = tuple(sorted(self.nodes))
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError('duplicate node ids')
-        here = set(self.nodes)
+        here, size = self.label.keys(), len(self.ctx.sigma)
         for a, b in self.edges:
             if a not in here or b not in here:
                 raise ValueError('edge (%s, %s) leaves the node set' % (a, b))
-        if set(self.label) != here:
-            raise ValueError('label must cover exactly the nodes')
         if not self.sat['F'] | self.sat['B'] <= here:
             raise ValueError('saturation flags must name nodes')
+        if any(bits >> size for bits in self.label.values()):
+            raise ValueError('a label uses an index outside the closure')
+
+    @cached_property
+    def nodes(self):
+        """The node ids, ascending."""
+        return tuple(sorted(self.label))
 
     @cached_property
     def nbrs(self):
@@ -237,7 +238,7 @@ class Network:
         return True
 
     def structure(self):
-        return (self.nodes, self.edges, tuple(sorted(self.label.items())),
+        return (self.edges, tuple(sorted(self.label.items())),
                 self.sat['F'], self.sat['B'])
 
     def __repr__(self):
@@ -249,9 +250,9 @@ class Network:
 class Draft:
     """A network under growth, frozen into one Network when done.
 
-    It holds the nodes in ascending id order, the edges, the labels, both
-    saturation flag sets and, per direction, each node's neighbours as an
-    ascending tuple: what Network.nbrs would compute.
+    It holds the nodes in ascending id order, the labels, both saturation
+    flag sets and, per direction, each node's neighbours as an ascending
+    tuple: what Network.nbrs would compute, and all it keeps of the edges.
     With link set and a separated start it keeps the start's cones too,
     each fresh node taking the next bit, so witnesses may be linked across
     the network; otherwise cones is None. A draft that raises is dropped,
@@ -262,7 +263,6 @@ class Draft:
         self.start = n
         self.ctx = n.ctx
         self.nodes = list(n.nodes)
-        self.edges = set(n.edges)
         self.label = dict(n.label)
         self.sat = {'F': set(n.sat['F']), 'B': set(n.sat['B'])}
         self.nbrs = {'F': dict(n.nbrs['F']), 'B': dict(n.nbrs['B'])}
@@ -271,7 +271,6 @@ class Draft:
 
     def _attach(self, a, b):
         """Add the new edge a->b, growing the cones above a and below b."""
-        self.edges.add((a, b))
         for nbrs, x, y in ((self.nbrs['F'], a, b), (self.nbrs['B'], b, a)):
             i = bisect(nbrs[x], y)
             nbrs[x] = nbrs[x][:i] + (y,) + nbrs[x][i:]
@@ -307,12 +306,15 @@ class Draft:
         self._attach(*orient(u, w, direction))
 
     def freeze(self):
-        """The grown Network, handed the draft's neighbour tuples, cones
-        and start (the parent of its timeouts). The draft is spent."""
-        out = Network(self.ctx, tuple(self.nodes), frozenset(self.edges),
-                      self.label, {'F': frozenset(self.sat['F']),
-                                   'B': frozenset(self.sat['B'])})
-        out.__dict__.update(nbrs=self.nbrs, _parent=self.start)
+        """The grown Network, handed the draft's nodes, neighbour tuples,
+        cones and start (the parent of its timeouts). The draft is spent."""
+        edges = frozenset((a, b) for a, bs in self.nbrs['F'].items()
+                          for b in bs)
+        out = Network(self.ctx, edges, self.label,
+                      {'F': frozenset(self.sat['F']),
+                       'B': frozenset(self.sat['B'])})
+        out.__dict__.update(nodes=tuple(self.nodes), nbrs=self.nbrs,
+                            _parent=self.start)
         if self.cones is not None:
             out.__dict__.update(cones=self.cones, separated=True)
         return out
@@ -368,7 +370,7 @@ def validate(n: Network):
     out = []
     sigma = n.ctx.sigma
     for u in n.nodes:
-        if n.label[u] >> len(sigma) or not is_atom(n.label[u], sigma):
+        if not is_atom(n.label[u], sigma):
             out.append('label of %d is not an atom' % u)
     try:
         n.cones
@@ -415,11 +417,9 @@ def is_anticonfluent(n: Network) -> bool:
 # containment and generated subsets
 
 def _is_contained(a: Network, b: Network) -> bool:
-    if not set(a.nodes) <= set(b.nodes):
+    if not a.label.items() <= b.label.items():
         return False
-    if any(a.label[u] != b.label[u] for u in a.nodes):
-        return False
-    here = set(a.nodes)
+    here = a.label.keys()
     induced = {e for e in b.edges if e[0] in here and e[1] in here}
     if a.edges != induced:
         return False
@@ -430,10 +430,9 @@ def is_subnetwork(a: Network, b: Network) -> bool:
     """Containment plus frozen frontiers: saturated nodes of a keep their
     complete neighbourhoods inside a."""
     _same_ctx(a, b)
-    here = set(a.nodes)
     return _is_contained(a, b) and all(
-        here.issuperset(b.nbrs[d][u]) for d, flags in a.sat.items()
-        for u in flags)
+        v in a.label for d, flags in a.sat.items() for u in flags
+        for v in b.nbrs[d][u])
 
 
 def union(networks) -> Network:
@@ -448,17 +447,16 @@ def union(networks) -> Network:
             if u in label and label[u] != n.label[u]:
                 raise ValueError('conflicting labels at node %d' % u)
             label[u] = n.label[u]
-    return Network(first.ctx, tuple(sorted(label)),
+    return Network(first.ctx,
                    frozenset().union(*(n.edges for n in networks)), label,
                    {d: frozenset().union(*(n.sat[d] for n in networks))
                     for d in DIRECTIONS})
 
 
 def restrict(n: Network, xs) -> Network:
-    keep = set(xs) & set(n.nodes)
+    keep = n.label.keys() & set(xs)
     return Network(
-        n.ctx, tuple(sorted(keep)),
-        frozenset(e for e in n.edges if e[0] in keep and e[1] in keep),
+        n.ctx, frozenset(e for e in n.edges if e[0] in keep and e[1] in keep),
         {u: n.label[u] for u in keep},
         {d: flags & keep for d, flags in n.sat.items()})
 
@@ -484,8 +482,8 @@ def downgen(n: Network, xs) -> frozenset:
 
 def _eq_outside(a: Network, b: Network, xs, direction) -> bool:
     _same_ctx(a, b)
-    ra = restrict(a, set(a.nodes) - _gen(a, xs, direction))
-    rb = restrict(b, set(b.nodes) - _gen(b, xs, direction))
+    ra = restrict(a, a.label.keys() - _gen(a, xs, direction))
+    rb = restrict(b, b.label.keys() - _gen(b, xs, direction))
     return ra.structure() == rb.structure()
 
 
@@ -503,8 +501,7 @@ def _is_cofinal(a: Network, b: Network, direction) -> bool:
     _same_ctx(a, b)
     if not _is_contained(a, b):
         return False
-    here = set(a.nodes)
-    return all(v in here for u in a.nodes for v in b.nbrs[direction][u])
+    return all(v in a.label for u in a.label for v in b.nbrs[direction][u])
 
 
 def is_down_cofinal(a: Network, b: Network) -> bool:
@@ -538,7 +535,7 @@ def extension_fault(base: Network, ext: Network, u, direction):
 def _check_amalgamation(base: Network, pairs, direction):
     grown = []
     for u, ext in pairs:
-        if u not in base.nodes:
+        if u not in base.label:
             return 'node %s missing from the base' % u
         fault = extension_fault(base, ext, u, direction)
         if fault is not None:
@@ -577,13 +574,19 @@ def amalgamate(base: Network, pairs, direction) -> Network:
 # ---------------------------------------------------------------------------
 # timeouts
 
+def _steps(out, pair):
+    """pair's entry in a timeout table, INF when it is None or absent."""
+    steps = out.get(pair)
+    return INF if steps is None else steps
+
+
 def _component_value(n, values, w, comp):
     inst, cid = comp
     if not n.label[w] >> inst & 1:
         return INF
     if cid is None:
         return 0
-    return values.get((w, cid), INF)
+    return _steps(values, (w, cid))
 
 
 def _clause_value(n: Network, values, u, dfl):
@@ -593,7 +596,7 @@ def _clause_value(n: Network, values, u, dfl):
     if isinstance(node, DX):
         if n.label[u] >> dfl.bottom & 1:
             return 0
-        return values.get((u, dfl.body), INF) + 1
+        return _steps(values, (u, dfl.body)) + 1
     comps = dfl.children
     if not isinstance(node, DNabla):
         # a disjunction or a guarded conjunct: its best component
@@ -621,7 +624,7 @@ def _touched(n: Network, parent: Network):
     neighbours of an unsaturated direction. InvariantError unless parent is
     a sub-network n grew from: nodes and labels kept, flags only added,
     saturated nodes keeping their neighbours."""
-    touched = set(n.nodes).difference(parent.nodes)
+    touched = n.label.keys() - parent.label.keys()
     for u, bits in parent.label.items():
         if n.label.get(u) != bits:
             raise InvariantError('node %d of the parent network is missing '
@@ -651,12 +654,10 @@ def compute_timeouts(n: Network):
         return cached
     parent = n.__dict__.pop('_parent', None)
     if getattr(parent, '_timeouts', None) is None:
-        touched, values, out = n.nodes, {}, {}
+        touched, out = n.nodes, {}
     else:
         touched = sorted(_touched(n, parent))
         out = dict(parent._timeouts)
-        # finite values never reach cap, so None stands for INF alone
-        values = {p: INF if t is None else t for p, t in out.items()}
     table = n.ctx.table
     deferrals = table.deferrals
     queue = []
@@ -664,29 +665,25 @@ def compute_timeouts(n: Network):
         for did, dfl in enumerate(deferrals):
             if n.label[u] >> dfl.index & 1:
                 pair = u, did
-                if pair not in values:
-                    values[pair], out[pair] = INF, None
-                if values[pair]:  # a pair at 0 stays there
+                if out.setdefault(pair, None) != 0:  # a pair at 0 stays there
                     queue.append(pair)
     queued = set(queue)
     same, across = table.readers
     # a d-clause reads w at the d-saturated neighbours of w the other way
     back = {d: (n.nbrs[CONVERSE[d]], flags) for d, flags in n.sat.items()}
-    cap = len(n.nodes) * len(deferrals) + 1
     for pair in queue:  # a list walked while it grows: first in, first out
         queued.discard(pair)
         u, did = pair
-        v = _clause_value(n, values, u, deferrals[did])
-        if v >= values[pair]:
+        v = _clause_value(n, out, u, deferrals[did])
+        if v >= _steps(out, pair):
             continue
-        values[pair] = v
-        out[pair] = int(v) if v <= cap else None
+        out[pair] = v  # finite: it is below the entry
         readers = [(u, r) for r in same[did]]
         for r, d in across[did]:
             nbrs, sat = back[d]
             readers += [(x, r) for x in nbrs[u] if x in sat]
         for q in readers:
-            if q in values and values[q] and q not in queued:
+            if q in out and out[q] != 0 and q not in queued:
                 queued.add(q)
                 queue.append(q)
     n._timeouts = out
@@ -815,9 +812,8 @@ def network_from_json(obj) -> Network:
         label[rec['id']] = bits
     if problems:
         raise FileShapeError(problems)
-    return Network(ctx, tuple(label), frozenset(map(tuple, obj['edges'])),
-                   label, {'F': frozenset(obj['satF']),
-                           'B': frozenset(obj['satP'])})
+    return Network(ctx, frozenset(map(tuple, obj['edges'])), label,
+                   {'F': frozenset(obj['satF']), 'B': frozenset(obj['satP'])})
 
 
 def to_dot(n: Network):

@@ -622,38 +622,20 @@ class DNabla:
     src: Formula
 
 
-def _left_spine(f: Formula, split):
-    parts = []
-    while True:
-        p = split(f)
-        if p is None:
-            parts.append(f)
-            parts.reverse()
-            return parts
-        a, b = p
-        parts.append(b)
-        f = a
-
-
-def _split_or(f):
-    return (f.left, f.right) if isinstance(f, Or) else None
-
-
 def _nabla_components(f: Formula, direction: str):
-    """Recognize f as the exact expansion of a nonempty nabla, or None."""
-    parts = _left_spine(f, as_and)
-    if len(parts) < 2:
-        return None
-    dias, last = parts[:-1], parts[-1]
-    if not all(isinstance(p, Dia) and p.direction == direction for p in dias):
-        return None
-    bx = as_box(last)
-    if bx is None or bx[0] != direction:
-        return None
-    comps = [p.child for p in dias]
-    if _left_spine(bx[1], _split_or) != comps:
-        return None
-    return comps
+    """Recognize f as the exact expansion of a nonempty nabla, or None.
+
+    The diamonds' children on f's conjunct spine are the components when
+    rebuilding their nabla gives f back. The rebuilt diamonds share f's
+    components, so comparing them short-cuts on identity and the check is
+    linear in f.
+    """
+    parts, rest = [], f
+    while (pair := as_and(rest)) is not None:
+        rest, last = pair
+        parts.append(last)
+    comps = [p.child for p in [rest] + parts[::-1] if isinstance(p, Dia)]
+    return comps if comps and nabla(direction, comps) == f else None
 
 
 def decompose(f: Formula, direction: str):

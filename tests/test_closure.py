@@ -6,7 +6,7 @@ from flatmu.closure import (
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
-    and_, box, connectives_from_json, parse,
+    and_, box, connectives_from_json, parse, substitute,
 )
 
 import pytest
@@ -360,13 +360,11 @@ def test_deferral_table_of_box_or_body():
     x = Var('x')
     parts = [d.body_part for d in table.deferrals]
     assert parts == [CHI1.body, box('F', x), x]
-    assert {d.instantiation for d in table.deferrals} == {
+    assert {sigma.formulas[d.index] for d in table.deferrals} == {
         Or(box('F', focus), Var('q')), box('F', focus), focus,
     }
     for d in table.deferrals:
         assert d.host == focus
-        assert d.instantiation in sigma.index
-        assert d.index == sigma.index_of(d.instantiation)
         assert d.direction == 'F'
         assert d.dnode is not None
     assert table.deferrals[2].bottom == sigma.index_of(
@@ -390,7 +388,7 @@ def test_deferral_table_empty_without_sharps():
     table = DeferralTable(sigma)
     assert table.d == 0
     assert table.multiplicity == 1
-    assert len(table) == 0
+    assert table.deferrals == ()
 
 
 def test_deferral_table_backward_body():
@@ -413,8 +411,9 @@ def test_deferral_table_non_disjunctive_fallback():
         TANGLE.body, Or(Neg(Dia('F', x)), Neg(Dia('B', x))),
         Neg(Dia('F', x)), Dia('F', x), x, Neg(Dia('B', x)), Dia('B', x),
     ]
-    for did in range(len(table)):
-        assert table.deferrals[did].instantiation in sigma.index
+    # an instantiation puts the host for x; TANGLE takes no arguments
+    assert [sigma.formulas[d.index] for d in table.deferrals] == [
+        substitute(part, {'x': focus}) for part in parts]
 
 
 def test_deferral_instantiations_use_host_arguments():
@@ -423,7 +422,6 @@ def test_deferral_instantiations_use_host_arguments():
     table = DeferralTable(sigma)
     assert [d.body_part for d in table.deferrals] == [
         REACH.body, Dia('F', Var('x')), Var('x')]
-    assert table.deferrals[1].instantiation == Dia('F', focus)
-    insts = {(table.deferrals[i].body_part, table.deferrals[i].instantiation)
-             for i in range(3)}
+    assert sigma.formulas[table.deferrals[1].index] == Dia('F', focus)
+    insts = {(d.body_part, sigma.formulas[d.index]) for d in table.deferrals}
     assert (Var('x'), focus) in insts

@@ -57,7 +57,7 @@ def atom_with(ctx, yes=(), no=()):
 
 
 def mk(ctx, labels, edges=(), sat_f=(), sat_p=()):
-    return Network(ctx, tuple(labels), frozenset(edges), dict(labels),
+    return Network(ctx, frozenset(edges), dict(labels),
                    {'F': frozenset(sat_f), 'B': frozenset(sat_p)})
 
 
@@ -236,11 +236,15 @@ def test_a_draft_links_as_the_oracle_does(ids, pairs, steps):
             if ok:
                 edges.add(e)
         assert draft.nodes == nodes
-        assert draft.edges == edges
+        assert {(a, b) for a in nodes for b in draft.nbrs['F'][a]} == edges
         if draft.cones is not None:
             assert draft.cones == cones(nodes, edges)
     linked = draft.cones is not None
     grown = draft.freeze()
+    # what the draft hands over is what a parentless network derives
+    bare = Network(CTX_P, frozenset(edges), grown.label, grown.sat)
+    assert grown.edges == edges
+    assert grown.nodes == bare.nodes and grown.nbrs == bare.nbrs
     if linked:
         assert grown.cones == cones(grown.nodes, grown.edges)
     assert grown.separated == _keeps_separation(nodes, edges)
@@ -248,9 +252,9 @@ def test_a_draft_links_as_the_oracle_does(ids, pairs, steps):
 
 # -- a saturation phase against step-by-step growth --------------------------
 
-def _oracle_grown(n, nodes, edges, label, flagged, direction):
+def _oracle_grown(n, edges, label, flagged, direction):
     sat = {**n.sat, direction: n.sat[direction] | flagged}
-    return Network(n.ctx, tuple(nodes), frozenset(edges), label, sat)
+    return Network(n.ctx, frozenset(edges), label, sat)
 
 
 def _oracle_saturate(n, u, direction, ids, budget):
@@ -303,7 +307,7 @@ def _oracle_saturate(n, u, direction, ids, budget):
     if len(nodes) > budget.max_nodes:
         raise BudgetExceeded('node budget %d exceeded while saturating %d'
                              % (budget.max_nodes, u))
-    return _oracle_grown(n, nodes, edges, label, {u}, direction)
+    return _oracle_grown(n, edges, label, {u}, direction)
 
 
 def _oracle_phase(n, budget):
@@ -427,7 +431,7 @@ def test_a_build_starts_its_timeout_tables_from_their_parents(monkeypatch):
     build(ctx, seed)
     seeded, calls[0] = calls[0], 0
     for n in tables:
-        bare = Network(n.ctx, n.nodes, n.edges, n.label, n.sat)
+        bare = Network(n.ctx, n.edges, n.label, n.sat)
         assert timeouts(bare) == timeouts(n)
     assert len(tables) >= 5
     assert seeded < calls[0]
@@ -472,7 +476,7 @@ def test_finish_raises_stuck_without_a_disjunctive_reading():
     ctx = ctx_for(Sharp(TANGLE, (Q,)))
     focus = Sharp(TANGLE, (Q,))
     n = mk(ctx, {0: atom_with(ctx, [focus], no=[Q])})
-    active = [did for did in range(len(ctx.table))
+    active = [did for did in range(ctx.table.d)
               if (0, did) in compute_timeouts(n)]
     assert active
     with pytest.raises(Stuck):
@@ -481,7 +485,7 @@ def test_finish_raises_stuck_without_a_disjunctive_reading():
 
 def test_finish_backward_connective_grows_predecessors():
     table = CTX_CHIB.table
-    x_did = next(did for did in range(len(table))
+    x_did = next(did for did in range(table.d)
                  if table.deferrals[did].body_part == Var('x'))
     assert table.deferrals[x_did].direction == 'B'
     seed = atom_with(CTX_CHIB, [FOCUSB, Dia('B', Neg(BOT))],
@@ -623,7 +627,7 @@ avoid = [Var('q'), Dia('F', Neg(focus))]
 seed = next(a for a in ctx.atoms
             if all(a >> ctx.sigma.index_of(f) & 1 for f in want)
             and not any(a >> ctx.sigma.index_of(f) & 1 for f in avoid))
-n = Network(ctx, (0,), frozenset(), {0: seed},
+n = Network(ctx, frozenset(), {0: seed},
             {'F': frozenset(), 'B': frozenset()})
 construct.extension_fault = lambda *args: 'planted fault'
 construct.finish_deferral(n, 0, 2)

@@ -51,7 +51,7 @@ def atom_with(ctx, yes=(), no=()):
 
 
 def mk(ctx, labels, edges=(), sat_f=(), sat_p=()):
-    return Network(ctx, tuple(labels), frozenset(edges), dict(labels),
+    return Network(ctx, frozenset(edges), dict(labels),
                    {'F': frozenset(sat_f), 'B': frozenset(sat_p)})
 
 
@@ -84,9 +84,6 @@ def test_validate_flags_broken_labels_edges_and_cycles():
     bad_label = mk(CTX_P, {0: 0})
     assert validate(bad_label) == ['label of 0 is not an atom']
 
-    outside = mk(CTX_P, {0: A_SRC | 1 << len(CTX_P.sigma)})
-    assert validate(outside) == ['label of 0 is not an atom']
-
     cyclic = mk(CTX_P, {0: A_SRC, 1: A_SRC}, [(0, 1), (1, 0)])
     assert 'relation has a cycle' in validate(cyclic)
 
@@ -101,10 +98,11 @@ def test_constructor_rejects_malformed_shapes():
     with pytest.raises(ValueError):
         mk(CTX_P, {0: A_SRC}, [(0, 1)])
     with pytest.raises(ValueError):
-        Network(CTX_P, (0,), frozenset(), {},
-                {'F': frozenset(), 'B': frozenset()})
-    with pytest.raises(ValueError):
         mk(CTX_P, {0: A_SRC}, sat_f=(3,))
+    # a label bit past the closure, or a negative label, names no formula
+    for outside in (A_SRC | 1 << len(CTX_P.sigma), -1):
+        with pytest.raises(ValueError):
+            mk(CTX_P, {0: outside})
 
 
 def test_saturation_needs_distinct_witnesses_per_diamond():

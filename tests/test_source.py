@@ -1,10 +1,11 @@
-"""Every definition, module-level name and parameter default in the
-package is used by the package itself, and numpy is imported only
-inside functions.
+"""Every definition, module-level name, class field and parameter
+default in the package is used by the package itself, and numpy is
+imported only inside functions.
 
 A function, class or method that no code under src/ names is dead weight
 that only tests keep alive, and so is a module-level name that no code
-under src/ reads. Dunders are called or read by Python, and
+under src/ reads, or a field declared in a class body that no code under
+src/ reads as an attribute. Dunders are called or read by Python, and
 _ArgParser.error by argparse, so they are exempt. A parameter default
 that no call under src/ overrides is a knob nobody turns; cli.main's
 argv is set by the console script and by tests, so it is exempt.
@@ -65,6 +66,23 @@ def _module_assignments_and_reads():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return assigned, read
+
+
+def _fields_and_attribute_reads():
+    """(file, class, field) of every annotated name in a class body, and
+    the names read anywhere as attributes."""
+    fields, read = [], set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(name, node.name, stmt.target.id)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return fields, read
 
 
 def _signature(owner, node):
@@ -131,6 +149,11 @@ def test_every_module_level_name_is_read_somewhere_in_src():
     assigned, read = _module_assignments_and_reads()
     unread = [a for a in assigned if a[1] not in read and not _is_dunder(a[1])]
     assert unread == []
+
+
+def test_every_class_field_is_read_as_an_attribute_in_src():
+    fields, read = _fields_and_attribute_reads()
+    assert [f for f in fields if f[2] not in read] == []
 
 
 def test_every_parameter_default_is_overridden_somewhere_in_src():

@@ -257,6 +257,9 @@ def test_classify_more():
     assert classify_disjunctive(FixpointConnective('c', 1, parse('x | q'))) == 'forward'
     assert classify_disjunctive(FixpointConnective('c', 0, parse('<B>x'))) == 'backward'
     assert classify_disjunctive(FixpointConnective('c', 0, parse('x | nablaF{x}'))) == 'forward'
+    # a nabla is recognised whichever of its components is a disjunction
+    for body in ('nablaF{x | q, q}', 'nablaF{q, x | q}'):
+        assert classify_disjunctive(FixpointConnective('c', 1, parse(body))) == 'forward'
     # left conjunct may not contain x
     assert classify_disjunctive(FixpointConnective('c', 1, parse('<F>x & q'))) == 'none'
     assert classify_disjunctive(FixpointConnective('c', 1, parse('q & <F>x'))) == 'forward'
