@@ -1,15 +1,15 @@
 """Kripke models and formula evaluation.
 
-One evaluator, eval_bits, computes truth sets as bitmasks over states,
-on two carriers. On a KripkeModel they are Python int masks. On a
-FrameBatch they are numpy uint8 arrays with one mask per lane, where a
-lane is one frame (up to isomorphism, at most four states) under one
-joint valuation: the brute-force search and the selftest sweeps
-evaluate a chunk of CHUNK lanes per numpy pass. The carrier answers <d>
-(image) and whether two truth sets are equal (same). Fixpoint
+One evaluator, eval_bits, computes truth sets as bitmasks over states, on
+two carriers. On a KripkeModel they are Python int masks. On a FrameBatch
+they are numpy uint8 arrays with one mask per lane, where a lane is one
+frame (up to isomorphism, at most four states) under one joint valuation:
+the brute-force search, over all its sizes at once, and the selftest sweeps,
+one size at a time, evaluate CHUNK lanes per numpy pass. The carrier answers
+<d> (image) and whether two truth sets are equal (same). Fixpoint
 connectives are evaluated by Kleene iteration from the empty set, which
-converges within |W| rounds by positivity of the body; each round runs
-the connective's plan. numpy is imported only when lanes arrive.
+converges within |W| rounds by positivity of the body; each round runs the
+connective's plan. numpy is imported only when lanes arrive.
 """
 
 from __future__ import annotations
@@ -298,33 +298,36 @@ def _frame_reps(n: int):
 
 
 @lru_cache(maxsize=None)
-def _frame_tables(n: int):
-    """Per direction, the per-state neighbour masks of the frames of
-    _frame_reps(n), of shape (n, frames), and the flat <d> image table:
-    entry frame * 2^n + S is the set of states with a d-neighbour in the
-    state set S of that frame."""
+def _lane_space(smallest: int, states: int, letters: int):
+    """The frames on smallest..states states under that many letters, as
+    (sizes, images). sizes holds (size, first lane, first frame, first
+    image-table row, end lane) per size. images holds per direction the
+    flat <d> image table: each size's table end to end, where in size
+    n's table entry frame * 2^n + S is the set of states with a
+    d-neighbour in the state set S of frame _frame_reps(n)[frame]."""
     import numpy as np
 
-    reps = _frame_reps(n)
-    succ = np.stack([reps >> i * n & (1 << n) - 1 for i in range(n)])
-    pred = np.stack([
-        np.bitwise_or.reduce([(reps >> i * n + j & 1) << i for i in range(n)])
-        for j in range(n)])
-    masks = {'F': succ.astype(np.uint8), 'B': pred.astype(np.uint8)}
-
-    def images(toward):
-        # the image of S is the union of toward[v] over v in S, built one
-        # state set at a time from S less its lowest state
-        out = np.zeros((len(reps), 1 << n), dtype=np.uint8)
-        for s in range(1, 1 << n):
-            low = s & -s
-            out[:, s] = out[:, s ^ low] | toward[low.bit_length() - 1]
-        return out.ravel()
-
-    tables = masks, {'F': images(masks['B']), 'B': images(masks['F'])}
-    for table in (*masks.values(), *tables[1].values()):
-        table.flags.writeable = False
-    return tables
+    sizes, images, lane, frame, row = [], {'F': [], 'B': []}, 0, 0, 0
+    for n in range(smallest, states + 1):
+        reps = _frame_reps(n)
+        sizes.append((n, lane, frame, row, lane + (len(reps) << n * letters)))
+        lane, frame, row = sizes[-1][4], frame + len(reps), \
+            row + (len(reps) << n)
+        succ = [reps >> i * n & (1 << n) - 1 for i in range(n)]
+        pred = [np.bitwise_or.reduce([(reps >> i * n + j & 1) << i
+                                      for i in range(n)]) for j in range(n)]
+        for d, toward in (('F', pred), ('B', succ)):
+            # the image of S is the union of toward[v] over v in S, built
+            # one state set at a time from S less its lowest state
+            table = np.zeros((len(reps), 1 << n), dtype=np.uint8)
+            for s in range(1, 1 << n):
+                low = s & -s
+                table[:, s] = table[:, s ^ low] | toward[low.bit_length() - 1]
+            images[d].append(table.ravel())
+    for d, tables in images.items():
+        images[d] = np.concatenate(tables)
+        images[d].flags.writeable = False
+    return tuple(sizes), images
 
 
 # Lanes per numpy pass: a batch holds a byte per lane for each live
@@ -336,52 +339,62 @@ _CHUNK_BITS = CHUNK.bit_length() - 1
 
 
 class FrameBatch:
-    """A chunk of lanes of the n-state frame space, one mask per lane.
+    """A chunk of lanes of the frames on smallest..states states (states
+    alone by default), one uint8 mask per lane.
 
-    The lane space lists the frames of _frame_reps(n) (one per isomorphism
-    class), each under every joint valuation of names: lane L is frame
-    L >> (n * len(names)) under valuation index L mod 2^(n * len(names)),
-    frame-major and valuation-minor. A batch holds lanes start..start +
-    len(batch), at most CHUNK, and is the model eval_bits runs on for
-    lanes: it supplies the valuation of names, the all-zero carrier, and
-    <d> as one lookup per lane in the size's cached image table. Masks
-    are uint8, as four states fit in a byte. Per-lane neighbour masks
-    are built when first read.
+    The lane space lists the sizes smallest first, and size n the frames
+    of _frame_reps(n) each under every joint valuation of names: its lane
+    L is frame L >> (n * len(names)) under valuation index L mod
+    2^(n * len(names)). Frame indices count on across the sizes. A batch
+    holds lanes start..start + len(batch), at most CHUNK, and is the model
+    eval_bits runs on for lanes: it supplies the valuation of names, the
+    all-zero carrier, each lane's full state set (full_mask), and <d> as
+    one take per lane into the sizes' joint image table. states, the
+    largest size, bounds the Kleene rounds; valuations = 2^(states * |names|).
     """
 
-    def __init__(self, states, names, start):
+    def __init__(self, states, names, start, smallest=None):
         import numpy as np
 
-        self.states, self.start = states, start
-        self.full_mask = (1 << states) - 1
-        self._shift = states * len(names)
-        self.valuations = 1 << self._shift
-        total = len(_frame_reps(states)) << self._shift
-        rel = np.arange(min(CHUNK, total - start), dtype=np.uint16)
-        # frame * 2^n per lane, the frame's row of the image tables; at
-        # most 3,044 * 16 at four states, so uint16 holds it
-        self._base = (rel >> min(self._shift, _CHUNK_BITS)
-                      ) + (start >> self._shift) << states
-        # name k reads bits k*n.. of lane start + rel; start is a multiple
-        # of CHUNK and a Python int, so no lane index overflows however
-        # many names there are, and the first name varies fastest
-        self._valuation = {
-            nm: (rel >> min(k * states, _CHUNK_BITS) & self.full_mask
-                 ).astype(np.uint8) | (start >> k * states & self.full_mask)
-            for k, nm in enumerate(names)}
-        self.zero = np.zeros(len(rel), dtype=np.uint8)
+        self.states, self.start, self._letters = states, start, len(names)
+        self.valuations = 1 << states * len(names)
+        self._sizes, self._images = _lane_space(smallest or states, states,
+                                                len(names))
+        # per run of a size's lanes up to a CHUNK multiple of its own
+        # numbering, written in place: image-table rows (uint16, 49,580
+        # entries over sizes 1-4), full masks and valuations
+        base = np.empty(min(CHUNK, self._sizes[-1][4] - start), np.uint16)
+        self.full_mask, *vals = np.empty((1 + len(names), len(base)), np.uint8)
+        for n, lane, _, row, end in self._sizes:
+            shift, full = n * len(names), (1 << n) - 1
+            lo, hi = max(start, lane) - lane, min(start + CHUNK, end) - lane
+            while lo < hi:
+                # block is a Python int, so no lane index overflows however
+                # many names there are, and the first name varies fastest
+                block = lo & -CHUNK
+                top = min(hi, block + CHUNK)
+                rel = np.arange(lo - block, top - block, dtype=np.uint16)
+                run = slice(lane + lo - start, lane + top - start)
+                base[run] = (rel >> min(shift, _CHUNK_BITS) << n) \
+                    + (row + (block >> shift << n))
+                self.full_mask[run] = full
+                for k, v in enumerate(vals):
+                    v[run] = rel >> min(k * n, _CHUNK_BITS) & full \
+                        | block >> k * n & full
+                lo = top
+        self._base, self._valuation = base, dict(zip(names, vals))
+        self.zero = np.zeros(len(self._base), dtype=np.uint8)
         self.zero.flags.writeable = False
-        self._images = _frame_tables(states)[1]
 
     def __len__(self):
         return len(self.zero)
 
     @cached_property
     def nbr_masks(self):
-        """Per direction, each state's neighbour masks across the lanes."""
-        frame = self._base >> self.states
-        return {d: tuple(masks[:, frame])
-                for d, masks in _frame_tables(self.states)[0].items()}
+        """Per direction, each state's neighbour masks across the lanes:
+        the converse image of that state alone."""
+        return {d: tuple(self.image(CONVERSE[d], self.full_mask & 1 << w)
+                         for w in range(self.states)) for d in 'FB'}
 
     def valuation_mask(self, name):
         return self._valuation.get(name, self.zero)
@@ -396,58 +409,65 @@ class FrameBatch:
 
     @property
     def frames(self):
-        """The frame indices, into _frame_reps(n), that the batch touches."""
+        """The frame indices that the batch touches."""
         return range(self.locate(0)[0], self.locate(len(self) - 1)[0] + 1)
 
     def locate(self, i):
         """(frame index, valuation index) of lane i of the batch."""
         lane = self.start + i
-        return lane >> self._shift, lane & ((1 << self._shift) - 1)
+        n, first, before, *_ = max(s for s in self._sizes if s[1] <= lane)
+        rel, shift = lane - first, n * self._letters
+        return before + (rel >> shift), rel & (1 << shift) - 1
 
     def index(self, frame, valuation):
         """The batch's lane for that frame and valuation, or None."""
-        i = (frame << self._shift | valuation) - self.start
-        return i if 0 <= i < len(self) else None
+        n, first, before, *_ = max(s for s in self._sizes if s[2] <= frame)
+        i = first + (frame - before << n * self._letters | valuation)
+        return i - self.start if 0 <= i - self.start < len(self) else None
 
     def model(self, i):
         """Lane i as a KripkeModel: its frame's edges, its valuation."""
-        n = self.states
-        mask = _frame_reps(n)[self.locate(i)[0]]
+        frame = self.locate(i)[0]
+        n, _, before, *_ = max(s for s in self._sizes if s[2] <= frame)
+        mask = _frame_reps(n)[frame - before]
         return KripkeModel(
             n, [divmod(b, n) for b in range(n * n) if mask >> b & 1],
             {nm: _mask_to_set(int(vm[i]), n)
              for nm, vm in sorted(self._valuation.items())})
 
 
-def frame_batches(n: int, names=()):
-    """The lane space of the n-state frames under names, CHUNK lanes at a
-    time, in order. One frame per isomorphism class, so n is at most 4."""
-    total = len(_frame_reps(n)) << (n * len(names))
+def frame_batches(n: int, names=(), smallest=None):
+    """The lane space of the frames on smallest..n states (n alone by
+    default) under names, CHUNK lanes at a time, in order. One frame per
+    isomorphism class, so n is at most 4."""
+    total = _lane_space(smallest or n, n, len(names))[0][-1][4]
     for start in range(0, total, CHUNK):
-        yield FrameBatch(n, names, start)
+        yield FrameBatch(n, names, start, smallest)
 
 
 def brute_force_sat(formula, max_states: int):
     """Search models of at most max_states states for a witness.
 
-    Frames are one per isomorphism class, smallest first; valuations run
-    exhaustively over the formula's free variables, first letter slowest.
-    Each chunk of (frame, valuation) lanes is one eval_bits pass over a
+    One lane space spans the sizes 1..max_states, smallest first, with
+    frames one per isomorphism class and valuations exhaustive over the
+    formula's free variables, first letter slowest. Each chunk of CHUNK
+    lanes, whatever sizes it holds, is one eval_bits pass over a
     FrameBatch. Returns the first (model, state) in that order, or None.
-    Beyond four states the frame space (2^25 edge sets at five) is
-    refused with ValueError.
+    ValueError refuses fewer than one state and more than four (2^25 edge
+    sets at five).
     """
+    if max_states < 1:
+        raise ValueError('brute_force_sat searches at least 1 state, not %d'
+                         % max_states)
     if max_states > 4:
         raise ValueError('brute_force_sat searches at most 4 states, not %d: '
                          '%d states have 2^%d frames'
                          % (max_states, max_states, max_states * max_states))
     names = sorted(free_vars(formula), reverse=True)
-    for n in range(1, max_states + 1):
-        for batch in frame_batches(n, names):
-            sat = eval_bits(formula, batch)
-            hit = sat.nonzero()[0]
-            if len(hit):
-                i = int(hit[0])
-                mask = int(sat[i])
-                return batch.model(i), (mask & -mask).bit_length() - 1
+    for batch in frame_batches(max_states, names, 1):
+        sat = eval_bits(formula, batch)
+        hit = sat.nonzero()[0]
+        if len(hit):
+            mask = int(sat[hit[0]])
+            return batch.model(int(hit[0])), (mask & -mask).bit_length() - 1
     return None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatmu import semantics
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
     CHUNK, _CHUNK_BITS, FrameBatch, KripkeModel, _frame_reps, approximant,
@@ -442,16 +443,105 @@ def test_a_third_chunk_lane_decodes_as_the_per_frame_walk_names_it():
 
 def test_lane_offsets_fit_their_uint16_arrays():
     # _CHUNK_BITS reads CHUNK as a power of two, and the in-chunk offsets
-    # are uint16; at four states a lane's image-table row plus its
+    # are uint16; over sizes 1-4 the joint image table has 2 * 2 + 10 * 4
+    # + 104 * 8 + 3,044 * 16 entries, so a lane's row in it plus its
     # largest state set is a uint16 index too
     assert CHUNK == 1 << _CHUNK_BITS <= 1 << 16
-    top = (len(_frame_reps(4)) - 1 << 4) + 15
+    top = 49_579
     assert top < 1 << 16
-    *_, batch = frame_batches(4, ('p', 'q'))
+    *_, batch = frame_batches(4, ('p', 'q'), 1)
     assert batch._base.dtype == np.uint16
-    assert int(batch._base[-1]) + batch.full_mask == top
-    full = np.full(len(batch), batch.full_mask, np.uint8)
-    assert int(batch.image('F', full)[-1]) == 15
+    assert len(batch._images['F']) == top + 1
+    assert int(batch._base[-1]) + int(batch.full_mask[-1]) == top
+    assert int(batch.image('F', batch.full_mask)[-1]) == 15
+
+
+def _joint_lane(lane, names=('p', 'q')):
+    """(size, frame index, valuation index, KripkeModel) of a lane of the
+    joint space on 1..4 states, decoded without the batch's helpers."""
+    before = 0
+    for n in (1, 2, 3, 4):
+        lanes = len(_frame_reps(n)) << n * len(names)
+        if lane < lanes:
+            frame, k = divmod(lane, 1 << n * len(names))
+            m = KripkeModel(n, _edges(n, _frame_reps(n)[frame]), {
+                nm: _states(n, k >> j * n & (1 << n) - 1)
+                for j, nm in enumerate(names)})
+            return n, before + frame, k, m
+        lane -= lanes
+        before += len(_frame_reps(n))
+    raise IndexError(lane)
+
+
+def test_a_mixed_size_batch_agrees_with_int_masks_at_its_seams():
+    # four states with p and q: the first chunk holds all 8 + 160 + 6,656
+    # lanes on one to three states and the first 1,368 on four; the second
+    # starts 1,368 lanes into the four-state lanes and crosses a multiple
+    # of CHUNK of their numbering at its lane 6,824
+    batches = frame_batches(4, ('p', 'q'), 1)
+    first, second = next(batches), next(batches)
+    assert (first.start, len(first), second.start) == (0, CHUNK, CHUNK)
+    assert first.states == second.states == 4
+    forms = [Bottom(), parse('~<B>_|_', {}), parse('<F><B>p & ~q', {}),
+             Sharp(REACH, (Sharp(CHI2, (Var('p'),)),)),
+             Sharp(REACH_B, (parse('q & [F]p', {}),))]
+    seams = {first: (0, 7, 8, 167, 168, 6823, 6824, CHUNK - 1),
+             second: (0, 6823, 6824, 6825, CHUNK - 1)}
+    for batch, lanes in seams.items():
+        results = [eval_bits(f, batch) for f in forms]
+        for i in lanes:
+            n, frame, k, m = _joint_lane(batch.start + i)
+            assert batch.model(i).to_json() == m.to_json()
+            assert batch.locate(i) == (frame, k)
+            assert batch.index(frame, k) == i
+            assert int(batch.full_mask[i]) == m.full_mask
+            assert {d: [int(s[i]) for s in masks]
+                    for d, masks in batch.nbr_masks.items()} \
+                == {d: list(masks) + [0] * (4 - n)
+                    for d, masks in m.nbr_masks.items()}
+            for d in 'FB':
+                for s in range(1 << n):
+                    arg = np.full(len(batch), s, np.uint8) & batch.full_mask
+                    assert int(batch.image(d, arg)[i]) == m.image(d, s)
+            for f, got in zip(forms, results):
+                assert int(got[i]) == eval_bits(f, m)
+    # every lane of the two chunks against the one-size batches
+    alone = [b for n in (1, 2, 3) for b in frame_batches(n, ('p', 'q'))]
+    alone += list(frame_batches(4, ('p', 'q')))[:2]
+    for f in forms:
+        joint = np.concatenate([eval_bits(f, first), eval_bits(f, second)])
+        sizes = np.concatenate([eval_bits(f, b) for b in alone])
+        assert np.array_equal(joint, sizes[:2 * CHUNK])
+
+
+def test_an_unsat_query_takes_one_pass_per_chunk(monkeypatch):
+    built = []
+
+    class Counted(FrameBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(len(self))
+
+    monkeypatch.setattr(semantics, 'FrameBatch', Counted)
+    # one letter on 1-3 states: 4 + 40 + 832 lanes
+    assert brute_force_sat(parse('p & ~p', {}), 3) is None
+    assert built == [876]
+    # the two-way pair with no finite model: 2 + 10 + 104 + 3,044 frames
+    built.clear()
+    pair = Neg(Sharp(CHI1, (Neg(Sharp(CHI2, (Bottom(),))),)))
+    assert brute_force_sat(pair, 4) is None
+    assert built == [3160]
+    # two letters on 1-4 states: 786,088 lanes in 96 chunks
+    built.clear()
+    assert brute_force_sat(parse('p & q & ~p', {}), 4) is None
+    assert (len(built), sum(built)) == (96, 786_088)
+
+
+def test_brute_force_refuses_fewer_than_one_state():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=r'^brute_force_sat searches '
+                           r'at least 1 state, not %d$' % n):
+            brute_force_sat(parse('p', {}), n)
 
 
 def test_lanes_past_32_bits_decode_from_python_ints():
