@@ -7,13 +7,13 @@ run_all times the rows and returns CheckResult records for the CLI.
 The exhaustive sweeps (every digraph on up to four states, checks 1-4
 and 7) run semantics.eval_bits on semantics.FrameBatch lanes: one lane
 per (frame, joint valuation), one frame per isomorphism class, a chunk
-of lanes per numpy pass. Failures and anchors still name a frame by its
-index in the walk over all sizes and a lane by its valuation index
-within that frame. Scalar anchors re-evaluate a stride of lanes on int
-masks over the lane's own KripkeModel, which checks what differs
-between the carriers: the <d> table, lane decoding, valuation lookup.
-The random half of each sweep runs on int masks. numpy is not imported
-here: semantics loads it when the first lanes are built.
+of lanes per pass, held as one int of bit planes per truth set.
+Failures and anchors still name a frame by its index in the walk over
+all sizes and a lane by its valuation index within that frame. Scalar
+anchors re-evaluate a stride of lanes on int masks over the lane's own
+KripkeModel, which checks what differs between the carriers: the edge
+planes, lane decoding, valuation lookup. The random half of each sweep
+runs on int masks.
 
 A mutation hook lets the harness test itself: run_all(mutate=name)
 deliberately corrupts one input of the named row, which must then fail.
@@ -22,14 +22,12 @@ deliberately corrupts one input of the named row, which must then fail.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import random
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 from . import MUTATIONS
@@ -162,7 +160,8 @@ def _sweep(check):
 
 def _first_split(offset, batch, a, b):
     """(frame index, lane) of the first lane where a and b differ."""
-    f, lane = batch.locate(int((a != b).nonzero()[0][0]))
+    split = batch.somewhere(a ^ b)
+    f, lane = batch.locate((split & -split).bit_length() - 1)
     return offset + f, lane
 
 
@@ -191,7 +190,7 @@ def check_nabla_equivalences():
             for lhs, rhs in _NABLA_PAIRS:
                 a = eval_bits(lhs, fr, henv, hmemo)
                 b = eval_bits(rhs, fr, henv, hmemo)
-                if not fr.same(a, b):
+                if a != b:
                     _fail('1', '%s vs its cover form differ on %s with h = %s'
                           % (to_string(lhs), _where(offset, fr, a, b),
                              to_string(phi)))
@@ -202,7 +201,7 @@ def check_nabla_equivalences():
                 for lhs, rhs in _NABLA_PAIRS:
                     sa = eval_bits(substitute(lhs, {'h': phi}), m)
                     sb = eval_bits(substitute(rhs, {'h': phi}), m)
-                    va = int(eval_bits(lhs, fr, henv, hmemo)[i])
+                    va = fr.lane(eval_bits(lhs, fr, henv, hmemo), i)
                     if not sa == sb == va:
                         _fail('1', 'scalar anchor disagrees on frame %d '
                               'lane %d' % (fi, lane))
@@ -237,7 +236,7 @@ def check_axiom_soundness():
         memo = {}
         for ii, inst in enumerate(instances):
             v = eval_bits(inst, m, None, memo)
-            if not m.same(v, m.full_mask):
+            if v != m.full_mask:
                 _fail('2', 'instance %d (%s) fails on %s' % (
                     ii, to_string(inst), _where(offset, m, v, m.full_mask)))
             if offset is None:
@@ -264,14 +263,15 @@ def _vec_cover(members, fr, direction, memo):
     """The full-relation reading on every lane of a FrameBatch at once:
     every neighbour satisfies some member and every member holds at some
     neighbour."""
-    out = fr.zero.copy()
     vecs = [eval_bits(m, fr, None, memo) for m in members]
-    missed = fr.full_mask & ~reduce(operator.or_, vecs, out)
+    missed, lanes, out = fr.full_mask, fr.somewhere(fr.full_mask), 0
+    for v in vecs:
+        missed &= ~v
     for w, nb in enumerate(fr.nbr_masks[direction]):
-        ok = (nb & missed) == 0
+        ok = lanes & ~fr.somewhere(nb & missed)
         for v in vecs:
-            ok &= (nb & v) != 0
-        out[ok] |= 1 << w
+            ok &= fr.somewhere(nb & v)
+        out |= ok << w * len(fr)
     return out
 
 
@@ -298,7 +298,7 @@ def check_nabla_relation():
             for d in ('F', 'B'):
                 cov = _vec_cover(members, fr, d, memo)
                 exp = eval_bits(nabla(d, members), fr, None, memo)
-                if not fr.same(cov, exp):
+                if cov != exp:
                     _fail('3', 'cover reading and expansion split on %s, '
                           'members {%s} direction %s'
                           % (_where(offset, fr, cov, exp),
@@ -339,12 +339,12 @@ def check_approximants():
             fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
             for k, form in enumerate(forms[:6]):
                 out = eval_bits(form, m, None, memo) & ~fix & m.full_mask
-                if not m.same(out, m.zero):
+                if out:
                     _fail('4', 'stage %d of %s(%s) escapes the fixpoint on %s'
                           % (k + 1, chi.name, to_string(theta),
                              _where(offset, m, out, 0)))
             closing = eval_bits(forms[m.states - 1], m, None, memo)
-            if not m.same(closing, fix):
+            if closing != fix:
                 _fail('4', 'stage %d of %s(%s) misses the fixpoint on %s'
                       % (m.states, chi.name, to_string(theta),
                          _where(offset, m, closing, fix)))
@@ -462,7 +462,7 @@ def check_guardification():
         memo = {}
         for chi, equivalence in splits:
             v = eval_bits(equivalence, fr, None, memo)
-            if not fr.same(v, fr.full_mask):
+            if v != fr.full_mask:
                 _fail('7', 'split of %s is not equivalent on frame %d '
                       '(%d states)' % (to_string(chi.body),
                                        _first_split(offset, fr, v,

@@ -258,7 +258,7 @@ def _cmd_build(args):
 
 
 def _cmd_selftest(args):
-    from . import acceptance   # the sweeps, and with them numpy, load here
+    from . import acceptance   # the sweeps load here
     only = None
     if args.only:
         only = {part.strip() for chunk in args.only

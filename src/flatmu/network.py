@@ -708,11 +708,14 @@ class Defect:
 
 
 def find_defects(n: Network):
-    out = [Defect('dia' + d, u) for d in DIRECTIONS for u in n.nodes
-           if u not in n.sat[d]]
-    out += [Defect('mu', u, did) for (u, did), steps
-            in sorted(compute_timeouts(n).items()) if steps is None]
-    return out
+    """n's defects, diamonds first, as a fresh list; cached on n."""
+    if getattr(n, '_defects', None) is None:
+        unresolved = sorted(pair for pair, steps
+                            in compute_timeouts(n).items() if steps is None)
+        n._defects = tuple(Defect('dia' + d, u) for d in DIRECTIONS
+                           for u in n.nodes if u not in n.sat[d]) \
+            + tuple(Defect('mu', *pair) for pair in unresolved)
+    return list(n._defects)
 
 
 # ---------------------------------------------------------------------------

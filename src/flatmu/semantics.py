@@ -1,23 +1,24 @@
 """Kripke models and formula evaluation.
 
 One evaluator, eval_bits, computes truth sets as bitmasks over states, on
-two carriers. On a KripkeModel they are Python int masks. On a FrameBatch
-they are numpy uint8 arrays with one mask per lane, where a lane is one
-frame (up to isomorphism, at most four states) under one joint valuation:
-the brute-force search, over all its sizes at once, and the selftest sweeps,
-one size at a time, evaluate CHUNK lanes per numpy pass. The carrier answers
-<d> (image) and whether two truth sets are equal (same). Fixpoint
+two carriers. On a KripkeModel a truth set is an int mask. On a FrameBatch
+it is one int of state-major bit planes with one bit per lane and state,
+where a lane is one frame (up to isomorphism, at most four states) under
+one joint valuation: the brute-force search, over all its sizes at once,
+and the selftest sweeps, one size at a time, evaluate CHUNK lanes per
+pass. Union, complement against full_mask and equality are plain int
+operations on both; each carrier answers <d> (image). Fixpoint
 connectives are evaluated by Kleene iteration from the empty set, which
 converges within |W| rounds by positivity of the body; each round runs the
-connective's plan. numpy is imported only when lanes arrive.
+connective's plan.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations
+from operator import and_, or_
 
 from .syntax import (
     CONVERSE, Bottom, Dia, FileShapeError, Neg, Or, Sharp, Var, box,
@@ -30,8 +31,6 @@ class KripkeModel:
     direction (successors under 'F', predecessors under 'B') and a state
     mask per letter. The edge set and the valuation name -> state set are
     derived when asked for."""
-
-    zero = 0
 
     def __init__(self, states, edges=(), valuation=None):
         if states < 1:
@@ -73,8 +72,6 @@ class KripkeModel:
             out |= masks[low.bit_length() - 1]
             arg ^= low
         return out
-
-    same = staticmethod(operator.eq)
 
     def to_json(self):
         return {
@@ -143,8 +140,9 @@ def _file_problems(obj):
 def eval_bits(formula, model, env=None, _memo=None):
     """Truth set of formula as a bitmask; env overlays the valuation.
 
-    model is a KripkeModel (int masks) or a FrameBatch (numpy uint8
-    lanes); env values and the result are in the model's carrier. _memo
+    model is a KripkeModel (an int mask) or a FrameBatch (an int of bit
+    planes, one per state); env values and the result are in the model's
+    carrier, and both carriers compare with ==. _memo
     maps formulas to results for this one model and env: share it across
     formulas, never across models or envs. A connective's body runs as
     its plan, over slots, and never reads or fills the memo.
@@ -155,7 +153,7 @@ def eval_bits(formula, model, env=None, _memo=None):
     if out is not None:
         return out
     if isinstance(formula, Bottom):
-        out = model.zero
+        out = 0
     elif isinstance(formula, Var):
         if formula.name in env:
             out = env[formula.name]
@@ -171,9 +169,9 @@ def eval_bits(formula, model, env=None, _memo=None):
                           eval_bits(formula.child, model, env, memo))
     elif isinstance(formula, Sharp):
         body, steps = formula.connective.plan
-        slots = [model.zero, *(eval_bits(a, model, env, memo)
-                               for a in formula.args), model.zero]
-        fixed, out = len(slots), model.zero
+        slots = [0, *(eval_bits(a, model, env, memo) for a in formula.args),
+                 0]
+        fixed, out = len(slots), 0
         for _ in range(model.states + 1):
             slots[0] = out
             del slots[fixed:]
@@ -184,7 +182,7 @@ def eval_bits(formula, model, env=None, _memo=None):
                     slots.append(model.image(a, slots[b]))
                 else:
                     slots.append(model.full_mask & ~slots[a])
-            if model.same(slots[body], out):
+            if slots[body] == out:
                 break
             out = slots[body]
         else:
@@ -271,141 +269,137 @@ def axiom_instances(pool):
 
 @lru_cache(maxsize=None)
 def _frame_reps(n: int):
-    """Edge masks canonical under state permutation, ascending, as a
-    read-only uint16 array.
+    """Edge masks canonical under state permutation, ascending: the least
+    mask of each orbit, as a tuple.
 
     Bit i*n + j stands for the edge (i, j). Only feasible for small n:
-    16-bit masks cover four states. Edge bits are re-read per permutation,
-    not kept.
+    four states are 2^16 masks. The masks are walked in order, and each
+    one not yet seen marks its orbit, relabelled through one table per
+    permutation and byte of a mask.
     """
-    import numpy as np
-
-    size = n * n
-    masks = np.arange(1 << size, dtype=np.uint16)
-    best = masks.copy()
+    size, seen, reps, tables = n * n, bytearray(1 << n * n), [], []
     for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        out = np.zeros_like(masks)
+        rows = [[0], [0]]   # per byte of a mask, each value's edges moved
         for b in range(size):
-            i, j = divmod(b, n)
-            bit = (masks >> np.uint16(b)) & np.uint16(1)
-            out |= bit << np.uint16(perm[i] * n + perm[j])
-        np.minimum(best, out, out=best)
-    reps = masks[best == masks]
-    reps.flags.writeable = False
-    return reps
+            row = rows[b >= 8]
+            row += [r | 1 << perm[b // n] * n + perm[b % n] for r in row]
+        tables.append(rows)
+    for mask in range(1 << size):
+        if not seen[mask]:
+            reps.append(mask)
+            for low, high in tables:
+                seen[low[mask & 255] | high[mask >> 8]] = 1
+    return tuple(reps)
 
 
-@lru_cache(maxsize=None)
-def _lane_space(smallest: int, states: int, letters: int):
-    """The frames on smallest..states states under that many letters, as
-    (sizes, images). sizes holds (size, first lane, first frame, first
-    image-table row, end lane) per size. images holds per direction the
-    flat <d> image table: each size's table end to end, where in size
-    n's table entry frame * 2^n + S is the set of states with a
-    d-neighbour in the state set S of frame _frame_reps(n)[frame]."""
-    import numpy as np
-
-    sizes, images, lane, frame, row = [], {'F': [], 'B': []}, 0, 0, 0
-    for n in range(smallest, states + 1):
-        reps = _frame_reps(n)
-        sizes.append((n, lane, frame, row, lane + (len(reps) << n * letters)))
-        lane, frame, row = sizes[-1][4], frame + len(reps), \
-            row + (len(reps) << n)
-        succ = [reps >> i * n & (1 << n) - 1 for i in range(n)]
-        pred = [np.bitwise_or.reduce([(reps >> i * n + j & 1) << i
-                                      for i in range(n)]) for j in range(n)]
-        for d, toward in (('F', pred), ('B', succ)):
-            # the image of S is the union of toward[v] over v in S, built
-            # one state set at a time from S less its lowest state
-            table = np.zeros((len(reps), 1 << n), dtype=np.uint8)
-            for s in range(1, 1 << n):
-                low = s & -s
-                table[:, s] = table[:, s ^ low] | toward[low.bit_length() - 1]
-            images[d].append(table.ravel())
-    for d, tables in images.items():
-        images[d] = np.concatenate(tables)
-        images[d].flags.writeable = False
-    return tuple(sizes), images
-
-
-# Lanes per numpy pass: a batch holds a byte per lane for each live
-# subformula, and numpy's per-call cost is spread over them. Row 4's frame
-# half on 2 vCPUs: 0.58 s, 30.1 MB peak at 2,048 lanes; 0.44 s, 30.1 MB at
-# 4,096; 0.24 s, 30.7 MB at 8,192; 0.28 s, 31.9 MB at 16,384.
-CHUNK = 8192
+# Lanes per batch: wider planes spread each int operation's interpreter
+# cost over more lanes. Row 4's frame half on 2 vCPUs, medians of 8 runs,
+# planes built / cached, peak RSS: 0.38 / 0.22 s, 19.1 MB at 8,192 lanes;
+# 0.32 / 0.16 s, 19.7 MB at 16,384; 0.26 / 0.12 s, 21.0 MB at 32,768.
+CHUNK = 32768
 _CHUNK_BITS = CHUNK.bit_length() - 1
+_ODD = int('10' * (CHUNK // 2 + 1), 2)   # bit f set for each odd f
+
+
+def _spread(bits, s, lo, hi):
+    """Lanes lo..hi-1 of a pattern constant on each run of 2^s lanes from
+    a multiple of 2^s: bit x - lo is bit (x >> s) - (lo >> s) of bits."""
+    if s < _CHUNK_BITS:
+        runs = ((hi - 1) >> s) - (lo >> s) + 1
+        text = format(bits & (1 << runs) - 1, '0%db' % runs)
+        wide = text.translate({48: '0' * (1 << s), 49: '1' * (1 << s)})
+        return int(wide, 2) >> (lo & (1 << s) - 1) & (1 << hi - lo) - 1
+    # a run is no shorter than a chunk, so the lanes see at most two
+    cut = min(hi, (lo >> s) + 1 << s)
+    out = (1 << cut - lo) - 1 if bits & 1 else 0
+    return out | ((1 << hi - cut) - 1 << cut - lo if bits & 2 else 0)
+
+
+@lru_cache(maxsize=32)
+def _planes(states: int, letters: int, smallest: int, start: int):
+    """A FrameBatch's lane space and planes: (per size (size, first lane,
+    first frame, end lane), width, full mask, per letter its valuation,
+    per direction edge rows: row v holds per state w the lanes whose state
+    v has w as a d-neighbour). Bounded: a full selftest walks 29 chunks
+    (2.5 MB), a search of 4 states and 3 letters 383."""
+    sizes, lane, frame = [], 0, 0
+    for n in range(smallest, states + 1):
+        frames = len(_frame_reps(n))
+        sizes.append((n, lane, frame, lane + (frames << n * letters)))
+        lane, frame = sizes[-1][3], frame + frames
+    width = min(CHUNK, lane - start)
+    full, vals, edges = 0, [0] * letters, [[0] * states for _ in range(states)]
+    for n, lane, _, end in sizes:
+        lo, hi = max(start, lane) - lane, min(start + width, end) - lane
+        if lo >= hi:
+            continue
+        at, shift = lane + lo - start, n * letters
+        for w in range(n):
+            here = w * width + at
+            full |= (1 << hi - lo) - 1 << here
+            for k, t in enumerate(range(w, shift, n)):
+                vals[k] |= _spread(_ODD >> (lo >> t & 1), t, lo, hi) << here
+        # per edge, bit f - first of its column is bit b of frame f
+        reps = _frame_reps(n)[lo >> shift:(hi - 1 >> shift) + 1][::-1]
+        for b in range(n * n):
+            col = int(''.join('01'[r >> b & 1] for r in reps), 2)
+            edges[b // n][b % n] |= _spread(col, shift, lo, hi) << at
+    rows = tuple(map(tuple, edges))
+    return sizes, width, full, tuple(vals), dict(F=rows, B=tuple(zip(*rows)))
 
 
 class FrameBatch:
     """A chunk of lanes of the frames on smallest..states states (states
-    alone by default), one uint8 mask per lane.
+    alone by default): the model eval_bits runs on for lanes.
 
     The lane space lists the sizes smallest first, and size n the frames
     of _frame_reps(n) each under every joint valuation of names: its lane
     L is frame L >> (n * len(names)) under valuation index L mod
     2^(n * len(names)). Frame indices count on across the sizes. A batch
-    holds lanes start..start + len(batch), at most CHUNK, and is the model
-    eval_bits runs on for lanes: it supplies the valuation of names, the
-    all-zero carrier, each lane's full state set (full_mask), and <d> as
-    one take per lane into the sizes' joint image table. states, the
-    largest size, bounds the Kleene rounds; valuations = 2^(states * |names|).
-    """
+    holds lanes start..start + len(batch), at most CHUNK; bit
+    w * len(batch) + i of a truth set is state w of lane i. states, the
+    largest size, bounds the Kleene rounds; valuations = 2^(states *
+    |names|)."""
 
     def __init__(self, states, names, start, smallest=None):
-        import numpy as np
-
         self.states, self.start, self._letters = states, start, len(names)
         self.valuations = 1 << states * len(names)
-        self._sizes, self._images = _lane_space(smallest or states, states,
-                                                len(names))
-        # per run of a size's lanes up to a CHUNK multiple of its own
-        # numbering, written in place: image-table rows (uint16, 49,580
-        # entries over sizes 1-4), full masks and valuations
-        base = np.empty(min(CHUNK, self._sizes[-1][4] - start), np.uint16)
-        self.full_mask, *vals = np.empty((1 + len(names), len(base)), np.uint8)
-        for n, lane, _, row, end in self._sizes:
-            shift, full = n * len(names), (1 << n) - 1
-            lo, hi = max(start, lane) - lane, min(start + CHUNK, end) - lane
-            while lo < hi:
-                # block is a Python int, so no lane index overflows however
-                # many names there are, and the first name varies fastest
-                block = lo & -CHUNK
-                top = min(hi, block + CHUNK)
-                rel = np.arange(lo - block, top - block, dtype=np.uint16)
-                run = slice(lane + lo - start, lane + top - start)
-                base[run] = (rel >> min(shift, _CHUNK_BITS) << n) \
-                    + (row + (block >> shift << n))
-                self.full_mask[run] = full
-                for k, v in enumerate(vals):
-                    v[run] = rel >> min(k * n, _CHUNK_BITS) & full \
-                        | block >> k * n & full
-                lo = top
-        self._base, self._valuation = base, dict(zip(names, vals))
-        self.zero = np.zeros(len(self._base), dtype=np.uint8)
-        self.zero.flags.writeable = False
+        self._sizes, self._width, self.full_mask, vals, self._toward = \
+            _planes(states, len(names), smallest or states, start)
+        self._lanes = (1 << self._width) - 1
+        self._valuation = dict(zip(names, vals))
 
     def __len__(self):
-        return len(self.zero)
+        return self._width
 
     @cached_property
     def nbr_masks(self):
         """Per direction, each state's neighbour masks across the lanes:
         the converse image of that state alone."""
-        return {d: tuple(self.image(CONVERSE[d], self.full_mask & 1 << w)
-                         for w in range(self.states)) for d in 'FB'}
+        alone = [self.full_mask & self._lanes << w * self._width
+                 for w in range(self.states)]
+        return {d: tuple(self.image(CONVERSE[d], s) for s in alone)
+                for d in 'FB'}
 
     def valuation_mask(self, name):
-        return self._valuation.get(name, self.zero)
+        return self._valuation.get(name, 0)
 
     def image(self, direction, arg):
         """<d> on every lane: the states with a d-neighbour in arg."""
-        return self._images[direction].take(self._base + arg)
+        width, lanes = self._width, self._lanes
+        planes = [arg >> w * width & lanes for w in range(self.states)]
+        return sum(reduce(or_, map(and_, row, planes)) << v * width
+                   for v, row in enumerate(self._toward[direction]))
 
-    @staticmethod
-    def same(a, b):
-        return bool((a == b).all())
+    def lane(self, x, i):
+        """Lane i of the truth set x, as a state mask."""
+        return sum((x >> w * self._width + i & 1) << w
+                   for w in range(self.states))
+
+    def somewhere(self, x):
+        """The lanes where the truth set x holds at some state, a bit each."""
+        return reduce(or_, (x >> w * self._width
+                            for w in range(self.states))) & self._lanes
 
     @property
     def frames(self):
@@ -432,7 +426,7 @@ class FrameBatch:
         mask = _frame_reps(n)[frame - before]
         return KripkeModel(
             n, [divmod(b, n) for b in range(n * n) if mask >> b & 1],
-            {nm: _mask_to_set(int(vm[i]), n)
+            {nm: _mask_to_set(self.lane(vm, i), n)
              for nm, vm in sorted(self._valuation.items())})
 
 
@@ -440,7 +434,8 @@ def frame_batches(n: int, names=(), smallest=None):
     """The lane space of the frames on smallest..n states (n alone by
     default) under names, CHUNK lanes at a time, in order. One frame per
     isomorphism class, so n is at most 4."""
-    total = _lane_space(smallest or n, n, len(names))[0][-1][4]
+    total = sum(len(_frame_reps(k)) << k * len(names)
+                for k in range(smallest or n, n + 1))
     for start in range(0, total, CHUNK):
         yield FrameBatch(n, names, start, smallest)
 
@@ -466,8 +461,9 @@ def brute_force_sat(formula, max_states: int):
     names = sorted(free_vars(formula), reverse=True)
     for batch in frame_batches(max_states, names, 1):
         sat = eval_bits(formula, batch)
-        hit = sat.nonzero()[0]
-        if len(hit):
-            mask = int(sat[hit[0]])
-            return batch.model(int(hit[0])), (mask & -mask).bit_length() - 1
+        if sat:
+            hit = batch.somewhere(sat)
+            i = (hit & -hit).bit_length() - 1
+            mask = batch.lane(sat, i)
+            return batch.model(i), (mask & -mask).bit_length() - 1
     return None

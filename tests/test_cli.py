@@ -656,6 +656,20 @@ def test_building_and_model_checking_leave_numpy_unloaded():
     assert got.stdout == 'False\n'
 
 
+@pytest.mark.parametrize('argv, code', [
+    (['sat', 'p & q & ~p', '--max-states', '4'], 2),
+    (['sat', 'p & <F>~p', '--max-states', '4'], 0),
+    (['selftest', '--only', '4'], 0),
+])
+def test_lanes_leave_numpy_unloaded(argv, code):
+    probe = ('import sys; from flatmu.cli import main; code = main(%r); '
+             "print(code, 'numpy' in sys.modules)" % (argv,))
+    got = subprocess.run([sys.executable, '-c', probe], capture_output=True,
+                         text=True, env=child_env(), timeout=300)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines()[-1] == '%d False' % code
+
+
 def test_importing_the_cli_leaves_numpy_and_the_selftest_unloaded():
     probe = ("import sys, flatmu.cli; "
              "print('numpy' in sys.modules, 'flatmu.acceptance' in sys.modules)")

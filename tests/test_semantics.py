@@ -1,7 +1,6 @@
 import random
-from itertools import product
+from itertools import islice, permutations, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,12 +62,13 @@ def test_model_keeps_masks_and_derives_sets():
                                        if s >> b & 1})
         assert m.image('B', s) == sum({1 << b for a, b in m.edges
                                        if s >> a & 1})
-        assert m.same(s, s) and not m.same(s, s ^ 1)
     assert [m.valuation_mask(n) for n in 'pqr'] == [0b101, 0, 0]
     assert m.edges == {(0, 1), (2, 0), (2, 2)}
     assert m.valuation == {'p': frozenset({0, 2}), 'q': frozenset()}
     assert repr(m) == 'KripkeModel(3 states, 3 edges)'
     assert 'edges' not in vars(KripkeModel(2, [(0, 1)]))
+    # truth sets are plain ints: no carrier-specific empty set or equality
+    assert not hasattr(m, 'zero') and not hasattr(m, 'same')
 
 
 def test_json_round_trip():
@@ -171,10 +171,10 @@ def _kleene_walk(chi, args, model):
     """The fixpoint by Kleene rounds, each a recursive walk of the body
     under an env binding x and the parameters."""
     env = {'q%d' % (k + 1): eval_bits(a, model) for k, a in enumerate(args)}
-    env['x'] = out = model.zero
+    env['x'] = out = 0
     while True:
         nxt = eval_bits(chi.body, model, env)
-        if model.same(nxt, out):
+        if nxt == out:
             return out
         env['x'] = out = nxt
 
@@ -223,10 +223,11 @@ def test_a_compiled_body_computes_what_the_body_walk_does(
         assert got == _kleene_walk(chi, args, m)
     for batch in frame_batches(lane_states, ('p', 'q')):
         got = eval_bits(f, batch)
-        assert np.array_equal(got, _kleene_walk(chi, args, batch))
+        assert got == _kleene_walk(chi, args, batch)
         for i in rng.sample(range(len(batch)), 3):
             m = batch.model(i)
-            assert int(got[i]) == eval_fixpoint_by_intersection(chi, args, m)
+            assert batch.lane(got, i) == eval_fixpoint_by_intersection(
+                chi, args, m)
 
 
 def test_a_connective_compiles_its_plan_once_on_first_evaluation():
@@ -239,8 +240,8 @@ def test_a_connective_compiles_its_plan_once_on_first_evaluation():
     assert plan == (4, (('dia', 'F', 0), ('or', 1, 3)))
     assert eval_bits(Sharp(chi, (Var('q'),)), m) == 0
     batch = next(frame_batches(2, ('p',)))
-    assert np.array_equal(eval_bits(Sharp(chi, (Var('p'),)), batch),
-                          _kleene_walk(chi, (Var('p'),), batch))
+    assert eval_bits(Sharp(chi, (Var('p'),)), batch) \
+        == _kleene_walk(chi, (Var('p'),), batch)
     assert vars(chi)['plan'] is plan and chi.plan is plan
 
 
@@ -266,8 +267,7 @@ def test_a_stage_chain_under_one_memo_matches_fresh_memos():
         for m in models + list(frame_batches(3, ('p', 'q')))[:2]:
             memo = {}
             for form in forms:
-                assert np.array_equal(eval_bits(form, m, None, memo),
-                                      eval_bits(form, m))
+                assert eval_bits(form, m, None, memo) == eval_bits(form, m)
 
 
 def test_axiom_instances_are_valid():
@@ -379,10 +379,18 @@ def _states(n, mask):
     return {w for w in range(n) if mask >> w & 1}
 
 
+def _everywhere(batch, s):
+    """The truth set holding the state set s on every lane of batch."""
+    lanes = (1 << len(batch)) - 1
+    return sum(lanes << w * len(batch) for w in range(batch.states)
+               if s >> w & 1)
+
+
 def test_lanes_agree_with_int_masks_lane_by_lane():
     # lane L of the n-state space is frame L div 4^n of _frame_reps(n)
     # with p = L mod 2^n and q = L div 2^n mod 2^n, decoded here without
-    # the batch's helpers; three-state batches span four chunks
+    # the batch's helpers; each size fits one chunk, and bit
+    # w * len(batch) + i of a truth set is state w of lane i
     forms = [Bottom(), parse('[F]_|_', {}), parse('~<B>_|_', {}),
              parse('<F><B>p', {}), parse('p & ~q', {}),
              Sharp(REACH, (Sharp(CHI2, (Var('p'),)),))]
@@ -392,27 +400,27 @@ def test_lanes_agree_with_int_masks_lane_by_lane():
         for batch in frame_batches(n, ('p', 'q')):
             assert batch.start == stop and len(batch) <= CHUNK
             stop += len(batch)
-            images = {(d, s): batch.image(d, np.full(len(batch), s, np.uint8))
+            images = {(d, s): batch.image(d, _everywhere(batch, s))
                       for d in 'FB' for s in range(1 << n)}
             shared, results = {}, []
             for f in forms:
                 got = eval_bits(f, batch)
-                assert got.dtype == np.uint8 and got.shape == (len(batch),)
-                assert np.array_equal(eval_bits(f, batch, None, shared), got)
-                assert batch.same(got, got.copy())
-                assert not batch.same(got, batch.full_mask & ~got)
+                assert type(got) is int and got & ~batch.full_mask == 0
+                assert got.bit_length() <= n * len(batch)
+                assert eval_bits(f, batch, None, shared) == got
+                assert got != batch.full_mask & ~got
                 results.append(got)
             for i in range(len(batch)):
                 frame, k = divmod(batch.start + i, 1 << 2 * n)
                 m = KripkeModel(n, _edges(n, _frame_reps(n)[frame]), {
                     'p': _states(n, k % (1 << n)), 'q': _states(n, k >> n)})
-                assert {d: [int(s[i]) for s in masks]
+                assert {d: [batch.lane(s, i) for s in masks]
                         for d, masks in batch.nbr_masks.items()} \
                     == {d: list(masks) for d, masks in m.nbr_masks.items()}
                 for (d, s), image in images.items():
-                    assert int(image[i]) == m.image(d, s)
+                    assert batch.lane(image, i) == m.image(d, s)
                 for f, got in zip(forms, results):
-                    assert int(got[i]) == eval_bits(f, m)
+                    assert batch.lane(got, i) == eval_bits(f, m)
                     compared += 1
         assert stop == len(_frame_reps(n)) << 2 * n
     assert compared == 6 * (2 * 4 + 10 * 16 + 104 * 64)
@@ -431,29 +439,31 @@ def test_a_third_chunk_lane_decodes_as_the_per_frame_walk_names_it():
             break
         before += 256
     lane = third.start + i - before
-    assert (fi, lane) == (68, 210)
+    assert (fi, lane) == (260, 210)
     assert third.locate(i) == (fi, lane) and third.index(fi, lane) == i
     m = third.model(i)
     assert m.edges == set(_edges(4, mask))
     assert m.valuation == {'p': _states(4, lane % 16),
                            'q': _states(4, lane // 16)}
     f = Sharp(REACH, (parse('<B>p & ~q', {}),))
-    assert int(eval_bits(f, third)[i]) == eval_bits(f, m)
+    assert third.lane(eval_bits(f, third), i) == eval_bits(f, m)
 
 
-def test_lane_offsets_fit_their_uint16_arrays():
-    # _CHUNK_BITS reads CHUNK as a power of two, and the in-chunk offsets
-    # are uint16; over sizes 1-4 the joint image table has 2 * 2 + 10 * 4
-    # + 104 * 8 + 3,044 * 16 entries, so a lane's row in it plus its
-    # largest state set is a uint16 index too
-    assert CHUNK == 1 << _CHUNK_BITS <= 1 << 16
-    top = 49_579
-    assert top < 1 << 16
+def test_the_last_lane_is_the_full_frame_and_planes_span_the_batch():
+    # _CHUNK_BITS reads CHUNK as a power of two; the last lane of the
+    # joint space is the frame with all 16 edges, where every state has a
+    # successor, and each of the four state planes is len(batch) bits wide
+    assert CHUNK == 1 << _CHUNK_BITS
     *_, batch = frame_batches(4, ('p', 'q'), 1)
-    assert batch._base.dtype == np.uint16
-    assert len(batch._images['F']) == top + 1
-    assert int(batch._base[-1]) + int(batch.full_mask[-1]) == top
-    assert int(batch.image('F', batch.full_mask)[-1]) == 15
+    last = len(batch) - 1
+    assert batch.lane(batch.image('F', batch.full_mask), last) == 15
+    assert batch.full_mask == _everywhere(batch, 15)
+    assert batch.somewhere(batch.full_mask) == (1 << len(batch)) - 1
+    for name in 'pq':
+        assert batch.valuation_mask(name).bit_length() <= 4 * len(batch)
+    assert batch.valuation_mask('r') == 0
+    assert all(e.bit_length() <= len(batch) for row in batch._toward['F']
+               for e in row)
 
 
 def _joint_lane(lane, names=('p', 'q')):
@@ -475,8 +485,8 @@ def _joint_lane(lane, names=('p', 'q')):
 
 def test_a_mixed_size_batch_agrees_with_int_masks_at_its_seams():
     # four states with p and q: the first chunk holds all 8 + 160 + 6,656
-    # lanes on one to three states and the first 1,368 on four; the second
-    # starts 1,368 lanes into the four-state lanes and crosses a multiple
+    # lanes on one to three states and the first 25,944 on four; the second
+    # starts 25,944 lanes into the four-state lanes and crosses a multiple
     # of CHUNK of their numbering at its lane 6,824
     batches = frame_batches(4, ('p', 'q'), 1)
     first, second = next(batches), next(batches)
@@ -494,24 +504,28 @@ def test_a_mixed_size_batch_agrees_with_int_masks_at_its_seams():
             assert batch.model(i).to_json() == m.to_json()
             assert batch.locate(i) == (frame, k)
             assert batch.index(frame, k) == i
-            assert int(batch.full_mask[i]) == m.full_mask
-            assert {d: [int(s[i]) for s in masks]
+            assert batch.lane(batch.full_mask, i) == m.full_mask
+            assert {d: [batch.lane(s, i) for s in masks]
                     for d, masks in batch.nbr_masks.items()} \
                 == {d: list(masks) + [0] * (4 - n)
                     for d, masks in m.nbr_masks.items()}
             for d in 'FB':
                 for s in range(1 << n):
-                    arg = np.full(len(batch), s, np.uint8) & batch.full_mask
-                    assert int(batch.image(d, arg)[i]) == m.image(d, s)
+                    arg = _everywhere(batch, s) & batch.full_mask
+                    assert batch.lane(batch.image(d, arg), i) \
+                        == m.image(d, s)
             for f, got in zip(forms, results):
-                assert int(got[i]) == eval_bits(f, m)
+                assert batch.lane(got, i) == eval_bits(f, m)
     # every lane of the two chunks against the one-size batches
     alone = [b for n in (1, 2, 3) for b in frame_batches(n, ('p', 'q'))]
     alone += list(frame_batches(4, ('p', 'q')))[:2]
     for f in forms:
-        joint = np.concatenate([eval_bits(f, first), eval_bits(f, second)])
-        sizes = np.concatenate([eval_bits(f, b) for b in alone])
-        assert np.array_equal(joint, sizes[:2 * CHUNK])
+        joint, sizes = [], []
+        for lanes, batches in ((joint, (first, second)), (sizes, alone)):
+            for b in batches:
+                got = eval_bits(f, b)
+                lanes += [b.lane(got, i) for i in range(len(b))]
+        assert joint == sizes[:2 * CHUNK]
 
 
 def test_an_unsat_query_takes_one_pass_per_chunk(monkeypatch):
@@ -531,10 +545,10 @@ def test_an_unsat_query_takes_one_pass_per_chunk(monkeypatch):
     pair = Neg(Sharp(CHI1, (Neg(Sharp(CHI2, (Bottom(),))),)))
     assert brute_force_sat(pair, 4) is None
     assert built == [3160]
-    # two letters on 1-4 states: 786,088 lanes in 96 chunks
+    # two letters on 1-4 states: 786,088 lanes in 24 chunks
     built.clear()
     assert brute_force_sat(parse('p & q & ~p', {}), 4) is None
-    assert (len(built), sum(built)) == (96, 786_088)
+    assert (len(built), sum(built)) == (24, 786_088)
 
 
 def test_brute_force_refuses_fewer_than_one_state():
@@ -555,7 +569,62 @@ def test_lanes_past_32_bits_decode_from_python_ints():
         assert batch.locate(i) == (5, k)
         assert batch.model(i).valuation == {
             nm: _states(4, k >> 4 * j & 15) for j, nm in enumerate(names)}
+        # bits _CHUNK_BITS and up of k hold still across an aligned chunk
+        assert [batch.lane(batch.valuation_mask(nm), i) for nm in names] \
+            == [k >> 4 * j & 15 for j in range(len(names))]
     assert batch.frames == range(5, 6)
+    assert batch.lane(batch.full_mask, CHUNK - 1) == 15
+    # four letters on 1-4 states: the four-state lanes start 2,592 past a
+    # CHUNK multiple, so bit _CHUNK_BITS of their valuation index flips
+    # inside the chunk that holds their lane CHUNK, and frame 0, 2^16
+    # lanes long, ends inside the chunk that holds their lane 2^16
+    names = tuple('abcd')
+    first = sum(len(_frame_reps(n)) << 4 * n for n in (1, 2, 3))
+    assert (first, first % CHUNK) == (428_576, 2_592)
+    f = parse('<F>(a & ~d) | [B](b | c) & d', {})
+    for rel in (CHUNK, 1 << 16):
+        start = (first + rel) // CHUNK * CHUNK
+        batch, seen = FrameBatch(4, names, start, 1), set()
+        got = eval_bits(f, batch)
+        flip = first + rel - start
+        for i in [*range(0, CHUNK, 97), flip - 1, flip]:
+            n, frame, k, m = _joint_lane(start + i, names)
+            seen.add((frame, k >> _CHUNK_BITS))
+            assert (n, batch.locate(i)) == (4, (frame, k))
+            assert batch.model(i).to_json() == m.to_json()
+            assert [batch.lane(batch.valuation_mask(nm), i) for nm in names] \
+                == [k >> 4 * j & 15 for j in range(len(names))]
+            assert batch.lane(got, i) == eval_bits(f, m)
+        assert len(seen) == 2
+
+
+def _orbit_least(n, mask):
+    """The least relabelling of the edge mask over all n! permutations."""
+    edges = [divmod(b, n) for b in range(n * n) if mask >> b & 1]
+    return min(sum(1 << perm[i] * n + perm[j] for i, j in edges)
+               for perm in permutations(range(n)))
+
+
+def test_frame_reps_are_the_least_mask_of_each_orbit():
+    for n in (1, 2, 3):
+        assert _frame_reps(n) == tuple(sorted(
+            {_orbit_least(n, mask) for mask in range(1 << n * n)}))
+    # digraphs with loops up to isomorphism, OEIS A000595
+    assert [len(_frame_reps(n)) for n in (1, 2, 3, 4)] == [2, 10, 104, 3044]
+    assert _frame_reps(4)[:3] == (0, 1, 2) and _frame_reps(4)[-1] == 0xFFFF
+
+
+def test_chunk_planes_are_cached_in_bounded_memory():
+    # a full selftest walks 29 chunks, and a search of 4 states under 3
+    # letters 383, so the cache keeps a bounded number of them
+    maxsize = semantics._planes.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 29
+    assert brute_force_sat(parse('p & q & ~p', {}), 4) is None
+    assert semantics._planes.cache_info().currsize <= maxsize
+    walk = frame_batches(4, ('p', 'q', 'r'), 1)
+    assert sum(len(b) for b in islice(walk, maxsize + 8)) \
+        == (maxsize + 8) * CHUNK
+    assert semantics._planes.cache_info().currsize == maxsize
 
 
 def _scalar_walk(formula, max_states):
