@@ -15,7 +15,6 @@ from operator import itemgetter
 from .syntax import (
     Bottom, Dia, Neg, Or, Sharp, Var, box, disjunctive_form,
     free_vars, immediate_subformulas, subformulas, substitute, to_string,
-    DAnd, DFree, DNabla, DOr, DX,
 )
 
 
@@ -234,15 +233,15 @@ def coherent(a_bits: int, b_bits: int, sigma: ClosureSet) -> bool:
 class Deferral:
     """One x-containing position of a host's body, resolved in the closure.
 
-    children holds one pair per immediate grammar child of dnode: where
-    the child's instantiation sits in the closure, and its own deferral
-    unless the child is x-free. An x position also records where
-    chi(_|_, args) sits and the deferral of the whole body it unfolds to;
-    other positions hold None there.
+    children holds one pair per grammar child of dnode, in the order of
+    dnode.children: where the child's instantiation sits in the closure,
+    and its own deferral unless the child is x-free. An x position also
+    records where chi(_|_, args) sits and the deferral of the whole body
+    it unfolds to; other positions hold None there.
     """
     host: object          # the Sharp formula in the closure
     body_part: object     # source subformula of the connective body
-    dnode: object         # grammar position (None when the body is not disjunctive)
+    dnode: object         # syntax.Position (None when the body is not disjunctive)
     index: int            # closure index of body_part[x -> host, q -> args]
     direction: object     # direction of the host's disjunctive form, or None
     children: tuple       # (closure index, deferral id or None) per child
@@ -250,19 +249,9 @@ class Deferral:
     body: object          # x only: deferral id of the whole body
 
 
-def _grammar_children(node):
-    if isinstance(node, DOr):
-        return (node.left, node.right)
-    if isinstance(node, DAnd):
-        return (node.child,)
-    if isinstance(node, DNabla):
-        return node.components
-    return ()
-
-
 def _dform_walk(node):
     yield node
-    for child in _grammar_children(node):
+    for child in node.children:
         yield from _dform_walk(child)
 
 
@@ -293,21 +282,23 @@ class DeferralTable:
             else:
                 slots = {}
                 for node in _dform_walk(df[1]):
-                    if not isinstance(node, DFree):
+                    if node.kind != 'free':
                         slots.setdefault(node.src, node)
             ids = {src: len(deferrals) + k for k, src in enumerate(slots)}
 
             def resolve(child):
                 inst = sigma.index_of(substitute(child.src, mapping))
-                return inst, None if isinstance(child, DFree) else ids[child.src]
+                return inst, None if child.kind == 'free' else ids[child.src]
 
             bottom = sigma.sharp_unfoldings[i][1]
             for src, node in slots.items():
-                at_x = isinstance(node, DX)
+                kind, parts = (None, ()) if node is None else \
+                    (node.kind, node.children)
+                at_x = kind == 'x'
                 index = sigma.index_of(substitute(src, mapping))
                 deferrals.append(Deferral(
                     host, src, node, index, direction,
-                    tuple(resolve(c) for c in _grammar_children(node)),
+                    tuple(resolve(c) for c in parts),
                     bottom if at_x else None, ids[chi.body] if at_x else None))
         self.deferrals = tuple(deferrals)
         self.d = len(deferrals)
@@ -324,11 +315,12 @@ class DeferralTable:
         same = [[] for _ in self.deferrals]
         across = [[] for _ in self.deferrals]
         for did, dfl in enumerate(self.deferrals):
-            modal = isinstance(dfl.dnode, DNabla)
             for cid in [dfl.body] + [c for _, c in dfl.children]:
-                if cid is not None and modal:
+                if cid is None:
+                    continue
+                if dfl.dnode.kind in ('dia', 'box', 'nabla'):
                     across[cid].append((did, dfl.direction))
-                elif cid is not None:
+                else:
                     same[cid].append(did)
         return same, across
 

@@ -30,7 +30,7 @@ from .network import (
     extension_fault, find_defects, is_anticonfluent, network_to_json,
 )
 from .semantics import KripkeModel
-from .syntax import CONVERSE, DIRECTIONS, DAnd, DNabla, DOr, DX, Var, to_string
+from .syntax import CONVERSE, DIRECTIONS, Var, to_string
 
 
 class Stuck(Exception):
@@ -185,12 +185,7 @@ def _finish_tree(ctx, bits, did, depth, memo):
         if depth <= failed_at:
             return None
     tpl = _search_tree(ctx, bits, did, depth, memo, frozenset())
-    old = memo.get(key)
-    if tpl is not None:
-        memo[key] = (tpl, None)
-    else:
-        worst = depth if old is None else max(depth, old[1])
-        memo[key] = (None, worst)
+    memo[key] = (tpl, None) if tpl is not None else (None, depth)
     return tpl
 
 
@@ -261,11 +256,12 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
     node = dfl.dnode
     if node is None:
         return None
-    if isinstance(node, DX):
+    kind = node.kind
+    if kind == 'x':
         if bits >> dfl.bottom & 1:
             return _leaf(bits)
         return _search_tree(ctx, bits, dfl.body, depth, memo, seen)
-    if not isinstance(node, DNabla):
+    if kind in ('or', 'and'):
         # a disjunction or a guarded conjunct: its first finishable component
         for comp in dfl.children:
             tpl = _search_component(ctx, bits, comp, depth, memo, seen)
@@ -273,7 +269,7 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
                 return tpl
         return None
     direction = dfl.direction
-    if node.kind == 'box' and \
+    if kind == 'box' and \
             bits >> ctx.sigma.box_bottom_index[direction] & 1:
         return _leaf(bits)
     if depth < 1:
@@ -283,7 +279,7 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
         return None
     # each modal component is homed at the diamond over its instance
     dedicated = {}
-    if node.kind != 'box':
+    if kind != 'box':
         for comp in dfl.children:
             if comp[1] is not None:
                 dedicated.setdefault(comp[0], []).append(comp)
@@ -307,19 +303,17 @@ def _graft(n, u, tpl, direction, budget, ids):
         raise InvariantError('the tree template does not start at the '
                              'label of node %d' % u)
     draft = Draft(n, link=False)
-
-    def place(parent, subtrees):
-        if subtrees:
-            draft.sat[direction].add(parent)
-        for atom, below in subtrees:
-            if len(draft.nodes) >= budget.max_nodes:  # amalgams may exceed it
-                raise BudgetExceeded('node budget %d exceeded while growing '
-                                     'below %d' % (budget.max_nodes, u))
-            w = ids.take()
-            draft.grow(parent, w, atom, direction)
-            place(w, below)
-
-    place(u, tpl[1])
+    # (parent, subtree) pairs still to grow, the next in preorder on top
+    stack = [(u, sub) for sub in reversed(tpl[1])]
+    while stack:
+        parent, (atom, below) = stack.pop()
+        if len(draft.nodes) >= budget.max_nodes:  # amalgams may exceed it
+            raise BudgetExceeded('node budget %d exceeded while growing '
+                                 'below %d' % (budget.max_nodes, u))
+        draft.sat[direction].add(parent)
+        w = ids.take()
+        draft.grow(parent, w, atom, direction)
+        stack.extend((w, sub) for sub in reversed(below))
     return draft.freeze()
 
 
@@ -386,19 +380,20 @@ def _finish(n, u, did, budget, ids, memo, seen):
     comps = dfl.children
     if node is None:
         raise Stuck('%s has no disjunctive reading' % table.describe(did))
-    if isinstance(node, DX):
+    kind = node.kind
+    if kind == 'x':
         # the 0-step escape was the finished check above
         return _finish(n, u, dfl.body, budget, ids, memo, seen)
-    if isinstance(node, DOr):
+    if kind == 'or':
         hit = _first_finish(((n, u, c) for c in comps), budget, ids, memo,
                             seen)
         if hit is None:
             raise Stuck('no disjunct of %s resolves at node %d'
                         % (table.describe(did), u))
         return hit[1]
-    if isinstance(node, DAnd):
+    if kind == 'and':
         return _finish_component(n, u, comps[0], budget, ids, memo, seen)
-    if not isinstance(node, DNabla):
+    if kind not in ('dia', 'box', 'nabla'):
         raise InvariantError('unexpected grammar position %r' % (node,))
     direction = dfl.direction
     if u not in n.sat[direction]:
@@ -415,7 +410,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
     if not nbrs:
         raise Stuck('node %d is saturated without neighbours but %s needs one'
                     % (u, table.describe(did)))
-    if node.kind == 'box':
+    if kind == 'box':
         exts = {}
         for w in nbrs:
             if _component_done(n, w, comps[0]):
@@ -423,7 +418,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
             exts[w] = _finish_component(n, w, comps[0], budget, ids, memo,
                                         frozenset())
         return _fold(n, u, exts, direction)
-    if node.kind == 'dia':
+    if kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):
             return n
         hit = _first_finish(((n, w, comps[0]) for w in nbrs), budget, ids,
@@ -439,7 +434,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
     def net_at(w):
         return exts.get(w, n)
 
-    for comp, part in zip(comps, node.components):
+    for comp, part in zip(comps, node.children):
         if any(_component_done(net_at(w), w, comp) for w in nbrs):
             continue
         hit = _first_finish(((net_at(w), w, comp) for w in nbrs), budget,

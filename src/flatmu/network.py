@@ -27,7 +27,7 @@ from .closure import (
     ClosureSet, DeferralTable, coherent, enumerate_atoms, fl_closure, is_atom,
 )
 from .syntax import (
-    CONVERSE, DIRECTIONS, DNabla, DX, FileShapeError, Sharp,
+    CONVERSE, DIRECTIONS, FileShapeError, Sharp,
     connectives_from_json, is_int, parse, subformulas, to_string,
 )
 
@@ -593,24 +593,25 @@ def _clause_value(n: Network, values, u, dfl):
     node = dfl.dnode
     if node is None:
         return INF
-    if isinstance(node, DX):
+    kind = node.kind
+    if kind == 'x':
         if n.label[u] >> dfl.bottom & 1:
             return 0
         return _steps(values, (u, dfl.body)) + 1
     comps = dfl.children
-    if not isinstance(node, DNabla):
+    if kind in ('or', 'and'):
         # a disjunction or a guarded conjunct: its best component
         return min(_component_value(n, values, u, c) for c in comps)
-    direction = node.direction
-    if node.kind == 'box' and \
+    direction = dfl.direction
+    if kind == 'box' and \
             n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:
         return 0
     nbrs = n.nbrs[direction][u] if u in n.sat[direction] else ()
     if not nbrs:
         return INF
-    if node.kind == 'box':
+    if kind == 'box':
         return max(_component_value(n, values, w, comps[0]) for w in nbrs)
-    if node.kind == 'dia':
+    if kind == 'dia':
         return min(_component_value(n, values, w, comps[0]) for w in nbrs)
     rows = [[_component_value(n, values, w, c) for c in comps] for w in nbrs]
     covered = max(min(row) for row in rows)

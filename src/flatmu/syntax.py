@@ -586,40 +586,25 @@ def _pp(f: Formula, ctx: int) -> str:
 #           | nabla_d {psi, ..., psi}
 #
 # where <d>psi and [d]psi count as the nablas {psi, T} and {} v {psi}.
-# decompose() matches that grammar directly on the primitive AST, keeping
-# for every grammar position its source subformula, so downstream code can
-# instantiate positions and land inside the closure.
+# decompose() matches that grammar directly on the primitive AST. Each
+# grammar position is one Position: its kind ('free' for theta, 'x', 'or',
+# 'and', or 'dia', 'box' and 'nabla' for the shapes of nabla_d), its source
+# subformula, so downstream code can instantiate it inside the closure, and
+# its grammar children left to right. An 'and' position's one child is its
+# right conjunct; its guard is the left conjunct of src.
 
 @dataclass(frozen=True)
-class DFree:
+class Position:
+    kind: str
     src: Formula
+    children: tuple
 
 
-@dataclass(frozen=True)
-class DX:
-    src: Formula
-
-
-@dataclass(frozen=True)
-class DOr:
-    left: object
-    right: object
-    src: Formula
-
-
-@dataclass(frozen=True)
-class DAnd:
-    guard: Formula  # x-free left conjunct
-    child: object
-    src: Formula
-
-
-@dataclass(frozen=True)
-class DNabla:
-    direction: str
-    kind: str  # 'dia' | 'box' | 'nabla'
-    components: tuple
-    src: Formula
+def _position(kind, f, children):
+    """The position, or None when some child left the grammar."""
+    if any(c is None for c in children):
+        return None
+    return Position(kind, f, tuple(children))
 
 
 def _nabla_components(f: Formula, direction: str):
@@ -641,40 +626,29 @@ def _nabla_components(f: Formula, direction: str):
 def decompose(f: Formula, direction: str):
     """Match f against the disjunctive grammar in x; None when it fails."""
     if 'x' not in free_vars(f):
-        return DFree(f)
+        return Position('free', f, ())
     if isinstance(f, Var) and f.name == 'x':
-        return DX(f)
+        return Position('x', f, ())
     if isinstance(f, Or):
-        left = decompose(f.left, direction)
-        right = decompose(f.right, direction)
-        if left is None or right is None:
-            return None
-        return DOr(left, right, f)
+        return _position('or', f, (decompose(f.left, direction),
+                                   decompose(f.right, direction)))
     pair = as_and(f)
     if pair is not None:
         comps = _nabla_components(f, direction)
         if comps is not None:
-            sub = tuple(decompose(c, direction) for c in comps)
-            if all(s is not None for s in sub):
-                return DNabla(direction, 'nabla', sub, f)
+            node = _position('nabla', f,
+                             [decompose(c, direction) for c in comps])
+            if node is not None:
+                return node
         guard, rest = pair
         if 'x' in free_vars(guard):
             return None
-        child = decompose(rest, direction)
-        if child is None:
-            return None
-        return DAnd(guard, child, f)
+        return _position('and', f, (decompose(rest, direction),))
     if isinstance(f, Dia) and f.direction == direction:
-        child = decompose(f.child, direction)
-        if child is None:
-            return None
-        return DNabla(direction, 'dia', (child,), f)
+        return _position('dia', f, (decompose(f.child, direction),))
     bx = as_box(f)
     if bx is not None and bx[0] == direction:
-        child = decompose(bx[1], direction)
-        if child is None:
-            return None
-        return DNabla(direction, 'box', (child,), f)
+        return _position('box', f, (decompose(bx[1], direction),))
     return None
 
 
@@ -716,15 +690,15 @@ def _split(node):
     """
     if not _has_unguarded(node.src, 'x'):
         return (Bottom(), node.src)
-    if isinstance(node, DX):
+    if node.kind == 'x':
         return (top(), Bottom())
-    if isinstance(node, DOr):
-        c1, g1 = _split(node.left)
-        c2, g2 = _split(node.right)
+    if node.kind == 'or':
+        (c1, g1), (c2, g2) = map(_split, node.children)
         return (Or(c1, c2), Or(g1, g2))
-    if isinstance(node, DAnd):
-        c, g = _split(node.child)
-        return (and_(node.guard, c), and_(node.guard, g))
+    if node.kind == 'and':
+        guard = as_and(node.src)[0]
+        c, g = _split(node.children[0])
+        return (and_(guard, c), and_(guard, g))
     raise AssertionError('unreachable: nabla positions contain no unguarded x')
 
 

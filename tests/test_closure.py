@@ -1,12 +1,13 @@
 import hashlib
 
+from flatmu.acceptance import _STAGE_CONNS, _disjunctive_corpus
 from flatmu.closure import (
     MAX_FREE_BITS, ClosureSet, DeferralTable, atom_formulas, coherent,
     enumerate_atoms, fl_closure, is_atom,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
-    and_, box, connectives_from_json, parse, substitute,
+    and_, box, connectives_from_json, parse, substitute, to_string,
 )
 
 import pytest
@@ -414,6 +415,34 @@ def test_deferral_table_non_disjunctive_fallback():
     # an instantiation puts the host for x; TANGLE takes no arguments
     assert [sigma.formulas[d.index] for d in table.deferrals] == [
         substitute(part, {'x': focus}) for part in parts]
+
+
+# bodies whose tables have 'and' and 'nabla' positions, which the
+# generated corpus of check 7 lacks
+POSITION_CONNS = tuple(
+    FixpointConnective('m%d' % i, 1, parse(body, {}))
+    for i, body in enumerate(('q & <F>x', 'nablaF{x, q}',
+                              'q | nablaB{x | q, <F>q}',
+                              '~q & nablaF{q & x, x}')))
+# sha256 of the tables below as they stood when each grammar position was
+# one of five classes, the kind read from the class and a nabla's tag
+PINNED_TABLES = \
+    '878ae89cca770f84130659362181ff83624d3a713d13ebb4611f004e2edabe33'
+
+
+def test_deferral_tables_of_the_connective_corpus_are_pinned():
+    lines, kinds = [], set()
+    for chi in _disjunctive_corpus() + list(_STAGE_CONNS + POSITION_CONNS):
+        table = DeferralTable(fl_closure(Sharp(chi, (Var('p'),))))
+        for dfl in table.deferrals:
+            kinds.add(dfl.dnode.kind)
+            lines.append(repr((
+                to_string(dfl.body_part), dfl.index, dfl.direction,
+                dfl.children, dfl.bottom, dfl.body, dfl.dnode.kind)))
+    assert kinds == {'x', 'or', 'and', 'dia', 'box', 'nabla'}
+    assert len(lines) == 168
+    assert hashlib.sha256('\n'.join(lines).encode()).hexdigest() == \
+        PINNED_TABLES
 
 
 def test_deferral_instantiations_use_host_arguments():

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -762,6 +764,40 @@ def test_build_reports_radius_when_nodes_run_out():
     assert report.verdict == 'radius'
     assert 'budget' in report.detail
     assert report.radius == -1
+
+
+def test_grafting_builds_leave_no_network_alive(monkeypatch):
+    # with the cyclic collector off, every network of these builds dies by
+    # reference count once its report is dropped, also when a graft runs
+    # out of nodes
+    made, grafts = [], []
+    post_init, graft = Network.__post_init__, construct._graft
+
+    def tracked(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    def counted(*args):
+        grafts.append(1)
+        return graft(*args)
+
+    monkeypatch.setattr(Network, '__post_init__', tracked)
+    monkeypatch.setattr(construct, '_graft', counted)
+    defs = {name: FixpointConnective(name, 1, parse(body, {}))
+            for name, body in (('rb', 'q | <B>x'), ('sf', '[F]x | q'),
+                               ('sb', '[B]x | q'))}
+    builds = [('#sb(<F>p)', 7), ('#sf(#rb(#sf(q)))', 3),
+              ('#sf(#rb(#sf(q)))', 4)]
+    gc.disable()
+    try:
+        for text, k in builds:
+            ctx = ctx_for(parse(text, defs))
+            assert build(ctx, ctx.atoms_by_duty[k]).verdict == 'radius'
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        gc.enable()  # collects at once: read the weakrefs before
+    assert len(grafts) == 8 and len(made) == 42
+    assert alive == 0
 
 
 def test_extract_model_reads_off_states_and_valuation():

@@ -21,7 +21,7 @@ from flatmu.network import (
     upgen, validate,
 )
 from flatmu.syntax import (
-    Bottom, DNabla, DX, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
+    Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
     nabla, parse,
 )
 
@@ -629,15 +629,15 @@ def _oracle_clause(n, values, u, dfl):
     node = dfl.dnode
     if node is None:
         return INF
-    if isinstance(node, DX):
+    if node.kind == 'x':
         best = INF
         if n.label[u] >> dfl.bottom & 1:
             best = 0
         return min(best, values.get((u, dfl.body), INF) + 1)
     comps = dfl.children
-    if not isinstance(node, DNabla):
+    if node.kind not in ('dia', 'box', 'nabla'):
         return min(_oracle_component(n, values, u, c) for c in comps)
-    direction = node.direction
+    direction = dfl.direction
     if node.kind == 'box':
         best = INF
         if n.label[u] >> n.ctx.sigma.box_bottom_index[direction] & 1:

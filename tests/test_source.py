@@ -1,6 +1,7 @@
 """Every definition, module-level name, class field and parameter
-default in the package is used by the package itself, and the package
-never imports numpy.
+default in the package is used by the package itself, the package
+never imports numpy, and only syntax and closure name the grammar
+position class.
 
 A function, class or method that no code under src/ names is dead weight
 that only tests keep alive, and so is a module-level name that no code
@@ -171,4 +172,15 @@ def test_src_never_imports_numpy():
              and any(a.name.split('.')[0] == 'numpy' for a in node.names)
              or isinstance(node, ast.ImportFrom)
              and (node.module or '').split('.')[0] == 'numpy']
+    assert found == []
+
+
+def test_only_syntax_and_closure_name_the_grammar_position():
+    # the rest reads a deferral's dnode.kind and dnode.children
+    found = [(name, node.lineno) for name, tree in _trees()
+             if name not in ('syntax.py', 'closure.py')
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == 'Position'
+             or isinstance(node, ast.Attribute) and node.attr == 'Position'
+             or isinstance(node, ast.alias) and node.name == 'Position']
     assert found == []

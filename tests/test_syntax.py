@@ -272,19 +272,10 @@ def test_decompose_positions_cover_example():
     srcs = []
 
     def walk(node):
-        if hasattr(node, 'components'):
+        if node.kind != 'free':
             srcs.append(node.src)
-            for c in node.components:
-                walk(c)
-        elif hasattr(node, 'left'):
-            srcs.append(node.src)
-            walk(node.left)
-            walk(node.right)
-        elif hasattr(node, 'child'):
-            srcs.append(node.src)
-            walk(node.child)
-        elif type(node).__name__ == 'DX':
-            srcs.append(node.src)
+        for c in node.children:
+            walk(c)
 
     walk(form)
     assert set(srcs) == {Var('x'), box('F', Var('x')), CHI1.body}
