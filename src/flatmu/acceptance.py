@@ -12,8 +12,8 @@ Failures and anchors still name a frame by its index in the walk over
 all sizes and a lane by its valuation index within that frame. Scalar
 anchors re-evaluate a stride of lanes on int masks over the lane's own
 KripkeModel, which checks what differs between the carriers: the edge
-planes, lane decoding, valuation lookup. The random half of each sweep
-runs on int masks.
+planes, lane decoding, valuation lookup. Checks 2 and 4 run their random
+models as lanes too, one batch per size; checks 1 and 3 on int masks.
 
 A mutation hook lets the harness test itself: run_all(mutate=name)
 deliberately corrupts one input of the named row, which must then fail.
@@ -43,6 +43,7 @@ from .network import (
 from .semantics import (
     KripkeModel, approximant, axiom_instances, brute_force_sat, eval_bits,
     eval_fixpoint_by_intersection, eval_nabla_via_relation, frame_batches,
+    model_lanes,
 )
 from .syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, and_, box,
@@ -148,13 +149,13 @@ def _random_models():
 
 def _sweep(check):
     """check(offset, batch) on every frame up to four states, with p and q
-    on lanes, then check(None, model) on each random model. Returns how
-    many frames and random models it ran."""
+    on lanes, then check(None, batch) with the random models as lanes, one
+    batch per size. Returns how many frames and random models it ran."""
     for offset, batch in _batches(('p', 'q')):
         check(offset, batch)
     randoms = _random_models()
-    for m in randoms:
-        check(None, m)
+    for n in (5, 6):
+        check(None, model_lanes([m for m in randoms if m.states == n]))
     return offset + batch.frames.stop, len(randoms)
 
 
@@ -168,7 +169,10 @@ def _first_split(offset, batch, a, b):
 def _where(offset, m, a, b):
     """Where truth sets a and b split: a frame's lane, or a random model."""
     if offset is None:
-        return 'a random %d-state model' % m.states
+        split, n = m.somewhere(a ^ b), m.states
+        draw = [k for k, r in enumerate(_random_models()) if r.states == n]
+        return 'random model %d (%d states)' % (
+            draw[(split & -split).bit_length() - 1], n)
     fi, lane = _first_split(offset, m, a, b)
     return 'frame %d states=%d lane=%d' % (fi, m.states, lane)
 
@@ -337,8 +341,9 @@ def check_approximants():
         memo = {}
         for (chi, theta), forms in stages.items():
             fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
+            outside = m.full_mask & ~fix
             for k, form in enumerate(forms[:6]):
-                out = eval_bits(form, m, None, memo) & ~fix & m.full_mask
+                out = eval_bits(form, m, None, memo) & outside
                 if out:
                     _fail('4', 'stage %d of %s(%s) escapes the fixpoint on %s'
                           % (k + 1, chi.name, to_string(theta),

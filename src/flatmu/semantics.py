@@ -1,16 +1,13 @@
 """Kripke models and formula evaluation.
 
-One evaluator, eval_bits, computes truth sets as bitmasks over states, on
-two carriers. On a KripkeModel a truth set is an int mask. On a FrameBatch
-it is one int of state-major bit planes with one bit per lane and state,
-where a lane is one frame (up to isomorphism, at most four states) under
-one joint valuation: the brute-force search, over all its sizes at once,
-and the selftest sweeps, one size at a time, evaluate CHUNK lanes per
-pass. Union, complement against full_mask and equality are plain int
-operations on both; each carrier answers <d> (image). Fixpoint
-connectives are evaluated by Kleene iteration from the empty set, which
-converges within |W| rounds by positivity of the body; each round runs the
-connective's plan.
+One evaluator, eval_bits, computes truth sets as bitmasks over states: an
+int mask on a KripkeModel, and on a LaneBatch, one model per lane, an int
+of state-major bit planes (model_lanes packs models of one size; a
+FrameBatch lane is one frame under one joint valuation). Union, complement
+against full_mask and equality are plain int operations; each carrier
+answers <d> (image). Fixpoint connectives are evaluated by Kleene
+iteration from the empty set, which converges within |W| rounds by
+positivity of the body; each round runs the connective's plan.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ def _file_problems(obj):
 def eval_bits(formula, model, env=None, _memo=None):
     """Truth set of formula as a bitmask; env overlays the valuation.
 
-    model is a KripkeModel (an int mask) or a FrameBatch (an int of bit
+    model is a KripkeModel (an int mask) or a LaneBatch (an int of bit
     planes, one per state); env values and the result are in the model's
     carrier, and both carriers compare with ==. _memo
     maps formulas to results for this one model and env: share it across
@@ -348,26 +345,15 @@ def _planes(states: int, letters: int, smallest: int, start: int):
     return sizes, width, full, tuple(vals), dict(F=rows, B=tuple(zip(*rows)))
 
 
-class FrameBatch:
-    """A chunk of lanes of the frames on smallest..states states (states
-    alone by default): the model eval_bits runs on for lanes.
+class LaneBatch:
+    """Models side by side, one per lane: bit w * len(batch) + i of a truth
+    set is state w of lane i. states, the largest size, bounds the Kleene
+    rounds."""
 
-    The lane space lists the sizes smallest first, and size n the frames
-    of _frame_reps(n) each under every joint valuation of names: its lane
-    L is frame L >> (n * len(names)) under valuation index L mod
-    2^(n * len(names)). Frame indices count on across the sizes. A batch
-    holds lanes start..start + len(batch), at most CHUNK; bit
-    w * len(batch) + i of a truth set is state w of lane i. states, the
-    largest size, bounds the Kleene rounds; valuations = 2^(states *
-    |names|)."""
-
-    def __init__(self, states, names, start, smallest=None):
-        self.states, self.start, self._letters = states, start, len(names)
-        self.valuations = 1 << states * len(names)
-        self._sizes, self._width, self.full_mask, vals, self._toward = \
-            _planes(states, len(names), smallest or states, start)
-        self._lanes = (1 << self._width) - 1
-        self._valuation = dict(zip(names, vals))
+    def __init__(self, states, width, full_mask, valuation, toward):
+        self.states, self._width, self.full_mask = states, width, full_mask
+        self._lanes = (1 << width) - 1
+        self._valuation, self._toward = valuation, toward
 
     def __len__(self):
         return self._width
@@ -400,6 +386,35 @@ class FrameBatch:
         """The lanes where the truth set x holds at some state, a bit each."""
         return reduce(or_, (x >> w * self._width
                             for w in range(self.states))) & self._lanes
+
+
+def model_lanes(models):
+    """Models of one size and letters as a LaneBatch; lane i is models[i]."""
+    n, width = models[0].states, len(models)
+    planes = lambda xs: [sum((x >> w & 1) << i for i, x in enumerate(xs))
+                         for w in range(n)]
+    rows = [planes([m.nbr_masks['F'][v] for m in models]) for v in range(n)]
+    vals = {k: sum(p << w * width for w, p in enumerate(planes(
+        [m.valuation_mask(k) for m in models]))) for k in models[0]._valuation}
+    return LaneBatch(n, width, (1 << n * width) - 1, vals,
+                     dict(F=rows, B=tuple(zip(*rows))))
+
+
+class FrameBatch(LaneBatch):
+    """Lanes start..start + len(batch), at most CHUNK, of the frames on
+    smallest..states states (states alone by default). The lane space
+    lists the sizes smallest first, and size n the frames of
+    _frame_reps(n) each under every joint valuation of names: its lane L
+    is frame L >> (n * len(names)) under valuation index L mod
+    2^(n * len(names)), and valuations = 2^(states * |names|). Frame
+    indices count on across the sizes."""
+
+    def __init__(self, states, names, start, smallest=None):
+        self.start, self._letters = start, len(names)
+        self.valuations = 1 << states * len(names)
+        self._sizes, width, full, vals, toward = \
+            _planes(states, len(names), smallest or states, start)
+        super().__init__(states, width, full, dict(zip(names, vals)), toward)
 
     @property
     def frames(self):

@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 from flatmu import acceptance
+from flatmu.semantics import (
+    approximant, axiom_instances, eval_bits, model_lanes,
+)
+from flatmu.syntax import Sharp, to_string
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -100,3 +104,68 @@ def test_mutation_hook_fails_only_its_row():
 def test_unknown_mutation_is_rejected():
     with pytest.raises(ValueError):
         acceptance.run_all(only={'6'}, mutate='no-such-hook')
+
+
+# ---------------------------------------------------------------------------
+# the random models of checks 2 and 4 as lanes
+
+def _sweep_formulas():
+    """Check 4's fixpoints and stages 1..6 of every connective-argument
+    pair, then check 2's 43 axiom instances."""
+    out = [f for chi in acceptance._STAGE_CONNS
+           for theta in acceptance._STAGE_ARGS
+           for f in [Sharp(chi, (theta,))]
+           + [approximant(chi, k, (theta,)) for k in range(6)]]
+    instances = list(axiom_instances(acceptance._AX_POOL))
+    assert len(out) == 56 and len(instances) == 43
+    return out + instances
+
+
+def _first_lane_off_its_model():
+    """(size, lane, formula) of the first lane of the random-model batches
+    that acceptance packs whose truth set differs from eval_bits on that
+    lane's own KripkeModel, or None."""
+    formulas, models = _sweep_formulas(), acceptance._random_models()
+    for n in (5, 6):
+        group = [m for m in models if m.states == n]
+        batch = acceptance.model_lanes(group)
+        assert (batch.states, len(batch)) == (n, len(group))
+        memo, memos = {}, [{} for _ in group]
+        for f in formulas:
+            x = eval_bits(f, batch, None, memo)
+            for i, m in enumerate(group):
+                if batch.lane(x, i) != eval_bits(f, m, None, memos[i]):
+                    return n, i, to_string(f)
+    return None
+
+
+def test_every_random_lane_equals_eval_bits_on_its_own_model():
+    assert _first_lane_off_its_model() is None
+
+
+def test_the_lane_oracle_catches_swapped_edge_rows(monkeypatch):
+    # every law checks 2 and 4 test also holds on the converse model, so
+    # a packing that swaps F and B passes both rows; the oracle does not
+    pack = acceptance.model_lanes
+
+    def swapped(models):
+        batch = pack(models)
+        batch._toward = {'F': batch._toward['B'], 'B': batch._toward['F']}
+        return batch
+
+    monkeypatch.setattr(acceptance, 'model_lanes', swapped)
+    assert _first_lane_off_its_model() is not None
+
+
+def test_a_random_lane_failure_names_the_model_by_its_draw_index():
+    models = acceptance._random_models()
+    six = model_lanes([m for m in models if m.states == 6])
+    full, width = six.full_mask, len(six)
+    # lane 7 splits at state 0 and lane 3 at state 5: the lowest lane
+    # names the model, not the lowest bit
+    cut = full & ~(1 << 7) & ~(1 << 5 * width + 3)
+    assert acceptance._where(None, six, full, cut) == \
+        'random model 6 (6 states)'
+    five = model_lanes([m for m in models if m.states == 5])
+    assert acceptance._where(None, five, 0, 1 << 4 * len(five) + 9) == \
+        'random model 22 (5 states)'

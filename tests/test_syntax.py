@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatmu.semantics import eval_bits, frame_batches
 from flatmu.syntax import (
     Bottom, Var, Neg, Or, Dia, Sharp, FileShapeError, FixpointConnective,
     GuardificationResult, ParseError, and_, as_and, as_box, box,
@@ -432,6 +433,37 @@ def test_guardify_invariants_on_small_corpus():
         assert classify_disjunctive(r.gamma2) == classify_disjunctive(chi)
         seen += 1
     assert seen > 500
+
+
+# bodies with 'and' and 'nabla' positions that contain x, which check 7's
+# generated corpus never has: guarded conjuncts with x bare or under an
+# 'or', and nablas with x among their components
+SPLIT_BODIES = (
+    'q1 & x', 'x | (q1 & (x | <F>x))', '(~q1 & x) | <B>x',
+    'q1 & (x | nablaF{x})', 'nablaF{x, q1}', 'q1 | nablaB{x | q1, <F>q1}',
+    '~q1 & nablaF{q1 & x, x}', 'nablaB{x, q1 & x, <B>x}',
+)
+
+
+def _kinds_holding_x(node):
+    here = {node.kind} if 'x' in free_vars(node.src) else set()
+    return here.union(*map(_kinds_holding_x, node.children))
+
+
+def test_guardify_splits_and_and_nabla_positions_equivalently():
+    kinds = set()
+    for body in SPLIT_BODIES:
+        chi = FixpointConnective('c', 1, parse(body, {}))
+        assert classify_disjunctive(chi) != 'none', body
+        kinds |= _kinds_holding_x(disjunctive_form(chi)[1])
+        r = guardify(chi)
+        assert is_guarded(r.gamma2), body
+        assert classify_disjunctive(r.gamma2) != 'none', body
+        for n in (1, 2, 3):
+            for batch in frame_batches(n, ('x', 'q1')):
+                assert eval_bits(r.equivalence, batch) == batch.full_mask, \
+                    (body, n)
+    assert {'and', 'nabla'} <= kinds
 
 
 # ---------------------------------------------------------------------------
