@@ -233,6 +233,9 @@ def _cmd_build(args):
             report = build(ctx, bits, budget)
         except ValueError as exc:
             raise _CliError(str(exc))
+        except RecursionError:
+            raise _CliError('--max-depth %d nests the finishing search too '
+                            'deeply; lower it' % budget.max_depth)
         reports.append((bits, report))
         if not args.all and report.verdict == 'perfect':
             break

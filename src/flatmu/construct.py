@@ -164,50 +164,43 @@ def _saturate_all(n, budget):
 # A tree template is an (atom, subtrees) pair planning a grafted subtree:
 # the subtrees are the d copies of each diamond's witness family in turn,
 # each rooted at the family's atom. A root with subtrees gets the
-# direction's saturation flag.
+# direction's saturation flag. The template asked for at (atom, deferral,
+# depth) is a function of those three alone, so the context keeps every
+# answer for all the builds it serves, however they are ordered.
 
 def _leaf(bits):
     return (bits, ())
 
 
-def _finish_tree(ctx, bits, did, depth, memo):
-    """Search for a tree of fresh atoms finishing the deferral at its root.
-
-    Successes are cached unconditionally; failures remember the depth they
-    were given so only a deeper retry recomputes.
-    """
-    key = (bits, did)
-    hit = memo.get(key)
-    if hit is not None:
-        tpl, failed_at = hit
-        if tpl is not None:
-            return tpl
-        if depth <= failed_at:
-            return None
-    tpl = _search_tree(ctx, bits, did, depth, memo, frozenset())
-    memo[key] = (tpl, None) if tpl is not None else (None, depth)
-    return tpl
+def _finish_tree(ctx, bits, did, depth):
+    """A tree of fresh atoms, at most depth diamonds high, finishing the
+    deferral at its root bits, or None when there is none. The answer is
+    read from ctx.trees and searched for once."""
+    key = (bits, did, depth)
+    if key not in ctx.trees:
+        ctx.trees[key] = _search_tree(ctx, bits, did, depth, frozenset())
+    return ctx.trees[key]
 
 
-def _component_tree(ctx, bits, comp, depth, memo):
+def _component_tree(ctx, bits, comp, depth):
     inst, cid = comp
     if not bits >> inst & 1:
         return None
     if cid is None:
         return _leaf(bits)
-    return _finish_tree(ctx, bits, cid, depth, memo)
+    return _finish_tree(ctx, bits, cid, depth)
 
 
-def _search_component(ctx, bits, comp, depth, memo, seen):
+def _search_component(ctx, bits, comp, depth, seen):
     inst, cid = comp
     if not bits >> inst & 1:
         return None
     if cid is None:
         return _leaf(bits)
-    return _search_tree(ctx, bits, cid, depth, memo, seen)
+    return _search_tree(ctx, bits, cid, depth, seen)
 
 
-def _row_filler(ctx, cand, comps, depth, memo):
+def _row_filler(ctx, cand, comps, depth):
     """A subtree letting one family copy satisfy the cover duty of a full
     expansion: a free component already in the atom, else the first
     component whose own finish works out."""
@@ -217,28 +210,28 @@ def _row_filler(ctx, cand, comps, depth, memo):
     for comp in comps:
         if comp[1] is None:
             continue
-        sub = _component_tree(ctx, cand, comp, depth, memo)
+        sub = _component_tree(ctx, cand, comp, depth)
         if sub is not None:
             return sub
     return None
 
 
-def _family_copies(ctx, cand, dfl, dedicated, depth, memo):
+def _family_copies(ctx, cand, dfl, dedicated, depth):
     d = ctx.table.multiplicity
     kind = dfl.dnode.kind
     if kind == 'box':
-        sub = _component_tree(ctx, cand, dfl.children[0], depth, memo)
+        sub = _component_tree(ctx, cand, dfl.children[0], depth)
         return None if sub is None else (sub,) * d
     copies = []
     for comp in dedicated:
-        sub = _component_tree(ctx, cand, comp, depth, memo)
+        sub = _component_tree(ctx, cand, comp, depth)
         if sub is None:
             return None
         copies.append(sub)
     if len(copies) > d:
         return None
     if kind == 'nabla':
-        filler = _row_filler(ctx, cand, dfl.children, depth, memo)
+        filler = _row_filler(ctx, cand, dfl.children, depth)
         if filler is None:
             return None
         pad = filler
@@ -248,7 +241,11 @@ def _family_copies(ctx, cand, dfl, dedicated, depth, memo):
     return tuple(copies)
 
 
-def _search_tree(ctx, bits, did, depth, memo, seen):
+def _search_tree(ctx, bits, did, depth, seen):
+    # seen holds the deferrals unfolded at this atom since the last diamond:
+    # the walk takes the first component whose derivation avoids them. A
+    # choice by Kleene stage would take the least-stage component instead,
+    # which can differ, so the depth-first walk stays.
     if did in seen:
         return None
     seen = seen | {did}
@@ -260,11 +257,11 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
     if kind == 'x':
         if bits >> dfl.bottom & 1:
             return _leaf(bits)
-        return _search_tree(ctx, bits, dfl.body, depth, memo, seen)
+        return _search_tree(ctx, bits, dfl.body, depth, seen)
     if kind in ('or', 'and'):
         # a disjunction or a guarded conjunct: its first finishable component
         for comp in dfl.children:
-            tpl = _search_component(ctx, bits, comp, depth, memo, seen)
+            tpl = _search_component(ctx, bits, comp, depth, seen)
             if tpl is not None:
                 return tpl
         return None
@@ -287,8 +284,7 @@ def _search_tree(ctx, bits, did, depth, memo, seen):
     for _, child_i in members:
         for cand in ctx.witnesses(bits, child_i, direction):
             copies = _family_copies(ctx, cand, dfl,
-                                    dedicated.get(child_i, ()),
-                                    depth - 1, memo)
+                                    dedicated.get(child_i, ()), depth - 1)
             if copies is not None:
                 break
         else:
@@ -331,14 +327,14 @@ def _component_done(n, w, comp):
     return cid is None or _finished(n, w, cid)
 
 
-def _finish_component(n, w, comp, budget, ids, memo, seen):
+def _finish_component(n, w, comp, budget, ids, seen):
     inst, cid = comp
     if not n.label[w] >> inst & 1:
         raise Stuck('%s is absent at node %d'
                     % (to_string(n.ctx.sigma.formulas[inst]), w))
     if cid is None:
         return n
-    return _finish(n, w, cid, budget, ids, memo, seen)
+    return _finish(n, w, cid, budget, ids, seen)
 
 
 def _fold(n, u, exts, direction):
@@ -351,7 +347,7 @@ def _fold(n, u, exts, direction):
         raise Stuck('below node %d: %s' % (u, e)) from None
 
 
-def _first_finish(tries, budget, ids, memo, seen):
+def _first_finish(tries, budget, ids, seen):
     """The first of the (network, node, component) tries whose component
     is in the node's label and finishes there, as (node, extension); None
     when none does. A try that gets stuck hands its ids back."""
@@ -360,13 +356,13 @@ def _first_finish(tries, budget, ids, memo, seen):
             continue
         start = ids.next
         try:
-            return w, _finish_component(n, w, comp, budget, ids, memo, seen)
+            return w, _finish_component(n, w, comp, budget, ids, seen)
         except Stuck:
             ids.next = start
     return None
 
 
-def _finish(n, u, did, budget, ids, memo, seen):
+def _finish(n, u, did, budget, ids, seen):
     """Grow n inside u's cone until the deferral resolves at u."""
     table = n.ctx.table
     if _finished(n, u, did):
@@ -383,22 +379,21 @@ def _finish(n, u, did, budget, ids, memo, seen):
     kind = node.kind
     if kind == 'x':
         # the 0-step escape was the finished check above
-        return _finish(n, u, dfl.body, budget, ids, memo, seen)
+        return _finish(n, u, dfl.body, budget, ids, seen)
     if kind == 'or':
-        hit = _first_finish(((n, u, c) for c in comps), budget, ids, memo,
-                            seen)
+        hit = _first_finish(((n, u, c) for c in comps), budget, ids, seen)
         if hit is None:
             raise Stuck('no disjunct of %s resolves at node %d'
                         % (table.describe(did), u))
         return hit[1]
     if kind == 'and':
-        return _finish_component(n, u, comps[0], budget, ids, memo, seen)
+        return _finish_component(n, u, comps[0], budget, ids, seen)
     if kind not in ('dia', 'box', 'nabla'):
         raise InvariantError('unexpected grammar position %r' % (node,))
     direction = dfl.direction
     if u not in n.sat[direction]:
         if not n.nbrs[direction][u]:
-            tpl = _finish_tree(n.ctx, n.label[u], did, budget.max_depth, memo)
+            tpl = _finish_tree(n.ctx, n.label[u], did, budget.max_depth)
             if tpl is None:
                 raise Stuck('no finishing tree for %s below node %d'
                             % (table.describe(did), u))
@@ -415,14 +410,14 @@ def _finish(n, u, did, budget, ids, memo, seen):
         for w in nbrs:
             if _component_done(n, w, comps[0]):
                 continue
-            exts[w] = _finish_component(n, w, comps[0], budget, ids, memo,
+            exts[w] = _finish_component(n, w, comps[0], budget, ids,
                                         frozenset())
         return _fold(n, u, exts, direction)
     if kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):
             return n
         hit = _first_finish(((n, w, comps[0]) for w in nbrs), budget, ids,
-                            memo, frozenset())
+                            frozenset())
         if hit is None:
             raise Stuck('no neighbour of %d can finish %s'
                         % (u, table.describe(did)))
@@ -438,7 +433,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
         if any(_component_done(net_at(w), w, comp) for w in nbrs):
             continue
         hit = _first_finish(((net_at(w), w, comp) for w in nbrs), budget,
-                            ids, memo, frozenset())
+                            ids, frozenset())
         if hit is None:
             raise Stuck('component %s of %s has no home below node %d'
                         % (to_string(part.src), table.describe(did), u))
@@ -448,7 +443,7 @@ def _finish(n, u, did, budget, ids, memo, seen):
         if any(_component_done(net_at(w), w, c) for c in comps):
             continue
         hit = _first_finish(((net_at(w), w, c) for c in comps), budget, ids,
-                            memo, frozenset())
+                            frozenset())
         if hit is None:
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
@@ -472,7 +467,7 @@ def finish_deferral(n, u, did, budget=None):
         raise ValueError('deferral %d is not active at node %d' % (did, u))
     if tt[u, did] is not None:
         return n
-    out = _finish(n, u, did, budget, _Ids(max(n.nodes) + 1), {}, frozenset())
+    out = _finish(n, u, did, budget, _Ids(max(n.nodes) + 1), frozenset())
     fault = extension_fault(n, out, u, n.ctx.table.deferrals[did].direction)
     if fault is not None:
         raise InvariantError('finishing deferral %d at node %d broke the '

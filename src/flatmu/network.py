@@ -63,6 +63,7 @@ class NetworkContext:
     def __init__(self, sigma: ClosureSet):
         self.sigma = sigma
         self.table = DeferralTable(sigma)
+        self.trees = {}  # construct's finishing trees by (atom, did, depth)
 
     @cached_property
     def atoms(self):

@@ -581,6 +581,21 @@ def test_build_over_an_unguarded_connective_ends_in_verdicts(tmp_path):
             assert eval_bits(f, extract_model(n)) & 1
 
 
+@pytest.mark.parametrize('depth, code', [('100', 2), ('1000', 1)])
+def test_a_finishing_search_too_deep_to_recurse_names_max_depth(
+        capsys, tmp_path, depth, code):
+    # _|_ never holds, so the search for a tree finishing #rf(_|_) goes
+    # down to the bottom of --max-depth, some frames per diamond
+    p = tmp_path / 'defs.json'
+    p.write_text(json.dumps(BENCH_DEFS))
+    got, _, err = run(capsys, 'build', '#rf(_|_)', '--defs', str(p),
+                      '--max-depth', depth)
+    assert got == code
+    if code == 1:
+        assert len(err.splitlines()) == 1 and '--max-depth 1000' in err
+        assert 'Traceback' not in err
+
+
 def test_build_rejects_a_non_atom_seed(capsys, defs_path):
     code, _, err = run(capsys, 'build', '#r(q)', '--defs', defs_path,
                        '--atom', '0')

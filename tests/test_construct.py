@@ -550,6 +550,101 @@ def test_finishing_outcomes_are_pinned():
         '77f6f101e558e91ac15cfd1b724804e748191f49a4ba2774c9bc464e0adafd2a')
 
 
+# The formulas of the perfbench build corpus, and an unguarded body whose
+# x unfolds at its own atom.
+TREE_DEFS = {chi.name: chi for chi in (
+    FixpointConnective('rf', 1, parse('q | <F>x', {})),
+    FixpointConnective('rb', 1, parse('q | <B>x', {})),
+    FixpointConnective('sf', 1, parse('[F]x | q', {})),
+    FixpointConnective('sb', 1, parse('[B]x | q', {})),
+    FixpointConnective('k', 1, parse('<F>x | x', {})),
+)}
+TREE_ORIGINS = ('#rf(p)', '#sf(p)', '#sb(<F>p)', '#rf(p) & #rb(q)',
+                '#sf(q) & #rf(p)', '#rf(p) & #rb(p) & #rf(q)', '#k(p)')
+
+
+def _tree_name(tpl, names, memo):
+    """(number, height) of a template: equal templates get one number in
+    one names table, and a subtree shared by its copies is read once."""
+    if id(tpl) not in memo:
+        kids = [_tree_name(sub, names, memo) for sub in tpl[1]]
+        key = (tpl[0], tuple(k for k, _ in kids))
+        height = max((h + 1 for _, h in kids), default=0)
+        memo[id(tpl)] = names.setdefault(key, len(names)), height
+    return memo[id(tpl)]
+
+
+def _order_faults(origin):
+    """Ask _finish_tree about every viable atom, active deferral and depth
+    0..6 on two fresh contexts, by ascending and by descending depth; list
+    the answers that differ, overshoot their depth or miss their root."""
+    names, faults, answers = {}, [], []
+    for order in (range(7), range(6, -1, -1)):
+        ctx = ctx_for(parse(origin, TREE_DEFS))
+        asks = [(bits, did) for bits in ctx.atoms_by_duty
+                for did, dfl in enumerate(ctx.table.deferrals)
+                if bits >> dfl.index & 1]
+        got, memo = {}, {}
+        for k in order:
+            for bits, did in asks:
+                tpl = construct._finish_tree(ctx, bits, did, k)
+                if tpl is None:
+                    got[bits, did, k] = None
+                    continue
+                got[bits, did, k], height = _tree_name(tpl, names, memo)
+                if height > k or tpl[0] != bits:
+                    faults.append('%s at %r: height %d, root %d'
+                                  % (origin, (bits, did, k), height, tpl[0]))
+        answers.append(got)
+    assert answers[0].keys() == answers[1].keys()
+    faults += ['%s at %r differs' % (origin, key) for key in answers[0]
+               if answers[0][key] != answers[1][key]]
+    return faults
+
+
+def test_finishing_trees_do_not_depend_on_the_order_of_asks(monkeypatch):
+    # an unguarded body unfolds back to a deferral already on the path
+    # at the same atom, which is what _search_tree's seen set cuts off
+    cut = []
+    search = construct._search_tree
+
+    def spied(ctx, bits, did, depth, seen):
+        if did in seen:
+            cut.append(did)
+        return search(ctx, bits, did, depth, seen)
+
+    monkeypatch.setattr(construct, '_search_tree', spied)
+    for origin in TREE_ORIGINS:
+        del cut[:]
+        assert _order_faults(origin) == []
+        assert bool(cut) == (origin == '#k(p)'), origin
+
+
+def test_the_order_test_catches_reuse_across_depths(monkeypatch):
+    # the memo keyed on (atom, deferral) alone: a success found at one
+    # depth is handed out at every other
+    def reused(ctx, bits, did, depth):
+        if ctx.trees.get((bits, did)) is None:
+            ctx.trees[bits, did] = construct._search_tree(
+                ctx, bits, did, depth, frozenset())
+        return ctx.trees[bits, did]
+
+    monkeypatch.setattr(construct, '_finish_tree', reused)
+    assert _order_faults('#rf(p)')
+
+
+def test_builds_sharing_a_context_report_as_on_fresh_ones():
+    for origin in ('#rf(p) & #rb(q)', '#sf(q) & #rf(p)'):
+        f = parse(origin, TREE_DEFS)
+        shared = ctx_for(f)
+        fi = shared.sigma.index_of(f)
+        seeds = [a for a in shared.atoms_by_duty if a >> fi & 1]
+        assert len(seeds) > 1
+        for seed in sorted(seeds, reverse=True):
+            assert build(shared, seed).to_json() == \
+                build(ctx_for(f), seed).to_json(), (origin, seed)
+
+
 # Node 1 holds <F>[B]_|_, which no successor can witness: a successor of a
 # node holding ~_|_ holds <B>~_|_. Finishing <F>x at node 0 tries node 1
 # first, and saturating it grows five witnesses, ids 4 to 8, before it
