@@ -28,7 +28,9 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from . import MUTATIONS
 from .closure import coherent, fl_closure
@@ -268,11 +270,10 @@ def _vec_cover(members, fr, direction, memo):
     every neighbour satisfies some member and every member holds at some
     neighbour."""
     vecs = [eval_bits(m, fr, None, memo) for m in members]
-    missed, lanes, out = fr.full_mask, fr.somewhere(fr.full_mask), 0
-    for v in vecs:
-        missed &= ~v
+    missed = fr.full_mask ^ reduce(or_, vecs, 0)
+    lanes, out = fr.somewhere(fr.full_mask), 0
     for w, nb in enumerate(fr.nbr_masks[direction]):
-        ok = lanes & ~fr.somewhere(nb & missed)
+        ok = lanes ^ fr.somewhere(nb & missed)
         for v in vecs:
             ok &= fr.somewhere(nb & v)
         out |= ok << w * len(fr)
@@ -341,7 +342,7 @@ def check_approximants():
         memo = {}
         for (chi, theta), forms in stages.items():
             fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
-            outside = m.full_mask & ~fix
+            outside = m.full_mask ^ fix
             for k, form in enumerate(forms[:6]):
                 out = eval_bits(form, m, None, memo) & outside
                 if out:
@@ -612,8 +613,7 @@ def _amalgam_candidates(rng, ctx):
 def check_network_algebra():
     ctx = NetworkContext(fl_closure(parse('p')))
     rng = random.Random(4021)
-    kept = 0
-    attempts = 0
+    kept = attempts = 0
     while kept < 200:
         attempts += 1
         if attempts > 4000:
@@ -628,8 +628,7 @@ def check_network_algebra():
         problem = _check_ops_against_brute(n, rng)
         if problem:
             _fail('8', '%s (network %d)' % (problem, kept))
-    glued = 0
-    tries = 0
+    glued = tries = 0
     while glued < 100:
         tries += 1
         if tries > 4000:
@@ -687,10 +686,7 @@ def check_stay_finished():
     rng = random.Random(977)
     ctxs = [NetworkContext(fl_closure(parse('p'))),
             NetworkContext(fl_closure(Sharp(_REACH_F, (Var('q'),))))]
-    pairs = 0
-    finished_triples = 0
-    drops = 0
-    tries = 0
+    pairs = finished_triples = drops = tries = 0
     while pairs < 100:
         tries += 1
         if tries > 6000:
@@ -732,15 +728,12 @@ def check_truth_lemma():
                Sharp(_REACH_F, (Var('q'),)), Sharp(_SAFE_F, (Var('q'),)),
                Sharp(_SAFE_B, (Var('q'),)))
     budget = Budget(200, 6, 8)
-    done = 0
-    skipped = 0
+    done = skipped = 0
     for origin in targets:
         ctx = NetworkContext(fl_closure(origin))
         took = 0
         for seed in ctx.atoms_by_duty:
-            if done == 20:
-                break
-            if took == 4:
+            if done == 20 or took == 4:
                 break
             report = build(ctx, seed, budget)
             if report.verdict != 'perfect':

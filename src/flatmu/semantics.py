@@ -3,11 +3,13 @@
 One evaluator, eval_bits, computes truth sets as bitmasks over states: an
 int mask on a KripkeModel, and on a LaneBatch, one model per lane, an int
 of state-major bit planes (model_lanes packs models of one size; a
-FrameBatch lane is one frame under one joint valuation). Union, complement
-against full_mask and equality are plain int operations; each carrier
-answers <d> (image). Fixpoint connectives are evaluated by Kleene
-iteration from the empty set, which converges within |W| rounds by
-positivity of the body; each round runs the connective's plan.
+FrameBatch lane is one frame under one joint valuation). Union, equality
+and complement are plain int operations; each carrier answers <d>
+(image). Complement is full_mask ^ x: every truth set is a subset of
+full_mask, and XOR reads a wide int once where & ~ builds its negation
+first. Fixpoint connectives are evaluated by Kleene iteration from the
+empty set, which converges within |W| rounds by positivity of the body;
+each round runs the connective's plan.
 """
 
 from __future__ import annotations
@@ -139,10 +141,12 @@ def eval_bits(formula, model, env=None, _memo=None):
 
     model is a KripkeModel (an int mask) or a LaneBatch (an int of bit
     planes, one per state); env values and the result are in the model's
-    carrier, and both carriers compare with ==. _memo
-    maps formulas to results for this one model and env: share it across
-    formulas, never across models or envs. A connective's body runs as
-    its plan, over slots, and never reads or fills the memo.
+    carrier, and both carriers compare with ==. Env values must be subsets
+    of model.full_mask, as truth sets of the model are: negation takes
+    full_mask ^ x. _memo maps formulas to results for this one model and
+    env: share it across formulas, never across models or envs. A
+    connective's body runs as its plan, over slots, and never reads or
+    fills the memo.
     """
     env = env or {}
     memo = {} if _memo is None else _memo
@@ -152,12 +156,10 @@ def eval_bits(formula, model, env=None, _memo=None):
     if isinstance(formula, Bottom):
         out = 0
     elif isinstance(formula, Var):
-        if formula.name in env:
-            out = env[formula.name]
-        else:
-            out = model.valuation_mask(formula.name)
+        name = formula.name
+        out = env[name] if name in env else model.valuation_mask(name)
     elif isinstance(formula, Neg):
-        out = model.full_mask & ~eval_bits(formula.child, model, env, memo)
+        out = model.full_mask ^ eval_bits(formula.child, model, env, memo)
     elif isinstance(formula, Or):
         out = (eval_bits(formula.left, model, env, memo)
                | eval_bits(formula.right, model, env, memo))
@@ -178,7 +180,7 @@ def eval_bits(formula, model, env=None, _memo=None):
                 elif op == 'dia':
                     slots.append(model.image(a, slots[b]))
                 else:
-                    slots.append(model.full_mask & ~slots[a])
+                    slots.append(model.full_mask ^ slots[a])
             if slots[body] == out:
                 break
             out = slots[body]
@@ -291,8 +293,8 @@ def _frame_reps(n: int):
 
 # Lanes per batch: wider planes spread each int operation's interpreter
 # cost over more lanes. Row 4's frame half on 2 vCPUs, medians of 8 runs,
-# planes built / cached, peak RSS: 0.38 / 0.22 s, 19.1 MB at 8,192 lanes;
-# 0.32 / 0.16 s, 19.7 MB at 16,384; 0.26 / 0.12 s, 21.0 MB at 32,768.
+# planes built / cached, peak RSS: 0.23 / 0.21 s, 17.6 MB at 8,192 lanes;
+# 0.20 / 0.19 s, 18.9 MB at 16,384; 0.20 / 0.10 s, 20.9 MB at 32,768.
 CHUNK = 32768
 _CHUNK_BITS = CHUNK.bit_length() - 1
 _ODD = int('10' * (CHUNK // 2 + 1), 2)   # bit f set for each odd f
@@ -371,11 +373,16 @@ class LaneBatch:
         return self._valuation.get(name, 0)
 
     def image(self, direction, arg):
-        """<d> on every lane: the states with a d-neighbour in arg."""
-        width, lanes = self._width, self._lanes
-        planes = [arg >> w * width & lanes for w in range(self.states)]
-        return sum(reduce(or_, map(and_, row, planes)) << v * width
-                   for v, row in enumerate(self._toward[direction]))
+        """<d> on every lane: the states with a d-neighbour in arg, within
+        full_mask. Planes come off the low end of arg and rows go on at the
+        low end of the result: a shift moves only what is left or built."""
+        width, lanes, planes, out = self._width, self._lanes, [], 0
+        for _ in range(self.states):
+            planes.append(arg & lanes)
+            arg >>= width
+        for row in reversed(self._toward[direction]):
+            out = out << width | reduce(or_, map(and_, row, planes))
+        return out
 
     def lane(self, x, i):
         """Lane i of the truth set x, as a state mask."""

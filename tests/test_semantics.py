@@ -1,15 +1,18 @@
+import operator
 import random
+from functools import lru_cache, reduce
 from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatmu import semantics
+from flatmu.acceptance import _random_models
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
     CHUNK, _CHUNK_BITS, FrameBatch, KripkeModel, _frame_reps, approximant,
     axiom_instances, brute_force_sat, eval_bits, eval_fixpoint_by_intersection,
-    eval_nabla_via_relation, frame_batches,
+    eval_nabla_via_relation, frame_batches, model_lanes,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
@@ -526,6 +529,81 @@ def test_a_mixed_size_batch_agrees_with_int_masks_at_its_seams():
                 got = eval_bits(f, b)
                 lanes += [b.lane(got, i) for i in range(len(b))]
         assert joint == sizes[:2 * CHUNK]
+
+
+def _image_by_slices(batch, direction, arg):
+    """The slice-and-sum image: every plane cut from the whole of arg, and
+    the rows added at their offsets."""
+    width, lanes = len(batch), (1 << len(batch)) - 1
+    planes = [arg >> w * width & lanes for w in range(batch.states)]
+    return sum(reduce(operator.or_, map(operator.and_, row, planes))
+               << v * width for v, row in enumerate(batch._toward[direction]))
+
+
+def _complement_by_negation(batch, x):
+    return batch.full_mask & ~x
+
+
+@lru_cache(maxsize=None)
+def _kernel_batches():
+    """One-size batches on 1-3 states (8, 160 and 6,656 lanes), the mixed
+    first chunk on 1-4 states, the last and partial 4-state chunk, and the
+    selftest's random models as lanes, one batch per size."""
+    out = [FrameBatch(n, ('p', 'q'), 0) for n in (1, 2, 3)]
+    out.append(next(frame_batches(4, ('p', 'q'), 1)))
+    total = len(_frame_reps(4)) << 8
+    out.append(FrameBatch(4, ('p', 'q'), (total - 1) // CHUNK * CHUNK))
+    randoms = _random_models()
+    out += [model_lanes([m for m in randoms if m.states == n]) for n in (5, 6)]
+    return tuple(out)
+
+
+def test_the_kernel_batches_are_the_shapes_named():
+    one, two, three, mixed, last, five, six = _kernel_batches()
+    assert [len(b) for b in (one, two, three)] == [8, 160, 6656]
+    assert (mixed.start, len(mixed), mixed.states) == (0, CHUNK, 4)
+    assert mixed.full_mask != (1 << 4 * CHUNK) - 1
+    assert 0 < len(last) < CHUNK and last.start % CHUNK == 0
+    assert last.start + len(last) == len(_frame_reps(4)) << 8
+    assert (five.states, six.states, len(five) + len(six)) == (5, 6, 500)
+
+
+def _kernels_match_the_reference(seed, density):
+    """image peels planes off the low end and rebuilds rows from the top,
+    and complement is full_mask ^ x; on arguments inside full_mask both
+    must give what cutting each plane from the whole int, adding the rows
+    at their offsets and complementing by & ~ give, on every batch."""
+    rng = random.Random(seed)
+    for batch in _kernel_batches():
+        bits = lambda: rng.getrandbits(batch.states * len(batch))
+        x = {'empty': 0, 'sparse': bits() & bits() & bits(), 'even': bits(),
+             'dense': bits() | bits() | bits(), 'full': -1}[density]
+        x &= batch.full_mask
+        for d in 'FB':
+            got = batch.image(d, x)
+            assert got == _image_by_slices(batch, d, x)
+            assert got & ~batch.full_mask == 0
+        assert eval_bits(Neg(Var('h')), batch, {'h': x}) \
+            == _complement_by_negation(batch, x)
+        # the plans' 'not' and 'dia' steps: [F]x | h and [B]x | h by
+        # Kleene iteration written out with the reference kernels
+        for conn, d in ((CHI1, 'F'), (CHI2, 'B')):
+            out = 0
+            while True:
+                step = x | _complement_by_negation(batch, _image_by_slices(
+                    batch, d, _complement_by_negation(batch, out)))
+                if step == out:
+                    break
+                out = step
+            assert eval_bits(Sharp(conn, (Var('h'),)), batch, {'h': x}) \
+                == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(('empty', 'sparse', 'even', 'dense', 'full')))
+def test_the_wide_lane_kernels_match_slice_and_sum(seed, density):
+    _kernels_match_the_reference(seed, density)
 
 
 def test_an_unsat_query_takes_one_pass_per_chunk(monkeypatch):
