@@ -163,10 +163,12 @@ def _saturate_all(n, budget):
 #
 # A tree template is an (atom, subtrees) pair planning a grafted subtree:
 # the subtrees are the d copies of each diamond's witness family in turn,
-# each rooted at the family's atom. A root with subtrees gets the
-# direction's saturation flag. The template asked for at (atom, deferral,
-# depth) is a function of those three alone, so the context keeps every
-# answer for all the builds it serves, however they are ordered.
+# each rooted at the family's atom; a root with subtrees gets the
+# direction's saturation flag. A modal component heads a copy of the
+# family over its instance. The other copies are leaves below a diamond,
+# and the first finishing component below a box (the cover of its one
+# component) or a cover. A template is a function of (atom, deferral,
+# depth) alone, so the context keeps every answer for all its builds.
 
 def _leaf(bits):
     return (bits, ())
@@ -201,15 +203,10 @@ def _search_component(ctx, bits, comp, depth, seen):
 
 
 def _row_filler(ctx, cand, comps, depth):
-    """A subtree letting one family copy satisfy the cover duty of a full
-    expansion: a free component already in the atom, else the first
-    component whose own finish works out."""
-    for inst, cid in comps:
-        if cid is None and cand >> inst & 1:
-            return _leaf(cand)
-    for comp in comps:
-        if comp[1] is None:
-            continue
+    """A subtree letting one family copy satisfy the cover duty of a box
+    or a full expansion: the first component that finishes there, free
+    components tried first."""
+    for comp in sorted(comps, key=lambda c: c[1] is not None):
         sub = _component_tree(ctx, cand, comp, depth)
         if sub is not None:
             return sub
@@ -218,10 +215,6 @@ def _row_filler(ctx, cand, comps, depth):
 
 def _family_copies(ctx, cand, dfl, dedicated, depth):
     d = ctx.table.multiplicity
-    kind = dfl.dnode.kind
-    if kind == 'box':
-        sub = _component_tree(ctx, cand, dfl.children[0], depth)
-        return None if sub is None else (sub,) * d
     copies = []
     for comp in dedicated:
         sub = _component_tree(ctx, cand, comp, depth)
@@ -230,13 +223,10 @@ def _family_copies(ctx, cand, dfl, dedicated, depth):
         copies.append(sub)
     if len(copies) > d:
         return None
-    if kind == 'nabla':
-        filler = _row_filler(ctx, cand, dfl.children, depth)
-        if filler is None:
-            return None
-        pad = filler
-    else:
-        pad = _leaf(cand)
+    pad = (_leaf(cand) if dfl.dnode.kind == 'dia'
+           else _row_filler(ctx, cand, dfl.children, depth))
+    if pad is None:
+        return None
     copies.extend([pad] * (d - len(copies)))
     return tuple(copies)
 
@@ -276,10 +266,9 @@ def _search_tree(ctx, bits, did, depth, seen):
         return None
     # each modal component is homed at the diamond over its instance
     dedicated = {}
-    if kind != 'box':
-        for comp in dfl.children:
-            if comp[1] is not None:
-                dedicated.setdefault(comp[0], []).append(comp)
+    for comp in dfl.children:
+        if comp[1] is not None:
+            dedicated.setdefault(comp[0], []).append(comp)
     subtrees = []
     for _, child_i in members:
         for cand in ctx.witnesses(bits, child_i, direction):
@@ -406,12 +395,8 @@ def _finish(n, u, did, budget, ids, seen):
         raise Stuck('node %d is saturated without neighbours but %s needs one'
                     % (u, table.describe(did)))
     if kind == 'box':
-        exts = {}
-        for w in nbrs:
-            if _component_done(n, w, comps[0]):
-                continue
-            exts[w] = _finish_component(n, w, comps[0], budget, ids,
-                                        frozenset())
+        exts = {w: _finish_component(n, w, comps[0], budget, ids, frozenset())
+                for w in nbrs}
         return _fold(n, u, exts, direction)
     if kind == 'dia':
         if any(_component_done(n, w, comps[0]) for w in nbrs):

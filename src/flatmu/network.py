@@ -111,18 +111,19 @@ class NetworkContext:
         """Lanes of the greatest atom set in which every diamond of every
         member has a coherent partner in the set holding its child."""
         order, having = self._lanes
-        needs = []
+        needs = {}  # needed lanes -> lanes of the atoms that need them
         for k, a in enumerate(order):
             for direction in DIRECTIONS:
                 partners = self._partners(a, direction)
-                needs += [(1 << k, partners & having[child_i])
-                          for _, child_i in self.dia_members(a, direction)]
+                for _, child_i in self.dia_members(a, direction):
+                    lanes = partners & having[child_i]
+                    needs[lanes] = needs.get(lanes, 0) | 1 << k
         alive, before = (1 << len(order)) - 1, 0
         while alive != before:
             before = alive
-            for lane, lanes in needs:
+            for lanes, atoms in needs.items():
                 if not alive & lanes:
-                    alive &= ~lane
+                    alive &= ~atoms
         return alive
 
     @cached_property

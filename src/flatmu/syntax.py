@@ -300,8 +300,11 @@ class FixpointConnective:
         if any(isinstance(g, Sharp) for g in subformulas(body)):
             raise ValueError(
                 'connective %r: body must not contain # applications' % self.name)
-        allowed = {'x'} | {'q%d' % (i + 1) for i in range(self.arity)}
-        extra = free_vars(body) - allowed
+        # q1..q<arity>, read off each name: the arity may be huge
+        extra = {v for v in free_vars(body) if v != 'x' and not (
+            re.fullmatch('q[1-9][0-9]*', v)
+            and len(v) <= len(str(self.arity)) + 1
+            and int(v[1:]) <= self.arity)}
         if extra:
             raise ValueError(
                 'connective %r: stray variables %s in body'

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -104,6 +105,26 @@ def test_a_shallow_nabla_prints_in_full(capsys, command, length, digest):
     code, out, _ = run(capsys, command, _nested_nabla(5))
     assert code == 0 and len(out) == length
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_huge_connective_arity_loads_in_under_a_second(tmp_path):
+    # the parameters are read off each variable's name; a set of q1..qN
+    # took 0.6 s and 142 MB at arity 10**6, so the child's address space
+    # is capped in case that comes back
+    defs = tmp_path / 'defs.json'
+    defs.write_text(json.dumps([{'name': 'c', 'arity': 10 ** 12,
+                                 'body': 'x | q1000000000000 | q7'}]))
+    load = ('import sys, time; from flatmu.cli import main; '
+            't = time.perf_counter(); code = main(sys.argv[1:]); '
+            'print(time.perf_counter() - t); sys.exit(code)')
+    got = subprocess.run(
+        [sys.executable, '-c', load, 'parse', 'p', '--defs', str(defs)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert got.returncode == 0 and got.stderr == ''
+    printed, seconds = got.stdout.splitlines()
+    assert printed == 'p' and float(seconds) < 1
 
 
 @pytest.mark.parametrize('arity, tail', [(0, ''), (1, ', q')])
@@ -471,20 +492,22 @@ def test_build_is_byte_deterministic(capsys, defs_path):
     assert one == two and one[0] == 0
 
 
-# the connectives of perfbench/workloads.py, and the sha256 of what
-# `flatmu build --all` prints for each formula over them
+# the connectives of perfbench/workloads.py and two full expansions, and
+# the sha256 of what `flatmu build --all` prints for each formula over them
 BENCH_DEFS = [
     {'name': 'rf', 'arity': 1, 'body': 'q | <F>x'},
     {'name': 'rb', 'arity': 1, 'body': 'q | <B>x'},
     {'name': 'sf', 'arity': 1, 'body': '[F]x | q'},
     {'name': 'sb', 'arity': 1, 'body': '[B]x | q'},
+    {'name': 'nf', 'arity': 2, 'body': 'q1 | nablaF{x, q2}'},
+    {'name': 'nb', 'arity': 2, 'body': 'q1 | nablaB{x, ~q2}'},
 ]
 DEEP_GRAFT = '#sf(#rb(#sf(q)))'
 DEEP_GRAFT_DIGEST = \
     '7bdf2aff39e8695ab6bf86929d14a0c215432d6c9a53c22c31328cfdffd59261'
 
 
-@pytest.mark.parametrize('formula, digest', [
+BUILD_PINS = [
     ('#rf(p)',
      'cb76a958ff495a3a607a6716605056e25fe6a8f529d35a27770abbc1cb0d2036'),
     ('#sb(<F>p)',
@@ -496,7 +519,16 @@ DEEP_GRAFT_DIGEST = \
     ('#rf(#sb(p)) & #rb(#sf(q))',
      'c6fd26450cdeb05f861430320ad851781f4f7d2cd30b817daab8843cf3728735'),
     (DEEP_GRAFT, DEEP_GRAFT_DIGEST),
-])
+    # family copies padded with a free component where the atom holds
+    # one, and with x's finishing tree where it does not
+    ('#nf(p, ~p)',
+     'e6d1e15b634d7e0d86ac06184eadbe163c9379d6c8361489214287cec8e1e3f6'),
+    ('#nb(~p, ~p)',
+     '5a4634fb9e4adb343490629ef445034cde07782b0b0718dd5ca02707fa7f0e12'),
+]
+
+
+@pytest.mark.parametrize('formula, digest', BUILD_PINS)
 def test_build_all_prints_the_pinned_bytes(capsys, tmp_path, formula, digest):
     p = tmp_path / 'defs.json'
     p.write_text(json.dumps(BENCH_DEFS))

@@ -551,13 +551,17 @@ def test_finishing_outcomes_are_pinned():
 
 
 # The formulas of the perfbench build corpus, and an unguarded body whose
-# x unfolds at its own atom.
+# x unfolds at its own atom; the graft oracle adds two full expansions and
+# a box over a disjunction.
 TREE_DEFS = {chi.name: chi for chi in (
     FixpointConnective('rf', 1, parse('q | <F>x', {})),
     FixpointConnective('rb', 1, parse('q | <B>x', {})),
     FixpointConnective('sf', 1, parse('[F]x | q', {})),
     FixpointConnective('sb', 1, parse('[B]x | q', {})),
     FixpointConnective('k', 1, parse('<F>x | x', {})),
+    FixpointConnective('nf', 2, parse('q1 | nablaF{x, q2}', {})),
+    FixpointConnective('nb', 2, parse('q1 | nablaB{x, ~q2}', {})),
+    FixpointConnective('bx', 1, parse('q1 | [F](x | <F>x)', {})),
 )}
 TREE_ORIGINS = ('#rf(p)', '#sf(p)', '#sb(<F>p)', '#rf(p) & #rb(q)',
                 '#sf(q) & #rf(p)', '#rf(p) & #rb(p) & #rf(q)', '#k(p)')
@@ -631,6 +635,41 @@ def test_the_order_test_catches_reuse_across_depths(monkeypatch):
 
     monkeypatch.setattr(construct, '_finish_tree', reused)
     assert _order_faults('#rf(p)')
+
+
+def unfinished_grafts(origin):
+    """Graft every distinct tree _finish_tree hands out for one atom and
+    deferral at depths 0-4 below a one-node network: (grafts whose
+    deferral stays open at the root, grafts made)."""
+    ctx = ctx_for(parse(origin, TREE_DEFS))
+    budget, open_, made = Budget(max_nodes=10 ** 6), 0, 0
+    for bits in ctx.atoms_by_duty:
+        for did, dfl in enumerate(ctx.table.deferrals):
+            if not bits >> dfl.index & 1:
+                continue
+            tpls = []
+            for depth in range(5):
+                tpl = construct._finish_tree(ctx, bits, did, depth)
+                if tpl is not None and tpl not in tpls:
+                    tpls.append(tpl)
+            for tpl in tpls:
+                n = Network(ctx, frozenset(), {0: bits},
+                            {'F': frozenset(), 'B': frozenset()})
+                out = construct._graft(n, 0, tpl, dfl.direction, budget,
+                                       construct._Ids(1))
+                made += 1
+                open_ += compute_timeouts(out).get((0, did)) is None
+    return open_, made
+
+
+def test_every_finishing_tree_finishes_its_deferral_once_grafted():
+    made = 0
+    for origin in TREE_ORIGINS + ('#nf(p, q)', '#nb(<F>p, q)',
+                                  '#sf(#rb(#sf(q)))', '#bx(p)'):
+        open_, count = unfinished_grafts(origin)
+        assert open_ == 0, origin
+        made += count
+    assert made == 1141
 
 
 def test_builds_sharing_a_context_report_as_on_fresh_ones():

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
@@ -331,6 +332,49 @@ def test_atoms_enumerated_in_chunks_match_the_oracle(monkeypatch, text,
     sigma = fl_closure(parse(text, {c.name: c for c in STAGES}))
     monkeypatch.setattr(closure, 'LANES', lanes)
     assert enumerate_atoms(sigma) == _oracle_atoms(sigma)
+
+
+def _viable_atom_by_atom(ctx):
+    """The viability loop with one (atom lane, needed lanes) pair per
+    diamond of every atom, as it stood before needs were grouped."""
+    order, having = ctx._lanes
+    needs = []
+    for k, a in enumerate(order):
+        for direction in ('F', 'B'):
+            partners = ctx._partners(a, direction)
+            needs += [(1 << k, partners & having[child_i])
+                      for _, child_i in ctx.dia_members(a, direction)]
+    alive, before = (1 << len(order)) - 1, 0
+    while alive != before:
+        before = alive
+        for lane, lanes in needs:
+            if not alive & lanes:
+                alive &= ~lane
+    return alive
+
+
+SIXTEEN_FREE_BITS = '#rf(p) & #rb(q) & #sf(r) & #sb(s)'
+
+
+@pytest.mark.parametrize('text', [
+    '#rf(p) & #rb(q)', '#sf(#rb(#sf(q)))', 'nablaF{nablaB{p, q}, ~p}',
+    '<F>[B]_|_ & #sf(p)', SIXTEEN_FREE_BITS])
+def test_grouped_needs_keep_the_viable_lanes(text):
+    ctx = ctx_for(parse(text, {c.name: c for c in STAGES}))
+    assert ctx._viable == _viable_atom_by_atom(ctx)
+
+
+def test_viability_of_sixteen_free_bits_keeps_no_need_per_atom():
+    # one (lane, mask) pair per atom diamond traced 11.5 MB here
+    ctx = ctx_for(parse(SIXTEEN_FREE_BITS, {c.name: c for c in STAGES}))
+    ctx._lanes
+    tracemalloc.start()
+    try:
+        ctx.atoms_by_duty
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- containment and generated subsets ---------------------------------------
