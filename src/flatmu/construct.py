@@ -11,8 +11,8 @@ stuck or runs out of budget is dropped whole.
 
 Finishing a deferral below a node that already has neighbours follows the
 existing structure, trying a disjunct, a neighbour or a component at a
-time: the first try that finishes wins, and a try that gets stuck is
-dropped and hands its ids back. Below a fresh leaf it searches for a
+time: a try already done wins, else the first that finishes, and a
+stuck try hands its ids back. Below a fresh leaf it searches for a
 finite tree of atoms first and grafts the winner. The search is greedy
 across witness families (no cross-family backtracking), which can report
 stuck on instances a smarter search would solve; it never reports success
@@ -309,13 +309,6 @@ def _finished(n, u, did):
     return compute_timeouts(n).get((u, did)) is not None
 
 
-def _component_done(n, w, comp):
-    inst, cid = comp
-    if not n.label[w] >> inst & 1:
-        return False
-    return cid is None or _finished(n, w, cid)
-
-
 def _finish_component(n, w, comp, budget, ids, seen):
     inst, cid = comp
     if not n.label[w] >> inst & 1:
@@ -337,12 +330,15 @@ def _fold(n, u, exts, direction):
 
 
 def _first_finish(tries, budget, ids, seen):
-    """The first of the (network, node, component) tries whose component
-    is in the node's label and finishes there, as (node, extension); None
-    when none does. A try that gets stuck hands its ids back."""
+    """Of the (network, node, component) tries whose component is in the
+    node's label, the first already done there, else the first that
+    finishes there, as (node, network); None when none does. A try that
+    gets stuck hands its ids back."""
+    tries = [(n, w, comp) for n, w, comp in tries if n.label[w] >> comp[0] & 1]
+    for n, w, (_, cid) in tries:
+        if cid is None or _finished(n, w, cid):
+            return w, n
     for n, w, comp in tries:
-        if not n.label[w] >> comp[0] & 1:
-            continue
         start = ids.next
         try:
             return w, _finish_component(n, w, comp, budget, ids, seen)
@@ -399,8 +395,6 @@ def _finish(n, u, did, budget, ids, seen):
                 for w in nbrs}
         return _fold(n, u, exts, direction)
     if kind == 'dia':
-        if any(_component_done(n, w, comps[0]) for w in nbrs):
-            return n
         hit = _first_finish(((n, w, comps[0]) for w in nbrs), budget, ids,
                             frozenset())
         if hit is None:
@@ -410,14 +404,8 @@ def _finish(n, u, did, budget, ids, seen):
     # full expansion: every component finished somewhere, every neighbour
     # covering some finished component
     exts = {}
-
-    def net_at(w):
-        return exts.get(w, n)
-
     for comp, part in zip(comps, node.children):
-        if any(_component_done(net_at(w), w, comp) for w in nbrs):
-            continue
-        hit = _first_finish(((net_at(w), w, comp) for w in nbrs), budget,
+        hit = _first_finish(((exts.get(w, n), w, comp) for w in nbrs), budget,
                             ids, frozenset())
         if hit is None:
             raise Stuck('component %s of %s has no home below node %d'
@@ -425,10 +413,8 @@ def _finish(n, u, did, budget, ids, seen):
         w, ext = hit
         exts[w] = ext
     for w in nbrs:
-        if any(_component_done(net_at(w), w, c) for c in comps):
-            continue
-        hit = _first_finish(((net_at(w), w, c) for c in comps), budget, ids,
-                            frozenset())
+        hit = _first_finish(((exts.get(w, n), w, c) for c in comps), budget,
+                            ids, frozenset())
         if hit is None:
             raise Stuck('neighbour %d of %d covers no finishable component '
                         'of %s' % (w, u, table.describe(did)))
@@ -536,9 +522,10 @@ def build(ctx, seed, budget=None) -> ConstructionReport:
     n = Network(ctx, frozenset(), {0: seed},
                 {'F': frozenset(), 'B': frozenset()})
     rounds = []
-    for _ in range(budget.max_rounds):
-        if not find_defects(n):
-            return ConstructionReport('perfect', n, None, rounds)
+    while find_defects(n):
+        if len(rounds) == budget.max_rounds:
+            return ConstructionReport('radius', n, _radius(n), rounds,
+                                      'round budget exhausted')
         try:
             n, log = repair_all(n, budget)
         except Stuck as e:
@@ -546,10 +533,7 @@ def build(ctx, seed, budget=None) -> ConstructionReport:
         except BudgetExceeded as e:
             return ConstructionReport('radius', n, _radius(n), rounds, str(e))
         rounds.append(log)
-    if not find_defects(n):
-        return ConstructionReport('perfect', n, None, rounds)
-    return ConstructionReport('radius', n, _radius(n), rounds,
-                              'round budget exhausted')
+    return ConstructionReport('perfect', n, None, rounds)
 
 
 def extract_model(n) -> KripkeModel:

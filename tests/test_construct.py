@@ -900,6 +900,20 @@ def test_build_reports_radius_when_nodes_run_out():
     assert report.radius == -1
 
 
+def test_a_round_budget_of_exactly_the_rounds_needed_builds_perfect():
+    # this seed of #rf(p) turns perfect in its third round: a budget of
+    # three rounds is enough, and one of two runs out
+    rf = FixpointConnective('rf', 1, parse('q | <F>x', {}))
+    ctx, seed = ctx_for(Sharp(rf, (P,))), 180413
+    assert len(build(ctx, seed).rounds) == 3
+    report = build(ctx, seed, Budget(max_rounds=3))
+    assert (report.verdict, report.radius, len(report.rounds)) == \
+        ('perfect', None, 3)
+    report = build(ctx, seed, Budget(max_rounds=2))
+    assert (report.verdict, report.radius, len(report.rounds),
+            report.detail) == ('radius', 1, 2, 'round budget exhausted')
+
+
 def test_grafting_builds_leave_no_network_alive(monkeypatch):
     # with the cyclic collector off, every network of these builds dies by
     # reference count once its report is dropped, also when a graft runs

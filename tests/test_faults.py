@@ -10,11 +10,27 @@ complement taken against every bit of the planes: the sweeps' batches
 have no state past a lane's size, so there full_mask is every bit, and
 only brute_force_sat's mixed-size batches tell the two apart.
 
-Three faults sit in construct's finishing. No selftest row catches any
+Four faults sit in construct's finishing. No selftest row catches any
 of them. The graft oracle of test_construct catches box families padded
-with bare leaves, the pinned builds over full expansions catch a filler that tries
-modal components first, and the timeout sweeps catch a box finished at
-its first neighbour only.
+with bare leaves, the pinned builds over full expansions catch a filler
+that tries modal components first and a _first_finish with no scan for
+a try already done, and the timeout sweeps catch a box finished at its
+first neighbour only.
+
+Five more give rows 5, 8 and 10 their first faults, and rows 1-7 one
+outside the lane kernels each. A Kleene iteration one round short fails
+rows 2, 4, 5 and 6, and row 10 too: the first perfect builds of #rf(q)
+are one-node networks, where |W| - 1 rounds are none. A nabla expansion
+without its first diamond fails rows 1 and 3, a guardified split that
+drops the guarded half of an or fails row 7, _partners without its
+converse loop fails row 10, and an anticonfluence test that always
+passes fails row 8. Rows 9 and 11 have no fault here. Row 9 asks that
+timeouts never grow under extension, which holds for any monotone
+reading of the clauses: a box clause taking the min over neighbours
+passes it, and a diamond clause taking the max makes finish_deferral
+raise InvariantError before the row compares a table. Row 11 compares
+two `python -m flatmu` children, which a monkeypatch in this process
+cannot reach.
 """
 
 import hashlib
@@ -34,11 +50,13 @@ import test_cli
 import test_construct
 import test_network
 import test_semantics
-from flatmu import acceptance, construct, semantics
+import test_syntax
+from flatmu import acceptance, construct, network, semantics, syntax
 from flatmu.cli import main
-from flatmu.network import Draft
+from flatmu.closure import fl_closure
+from flatmu.network import Draft, NetworkContext
 from flatmu.semantics import LaneBatch
-from flatmu.syntax import Neg
+from flatmu.syntax import Bottom, Dia, Neg, Or, Sharp, box, parse, top
 
 
 def _rows_in_wrong_order(self, direction, arg):
@@ -76,17 +94,86 @@ def _negation_within(mask):
     return eval_bits
 
 
+def _kleene_one_round_short():
+    """eval_bits iterating a # formula's body itself, |W| - 1 rounds up
+    from the empty set, where the least fixpoint may need |W|; every
+    other formula is left to the real one."""
+    real = semantics.eval_bits
+
+    def eval_bits(formula, model, env=None, _memo=None):
+        if not isinstance(formula, Sharp):
+            return real(formula, model, env, _memo)
+        inner = {'q%d' % (k + 1): eval_bits(a, model, env, _memo)
+                 for k, a in enumerate(formula.args)}
+        out = 0
+        for _ in range(model.states - 1):
+            out = real(formula.connective.body, model, {**inner, 'x': out})
+        return out
+    return eval_bits
+
+
 def _patch_image(image):
     return lambda mp: mp.setattr(LaneBatch, 'image', image)
 
 
-def _patch_negation(mask):
+def _patch_eval_bits(make):
     def apply(mp):
-        faulty = _negation_within(mask)
-        mp.setattr(semantics, 'eval_bits', faulty)
-        mp.setattr(acceptance, 'eval_bits', faulty)
-        mp.setattr(test_semantics, 'eval_bits', faulty)
+        faulty = make()
+        for module in (semantics, acceptance, test_semantics):
+            mp.setattr(module, 'eval_bits', faulty)
     return apply
+
+
+def _patch_negation(mask):
+    return _patch_eval_bits(lambda: _negation_within(mask))
+
+
+def _nabla_without_its_first_diamond(direction, components):
+    """syntax.nabla leaving out <d> of the first component."""
+    comps = tuple(components)
+    if not comps:
+        return box(direction, Bottom())
+    parts = [Dia(direction, c) for c in comps[1:]]
+    parts.append(box(direction, reduce(Or, comps)))
+    return reduce(syntax.and_, parts)
+
+
+def _patch_nabla(mp):
+    """The faulty nabla in acceptance and test_semantics, and row 1's
+    law table rebuilt with it."""
+    faulty, h = _nabla_without_its_first_diamond, acceptance._HOLE
+    mp.setattr(acceptance, 'nabla', faulty)
+    mp.setattr(test_semantics, 'nabla', faulty)
+    mp.setattr(acceptance, '_NABLA_PAIRS', tuple(
+        pair for d in ('F', 'B') for pair in (
+            (Dia(d, h), faulty(d, (h, top()))),
+            (box(d, h), Or(faulty(d, ()), faulty(d, (h,)))))))
+
+
+def _split_without_guarded_or_halves(real):
+    """syntax._split answering an or with unguarded x by its unguarded
+    half alone: the guarded half is _|_."""
+    def split(node):
+        if node.kind == 'or' and syntax._has_unguarded(node.src, 'x'):
+            return real(node)[0], Bottom()
+        return real(node)
+    return split
+
+
+def _partners_one_way(self, bits, direction):
+    """NetworkContext._partners without its converse loop: a partner need
+    not hold the diamond back to each child that bits holds."""
+    order, having = self._lanes
+    lanes = (1 << len(order)) - 1
+    for dia_i, child_i in self.sigma.dia_pairs[direction]:
+        if not bits >> dia_i & 1:
+            lanes &= ~having[child_i]
+    return lanes
+
+
+def _patch_anticonfluence(mp):
+    for module in (network, acceptance, construct, test_network):
+        mp.setattr(module, 'is_anticonfluent', lambda n: True)
 
 
 def _kernel_oracle():
@@ -130,6 +217,21 @@ def _box_padded_like_a_diamond(real):
     return copies
 
 
+def _first_finish_without_the_done_scan(tries, budget, ids, seen):
+    """_first_finish trying its tries in order with no scan for one that
+    is already done, so an earlier try that can be finished wins."""
+    for n, w, comp in tries:
+        if not n.label[w] >> comp[0] & 1:
+            continue
+        start = ids.next
+        try:
+            return w, construct._finish_component(n, w, comp, budget, ids,
+                                                  seen)
+        except construct.Stuck:
+            ids.next = start
+    return None
+
+
 def _modal_components_first(ctx, cand, comps, depth):
     """_row_filler trying the components that have a deferral first."""
     for comp in sorted(comps, key=lambda c: c[1] is None):
@@ -165,6 +267,15 @@ def _patch_construct(name, make):
                                  make(getattr(construct, name)))
 
 
+def _lane_mask_oracle():
+    """test_lane_masks_eliminate_atoms_as_the_pairwise_oracle at one
+    formula of each direction."""
+    conns = {c.name: c for c in test_network.STAGES}
+    for text in ('#rf(p)', '#rb(q)'):
+        test_network._lane_masks_match_the_oracle(
+            fl_closure(parse(text, conns)))
+
+
 def _seeded_timeouts():
     """test_seeded_timeouts_match_the_sweeps at fixed draws."""
     for ctx in test_network.TIMEOUT_CTXS:
@@ -196,6 +307,31 @@ FAULTS = {
     'a box finished at its first neighbour only': (
         _patch_construct('_finish', _box_at_its_first_neighbour), (),
         (_seeded_timeouts, _pinned_build('#sb(<F>p)'))),
+    'first finish without its scan for a try already done': (
+        _patch_construct('_first_finish',
+                         lambda _: _first_finish_without_the_done_scan),
+        (), (_pinned_build('#nf(p, ~p)'), _pinned_build('#nb(~p, ~p)'))),
+    'Kleene iteration one round short': (
+        _patch_eval_bits(_kleene_one_round_short), ('2', '4', '5', '6', '10'),
+        (test_semantics.test_kleene_matches_prefixpoint_intersection,
+         test_semantics.test_approximants_grow_to_the_fixpoint)),
+    'nabla expansion without its first diamond': (
+        _patch_nabla, ('1', '3'),
+        (test_semantics.test_nabla_expansion_laws_exhaustive_two_states,
+         test_semantics.test_nabla_via_relation_matches_expansion)),
+    'guardified split dropping the guarded half of an or': (
+        lambda mp: mp.setattr(syntax, '_split',
+                              _split_without_guarded_or_halves(syntax._split)),
+        ('7',),
+        (test_syntax.test_guardify_mixed_disjunction,
+         test_syntax.test_guardify_invariants_on_small_corpus)),
+    'partners without their converse loop': (
+        lambda mp: mp.setattr(NetworkContext, '_partners', _partners_one_way),
+        ('10',), (_lane_mask_oracle, _pinned_build('#rf(p)'))),
+    'anticonfluence that always holds': (
+        _patch_anticonfluence, ('8',),
+        (test_network.test_anticonfluence_matches_quadruple_oracle,
+         test_network.test_diamond_is_not_anticonfluent)),
 }
 
 

@@ -309,6 +309,10 @@ def test_lane_masks_eliminate_atoms_as_the_pairwise_oracle(f):
     sigma = fl_closure(f)
     free = sum(cls in (Var, Dia, Sharp) for _, cls, _ in sigma.shapes)
     assume(free <= 10)
+    _lane_masks_match_the_oracle(sigma)
+
+
+def _lane_masks_match_the_oracle(sigma):
     ctx = NetworkContext(sigma)
     atoms = _oracle_atoms(sigma)
     assert list(ctx.atoms) == atoms
