@@ -2,7 +2,8 @@
 
 Eleven semantic gates, each a plain function that sweeps a model universe
 or a generated corpus and raises CheckFailed with the first discrepancy.
-run_all times the rows and returns CheckResult records for the CLI.
+run_all times the rows and returns CheckResult records for the CLI; a
+check that raises anything else fails its own row, and the next one runs.
 
 The exhaustive sweeps (every digraph on up to four states, checks 1-4
 and 7) run semantics.eval_bits on semantics.FrameBatch lanes: one lane
@@ -860,6 +861,9 @@ def run_all(only=None, mutate=None):
                 passed = True
             except CheckFailed as exc:
                 passed, detail = False, str(exc)
+            except Exception as exc:
+                passed, detail = False, 'check %s raised %s: %s' % (
+                    ident, type(exc).__name__, exc)
             rows.append(CheckResult(ident, title, passed, detail,
                                     time.perf_counter() - start))
     finally:

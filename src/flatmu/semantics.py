@@ -5,11 +5,12 @@ int mask on a KripkeModel, and on a LaneBatch, one model per lane, an int
 of state-major bit planes (model_lanes packs models of one size; a
 FrameBatch lane is one frame under one joint valuation). Union, equality
 and complement are plain int operations; each carrier answers <d>
-(image). Complement is full_mask ^ x: every truth set is a subset of
-full_mask, and XOR reads a wide int once where & ~ builds its negation
-first. Fixpoint connectives are evaluated by Kleene iteration from the
-empty set, which converges within |W| rounds by positivity of the body;
-each round runs the connective's plan.
+(image), and a LaneBatch keeps each image it computes for its own life.
+Complement is full_mask ^ x: every truth set is a subset of full_mask,
+and XOR reads a wide int once where & ~ builds its negation first.
+Fixpoint connectives are evaluated by Kleene iteration from the empty
+set, which converges within |W| rounds by positivity of the body; each
+round runs the connective's plan.
 """
 
 from __future__ import annotations
@@ -253,14 +254,10 @@ def axiom_instances(pool):
     for a in pool:
         out.append(implies(a, box('F', Dia('B', a))))
         out.append(implies(a, box('B', Dia('F', a))))
-    seen = set()
-    for a in pool:
-        for sub in subformulas(a):
-            if isinstance(sub, Sharp) and sub not in seen:
-                seen.add(sub)
-                out.append(implies(
-                    sub.connective.instantiate(sub, sub.args), sub))
-    return out
+    sharps = dict.fromkeys(sub for a in pool for sub in subformulas(a)
+                           if isinstance(sub, Sharp))
+    return out + [implies(s.connective.instantiate(s, s.args), s)
+                  for s in sharps]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,7 @@ class LaneBatch:
     def __init__(self, states, width, full_mask, valuation, toward):
         self.states, self._width, self.full_mask = states, width, full_mask
         self._lanes = (1 << width) - 1
-        self._valuation, self._toward = valuation, toward
+        self._valuation, self._toward, self._images = valuation, toward, {}
 
     def __len__(self):
         return self._width
@@ -375,13 +372,22 @@ class LaneBatch:
     def image(self, direction, arg):
         """<d> on every lane: the states with a d-neighbour in arg, within
         full_mask. Planes come off the low end of arg and rows go on at the
-        low end of the result: a shift moves only what is left or built."""
-        width, lanes, planes, out = self._width, self._lanes, [], 0
+        low end of the result: a shift moves only what is left or built.
+        Kept images are found by (direction, bit length, low 64 bits), as
+        hashing a wide int reads all of it, then by == on the argument."""
+        if not arg:
+            return 0
+        key = direction, arg.bit_length(), arg & 0xFFFFFFFFFFFFFFFF
+        for seen, out in self._images.get(key, ()):
+            if seen == arg:
+                return out
+        width, lanes, planes, out, rest = self._width, self._lanes, [], 0, arg
         for _ in range(self.states):
-            planes.append(arg & lanes)
-            arg >>= width
+            planes.append(rest & lanes)
+            rest >>= width
         for row in reversed(self._toward[direction]):
             out = out << width | reduce(or_, map(and_, row, planes))
+        self._images.setdefault(key, []).append((arg, out))
         return out
 
     def lane(self, x, i):

@@ -4,15 +4,19 @@ The full battery runs once per session through run_all; each test then
 asserts its own row so the report stays one line per check.
 """
 
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
 from flatmu import acceptance
+from flatmu.cli import main
 from flatmu.semantics import (
-    approximant, axiom_instances, eval_bits, model_lanes,
+    LaneBatch, approximant, axiom_instances, brute_force_sat, eval_bits,
+    model_lanes,
 )
-from flatmu.syntax import Sharp, to_string
+from flatmu.syntax import Sharp, parse, to_string
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -104,6 +108,44 @@ def test_mutation_hook_fails_only_its_row():
 def test_unknown_mutation_is_rejected():
     with pytest.raises(ValueError):
         acceptance.run_all(only={'6'}, mutate='no-such-hook')
+
+
+def test_a_raising_check_fails_its_own_row_and_the_next_one_runs(
+        monkeypatch, capsys):
+    def raising():
+        raise ValueError('no such frame')
+
+    monkeypatch.setattr(acceptance, 'CHECKS', tuple(
+        (ident, title, raising if ident == '6' else fn)
+        for ident, title, fn in acceptance.CHECKS))
+    got = acceptance.run_all(only={'6', '8'})
+    assert [(r.ident, r.passed) for r in got] == [('6', False), ('8', True)]
+    assert got[0].detail == 'check 6 raised ValueError: no such frame'
+    assert main(['selftest', '--only', '6', '8']) == 2
+    out = capsys.readouterr().out
+    assert 'check 6 raised ValueError' in out
+    assert out.splitlines()[-1] == '1/2 checks passed'
+
+
+def test_no_lane_batch_outlives_its_operation(monkeypatch):
+    # each batch's image memo fills and dies inside the operation that
+    # reads it: reference counts alone free every batch
+    made, init = [], LaneBatch.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(LaneBatch, '__init__', counted)
+    gc.disable()
+    try:
+        assert acceptance.run_all(only={'4'})[0].passed
+        assert brute_force_sat(parse('p & <F>~p & [F]p'), 3) is None
+    finally:
+        gc.enable()
+    # row 4: 27 frame chunks on 1-4 states and 2 random-model sizes; the
+    # query: one chunk of 876 lanes
+    assert len(made) == 30 and [r for r in made if r() is not None] == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 fault switch. Every fault names the checks that must catch it: selftest
 rows, run through acceptance.run_all(only=...), and Tier-1 oracles.
 
-Four faults sit in the wide-lane kernels of semantics: the bit-plane
-image and complement. Rows 1-3 compare lanes with scalar anchors or with
-a second reading, so they catch the image faults; row 4 does not,
-because its stage laws hold for any monotone <d>. No row catches a
+Five faults sit in the wide-lane kernels of semantics: the bit-plane
+image, its memo and complement. Rows 1-3 compare lanes with scalar
+anchors or with a second reading, so they catch the image faults, and an
+image memo that trusts its bucket key without the == test; row 4 does
+not, because its stage laws hold for any monotone <d>. No row catches a
 complement taken against every bit of the planes: the sweeps' batches
 have no state past a lane's size, so there full_mask is every bit, and
 only brute_force_sat's mixed-size batches tell the two apart.
@@ -24,13 +25,14 @@ are one-node networks, where |W| - 1 rounds are none. A nabla expansion
 without its first diamond fails rows 1 and 3, a guardified split that
 drops the guarded half of an or fails row 7, _partners without its
 converse loop fails row 10, and an anticonfluence test that always
-passes fails row 8. Rows 9 and 11 have no fault here. Row 9 asks that
-timeouts never grow under extension, which holds for any monotone
-reading of the clauses: a box clause taking the min over neighbours
-passes it, and a diamond clause taking the max makes finish_deferral
-raise InvariantError before the row compares a table. Row 11 compares
-two `python -m flatmu` children, which a monkeypatch in this process
-cannot reach.
+passes fails row 8. A diamond clause taking the max over its neighbours
+fails row 9, and only as a raise: finish_deferral raises InvariantError
+before the row compares a table, and run_all records the raise as the
+row's failure. Row 9's law itself, that timeouts never grow under
+extension, holds for any monotone reading of the clauses; a box clause
+taking the min over neighbours passes it. Only row 11 has no fault here:
+it compares two `python -m flatmu` children, which a monkeypatch in this
+process cannot reach.
 """
 
 import hashlib
@@ -112,6 +114,17 @@ def _kleene_one_round_short():
     return eval_bits
 
 
+def _image_trusting_its_bucket(real):
+    """The memoised image answering from the first image kept in arg's
+    bucket with no == test: an argument that shares direction, bit length
+    and low 64 bits with an earlier one gets that one's image."""
+    def image(self, direction, arg):
+        bucket = self._images.get(
+            (direction, arg.bit_length(), arg & (1 << 64) - 1))
+        return bucket[0][1] if bucket else real(self, direction, arg)
+    return image
+
+
 def _patch_image(image):
     return lambda mp: mp.setattr(LaneBatch, 'image', image)
 
@@ -169,6 +182,19 @@ def _partners_one_way(self, bits, direction):
         if not bits >> dia_i & 1:
             lanes &= ~having[child_i]
     return lanes
+
+
+def _dia_clause_taking_the_max(real):
+    """_clause_value reading a diamond at its worst neighbour, as a box
+    is read; every other clause is left as it is."""
+    def clause_value(n, values, u, dfl):
+        if dfl.dnode is None or dfl.dnode.kind != 'dia':
+            return real(n, values, u, dfl)
+        d = dfl.direction
+        nbrs = n.nbrs[d][u] if u in n.sat[d] else ()
+        return max((network._component_value(n, values, w, dfl.children[0])
+                    for w in nbrs), default=network.INF)
+    return clause_value
 
 
 def _patch_anticonfluence(mp):
@@ -328,6 +354,18 @@ FAULTS = {
     'partners without their converse loop': (
         lambda mp: mp.setattr(NetworkContext, '_partners', _partners_one_way),
         ('10',), (_lane_mask_oracle, _pinned_build('#rf(p)'))),
+    'image trusting its bucket without the == test': (
+        lambda mp: mp.setattr(LaneBatch, 'image',
+                              _image_trusting_its_bucket(LaneBatch.image)),
+        ('1', '2', '3'),
+        (test_semantics.test_a_kept_image_answers_only_its_own_argument,)),
+    'a diamond clause taking the max over its neighbours': (
+        lambda mp: mp.setattr(network, '_clause_value',
+                              _dia_clause_taking_the_max(
+                                  network._clause_value)),
+        ('9',),
+        (test_network.test_timeouts_dia_kind_takes_the_best_successor,
+         _seeded_timeouts)),
     'anticonfluence that always holds': (
         _patch_anticonfluence, ('8',),
         (test_network.test_anticonfluence_matches_quadruple_oracle,

@@ -575,6 +575,7 @@ def _kernels_match_the_reference(seed, density):
     at their offsets and complementing by & ~ give, on every batch."""
     rng = random.Random(seed)
     for batch in _kernel_batches():
+        batch._images.clear()   # the batches outlive one example
         bits = lambda: rng.getrandbits(batch.states * len(batch))
         x = {'empty': 0, 'sparse': bits() & bits() & bits(), 'even': bits(),
              'dense': bits() | bits() | bits(), 'full': -1}[density]
@@ -604,6 +605,29 @@ def _kernels_match_the_reference(seed, density):
        st.sampled_from(('empty', 'sparse', 'even', 'dense', 'full')))
 def test_the_wide_lane_kernels_match_slice_and_sum(seed, density):
     _kernels_match_the_reference(seed, density)
+
+
+def test_a_kept_image_answers_only_its_own_argument():
+    """Arguments in one bucket of the image memo, sharing direction, bit
+    length and low 64 bits but not the bits above them: each gets its own
+    image, on the miss that computes it and on the hit that finds it."""
+    rng, low = random.Random(31), (1 << 64) - 1
+    for batch in _kernel_batches()[1:]:   # the first has only 8 bits
+        batch._images.clear()
+        full = batch.full_mask
+        top = 1 << full.bit_length() - 1
+        above = full & ~low & ~top
+        base = rng.getrandbits(64) & full | top
+        args = [base, *(base | rng.getrandbits(full.bit_length()) & above
+                        for _ in range(3))]
+        assert len(set(args)) == 4
+        for d in 'FB':
+            key = d, top.bit_length(), base & low
+            for sweep, filled in ((args, range(1, 5)), (args[::-1], [4] * 4)):
+                for a, size in zip(sweep, filled):
+                    assert batch.image(d, a) == _image_by_slices(batch, d, a)
+                    assert len(batch._images[key]) == size
+        batch._images.clear()
 
 
 def test_an_unsat_query_takes_one_pass_per_chunk(monkeypatch):
