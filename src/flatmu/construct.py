@@ -88,7 +88,7 @@ def _saturate(draft, u, direction, ids, budget):
     pool = {}
     for w in draft.nbrs[direction][u]:
         pool.setdefault(draft.label[w], []).append(w)
-    present = len(draft.nodes)
+    last = draft.nodes[-1]  # the nodes present now are the ids up to last
     frozen = draft.sat[CONVERSE[direction]]
     # u's neighbours, the ones it has now and the ones linked below
     taken = set(draft.nbrs[direction][u])
@@ -108,12 +108,10 @@ def _saturate(draft, u, direction, ids, budget):
                 raise Stuck('no coherent %s-witness for %s below node %d' % (
                     direction, to_string(ctx.sigma.formulas[child_i]), u))
         if draft.cones is not None and have < d:
-            for w in draft.nodes[:present]:
-                if have >= d:
+            for w in draft.same.get(family, ()):
+                if have >= d or w > last:
                     break
                 if w == u or w in taken or w in frozen:
-                    continue
-                if draft.label[w] != family:
                     continue
                 if draft.link(u, w, direction):
                     taken.add(w)
@@ -461,15 +459,13 @@ def repair_all(n, budget=None):
     budget = budget or Budget()
     todo = n.nodes
     n, log = _saturate_all(n, budget)
-    table = n.ctx.table
     tt = compute_timeouts(n)
     for u in todo:
-        for did in range(table.d):
-            if (u, did) not in tt or tt[u, did] is not None:
-                continue
-            n = finish_deferral(n, u, did, budget)
-            tt = compute_timeouts(n)
-            log.append('mu %d/%d' % (u, did))
+        for did in range(n.ctx.table.d):
+            if (u, did) in tt and tt[u, did] is None:
+                n = finish_deferral(n, u, did, budget)
+                tt = compute_timeouts(n)
+                log.append('mu %d/%d' % (u, did))
     todo = set(todo)
     leftovers = [d for d in find_defects(n) if d.node in todo]
     if leftovers:
@@ -501,16 +497,12 @@ def _radius(n):
     defective = {d.node for d in find_defects(n)}
     if not defective:
         return None
-    dist = {n.nodes[0]: 0}
-    frontier = [n.nodes[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(n.nbrs['F'][u] + n.nbrs['B'][u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    dist, order = {n.nodes[0]: 0}, [n.nodes[0]]
+    for u in order:  # breadth first: a list walked while it grows
+        for v in sorted(n.nbrs['F'][u] + n.nbrs['B'][u]):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                order.append(v)
     return min(dist.get(u, len(n.nodes)) for u in defective) - 1
 
 

@@ -8,8 +8,8 @@ across diamonds.
 
 Timeouts track how quickly each active deferral resolves; a node/deferral
 pair with no finite resolution is a defect, as is any node missing a
-saturation flag. A worklist settles each table, starting from the table
-of the sub-network the network grew from, if any, and from INF otherwise.
+saturation flag. A worklist settles each table from the table of the
+sub-network it grew from, re-reading only the clauses whose inputs changed.
 
 A Draft grows a network in place and freezes into one Network, handing
 it the caches it kept; only this module fills a Network's caches.
@@ -53,7 +53,10 @@ class InvariantError(AssertionError):
 
 
 class NetworkContext:
-    """Closure, deferral table, and atom list shared by a family of networks.
+    """Closure, deferral table, and atom list shared by a family of networks,
+    and the answers that depend on atoms alone: dia_members by (atom,
+    direction), an unflagged node's settled timeouts by atom (leaves), and
+    construct's finishing trees by (atom, deferral, depth) (trees).
 
     Atom elimination runs on lane masks: lane k stands for the k-th atom
     in duty order (see atoms_by_duty), doomed atoms included, and
@@ -63,7 +66,7 @@ class NetworkContext:
     def __init__(self, sigma: ClosureSet):
         self.sigma = sigma
         self.table = DeferralTable(sigma)
-        self.trees = {}  # construct's finishing trees by (atom, did, depth)
+        self.trees, self.leaves, self._members = {}, {}, {}
 
     @cached_property
     def atoms(self):
@@ -71,8 +74,16 @@ class NetworkContext:
 
     def dia_members(self, bits: int, direction: str):
         """(dia index, child index) pairs of the direction's diamonds in bits."""
-        return [(i, c) for i, c in self.sigma.dia_pairs[direction]
-                if bits >> i & 1]
+        if (bits, direction) not in self._members:
+            self._members[bits, direction] = tuple(
+                (i, c) for i, c in self.sigma.dia_pairs[direction]
+                if bits >> i & 1)
+        return self._members[bits, direction]
+
+    @cached_property
+    def reads(self):
+        """Modal deferral id -> the direction of the neighbours it reads."""
+        return {r: d for rs in self.table.readers[1] for r, d in rs}
 
     @cached_property
     def _lanes(self):
@@ -109,15 +120,17 @@ class NetworkContext:
     @cached_property
     def _viable(self):
         """Lanes of the greatest atom set in which every diamond of every
-        member has a coherent partner in the set holding its child."""
+        member has a coherent partner in the set holding its child. It
+        reads each atom's diamonds once, so it keeps none in dia_members."""
         order, having = self._lanes
         needs = {}  # needed lanes -> lanes of the atoms that need them
         for k, a in enumerate(order):
             for direction in DIRECTIONS:
                 partners = self._partners(a, direction)
-                for _, child_i in self.dia_members(a, direction):
-                    lanes = partners & having[child_i]
-                    needs[lanes] = needs.get(lanes, 0) | 1 << k
+                for dia_i, child_i in self.sigma.dia_pairs[direction]:
+                    if a >> dia_i & 1:
+                        lanes = partners & having[child_i]
+                        needs[lanes] = needs.get(lanes, 0) | 1 << k
         alive, before = (1 << len(order)) - 1, 0
         while alive != before:
             before = alive
@@ -270,6 +283,9 @@ class Draft:
         self.nbrs = {'F': dict(n.nbrs['F']), 'B': dict(n.nbrs['B'])}
         self.cones = tuple(map(dict, n.cones)) if link and n.separated \
             else None
+        self.same = {}  # label -> its nodes ascending, kept with the cones
+        for u in self.nodes if self.cones is not None else ():
+            self.same.setdefault(self.label[u], []).append(u)
 
     def _attach(self, a, b):
         """Add the new edge a->b, growing the cones above a and below b."""
@@ -302,6 +318,7 @@ class Draft:
         if self.cones is not None:
             for cone in self.cones:
                 cone[w] = 1 << len(self.nodes)
+            self.same.setdefault(bits, []).append(w)
         self.nodes.append(w)
         self.label[w] = bits
         self.nbrs['F'][w] = self.nbrs['B'][w] = ()
@@ -313,8 +330,7 @@ class Draft:
         edges = frozenset((a, b) for a, bs in self.nbrs['F'].items()
                           for b in bs)
         out = Network(self.ctx, edges, self.label,
-                      {'F': frozenset(self.sat['F']),
-                       'B': frozenset(self.sat['B'])})
+                      {d: frozenset(flags) for d, flags in self.sat.items()})
         out.__dict__.update(nodes=tuple(self.nodes), nbrs=self.nbrs,
                             _parent=self.start)
         if self.cones is not None:
@@ -323,9 +339,7 @@ class Draft:
 
 
 def _same_ctx(a: Network, b: Network):
-    if a.ctx is b.ctx:
-        return
-    if a.ctx.sigma.formulas != b.ctx.sigma.formulas:
+    if a.ctx is not b.ctx and a.ctx.sigma.formulas != b.ctx.sigma.formulas:
         raise NetworkContextError('networks built over different closures')
 
 
@@ -369,11 +383,9 @@ def _family_slots(n: Network, u: int, direction: str):
 
 def validate(n: Network):
     """Problems as strings; empty means n is a network."""
-    out = []
     sigma = n.ctx.sigma
-    for u in n.nodes:
-        if not is_atom(n.label[u], sigma):
-            out.append('label of %d is not an atom' % u)
+    out = ['label of %d is not an atom' % u for u in n.nodes
+           if not is_atom(n.label[u], sigma)]
     try:
         n.cones
     except ValueError:
@@ -419,13 +431,10 @@ def is_anticonfluent(n: Network) -> bool:
 # containment and generated subsets
 
 def _is_contained(a: Network, b: Network) -> bool:
-    if not a.label.items() <= b.label.items():
-        return False
     here = a.label.keys()
-    induced = {e for e in b.edges if e[0] in here and e[1] in here}
-    if a.edges != induced:
-        return False
-    return a.sat['F'] <= b.sat['F'] and a.sat['B'] <= b.sat['B']
+    return a.label.items() <= b.label.items() \
+        and a.edges == {e for e in b.edges if e[0] in here and e[1] in here} \
+        and a.sat['F'] <= b.sat['F'] and a.sat['B'] <= b.sat['B']
 
 
 def is_subnetwork(a: Network, b: Network) -> bool:
@@ -446,9 +455,8 @@ def union(networks) -> Network:
     for n in networks:
         _same_ctx(first, n)
         for u in n.nodes:
-            if u in label and label[u] != n.label[u]:
+            if label.setdefault(u, n.label[u]) != n.label[u]:
                 raise ValueError('conflicting labels at node %d' % u)
-            label[u] = n.label[u]
     return Network(first.ctx,
                    frozenset().union(*(n.edges for n in networks)), label,
                    {d: frozenset().union(*(n.sat[d] for n in networks))
@@ -484,9 +492,13 @@ def downgen(n: Network, xs) -> frozenset:
 
 def _eq_outside(a: Network, b: Network, xs, direction) -> bool:
     _same_ctx(a, b)
-    ra = restrict(a, a.label.keys() - _gen(a, xs, direction))
-    rb = restrict(b, b.label.keys() - _gen(b, xs, direction))
-    return ra.structure() == rb.structure()
+    keep = a.label.keys() - _gen(a, xs, direction)
+    # labels, flags and induced edges of the kept nodes, in keep's order
+    outside = lambda n: [(n.label[u], u in n.sat['F'], u in n.sat['B'],
+                          [w for w in n.nbrs['F'][u] if w in keep])
+                         for u in keep]
+    return keep == b.label.keys() - _gen(b, xs, direction) \
+        and outside(a) == outside(b)
 
 
 def equp(a: Network, b: Network, xs) -> bool:
@@ -649,29 +661,38 @@ def compute_timeouts(n: Network):
     is in the node's label. The dict is cached on n; callers only read it.
     A FIFO worklist settles the greatest fixpoint of _clause_value from
     the table of n's parent, when one was handed over with its table built
-    (timeouts never grow under extension), queuing the pairs at _touched
-    nodes; otherwise from INF, queuing every pair.
+    (timeouts never grow under extension), queuing each pair at a fresh
+    node and, at a _touched one, the modal pairs toward its new flags;
+    otherwise from INF, every node fresh. A fresh node without flags reads
+    no neighbour: its values come from ctx.leaves, by atom.
     """
-    cached = getattr(n, '_timeouts', None)
-    if cached is not None:
-        return cached
+    if getattr(n, '_timeouts', None) is not None:
+        return n._timeouts
     parent = n.__dict__.pop('_parent', None)
     if getattr(parent, '_timeouts', None) is None:
-        touched, out = n.nodes, {}
+        parent, touched, out = None, n.nodes, {}
     else:
         touched = sorted(_touched(n, parent))
         out = dict(parent._timeouts)
-    table = n.ctx.table
-    deferrals = table.deferrals
-    queue = []
+    deferrals, reads, leaves = n.ctx.table.deferrals, n.ctx.reads, n.ctx.leaves
+    queue, unseen = [], {}  # unseen: atom -> the fresh leaf that settles it
     for u in touched:
+        bits = n.label[u]
+        fresh = parent is None or u not in parent.label
+        new = [d for d, flags in n.sat.items()
+               if u in flags and (fresh or u not in parent.sat[d])]
+        if fresh and not new:  # a leaf: its values follow from its atom
+            if bits in leaves:
+                out.update(((u, did), v) for did, v in leaves[bits])
+                continue
+            unseen.setdefault(bits, u)
         for did, dfl in enumerate(deferrals):
-            if n.label[u] >> dfl.index & 1:
+            if bits >> dfl.index & 1 and (fresh or reads.get(did) in new):
                 pair = u, did
                 if out.setdefault(pair, None) != 0:  # a pair at 0 stays there
                     queue.append(pair)
     queued = set(queue)
-    same, across = table.readers
+    same, across = n.ctx.table.readers
     # a d-clause reads w at the d-saturated neighbours of w the other way
     back = {d: (n.nbrs[CONVERSE[d]], flags) for d, flags in n.sat.items()}
     for pair in queue:  # a list walked while it grows: first in, first out
@@ -689,6 +710,8 @@ def compute_timeouts(n: Network):
             if q in out and out[q] != 0 and q not in queued:
                 queued.add(q)
                 queue.append(q)
+    for bits, u in unseen.items():
+        leaves[bits] = [(did, v) for (w, did), v in out.items() if w == u]
     n._timeouts = out
     return out
 

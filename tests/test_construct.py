@@ -917,7 +917,9 @@ def test_a_round_budget_of_exactly_the_rounds_needed_builds_perfect():
 def test_grafting_builds_leave_no_network_alive(monkeypatch):
     # with the cyclic collector off, every network of these builds dies by
     # reference count once its report is dropped, also when a graft runs
-    # out of nodes
+    # out of nodes; the count holds the drafts, grafts and amalgams only:
+    # equp and eqdown restrict nothing, and a leaf's timeouts come from
+    # its context
     made, grafts = [], []
     post_init, graft = Network.__post_init__, construct._graft
 
@@ -944,7 +946,7 @@ def test_grafting_builds_leave_no_network_alive(monkeypatch):
         alive = sum(ref() is not None for ref in made)
     finally:
         gc.enable()  # collects at once: read the weakrefs before
-    assert len(grafts) == 8 and len(made) == 42
+    assert len(grafts) == 8 and len(made) == 24
     assert alive == 0
 
 

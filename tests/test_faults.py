@@ -33,6 +33,14 @@ extension, holds for any monotone reading of the clauses; a box clause
 taking the min over neighbours passes it. Only row 11 has no fault here:
 it compares two `python -m flatmu` children, which a monkeypatch in this
 process cannot reach.
+
+Two sit in what compute_timeouts re-reads. A flag gain that re-reads the
+converse direction's clauses fails row 9, again as a raise: a deferral
+finished toward the new flag still reads open. No row catches a leaf
+table that stores a box at [d]_|_ as unresolved; the timeout sweeps and
+the build pool's tables do. Both start every context from an empty leaf
+table, since the shared contexts of test_network keep what earlier tests
+settled, and a leaf table filled before the fault hides it.
 """
 
 import hashlib
@@ -58,7 +66,9 @@ from flatmu.cli import main
 from flatmu.closure import fl_closure
 from flatmu.network import Draft, NetworkContext
 from flatmu.semantics import LaneBatch
-from flatmu.syntax import Bottom, Dia, Neg, Or, Sharp, box, parse, top
+from flatmu.syntax import (
+    CONVERSE, Bottom, Dia, Neg, Or, Sharp, box, parse, top,
+)
 
 
 def _rows_in_wrong_order(self, direction, arg):
@@ -195,6 +205,58 @@ def _dia_clause_taking_the_max(real):
         return max((network._component_value(n, values, w, dfl.children[0])
                     for w in nbrs), default=network.INF)
     return clause_value
+
+
+class _LeavesBlindToBoxBottom(dict):
+    """A context's leaf table storing None for each box deferral whose
+    [d]_|_ the atom holds: a leaf copied from it reads that box as
+    unresolved, where the clause gives 0."""
+
+    def __init__(self, ctx):
+        super().__init__()
+        self.ctx = ctx
+
+    def __setitem__(self, bits, values):
+        sigma, deferrals = self.ctx.sigma, self.ctx.table.deferrals
+
+        def blind(dfl):
+            return dfl.dnode is not None and dfl.dnode.kind == 'box' and \
+                bits >> sigma.box_bottom_index[dfl.direction] & 1
+        super().__setitem__(bits, [(did, None if blind(deferrals[did]) else v)
+                                   for did, v in values])
+
+
+def _reads_the_converse(self):
+    """NetworkContext.reads with every modal deferral's direction turned
+    round: a node that gains a flag re-reads its clauses the other way."""
+    return {r: CONVERSE[d] for rs in self.table.readers[1] for r, d in rs}
+
+
+def _cold_contexts(mp, leaves=lambda ctx: {}):
+    """Start every context from an empty leaf table made by leaves, the
+    shared ones of test_network and each one made from here on, so that
+    no table settled before the fault was applied hides it."""
+    real = NetworkContext.__init__
+
+    def init(self, sigma):
+        real(self, sigma)
+        self.leaves = leaves(self)
+    mp.setattr(NetworkContext, '__init__', init)
+    for ctx in test_network.TIMEOUT_CTXS:
+        mp.setattr(ctx, 'leaves', leaves(ctx))
+        mp.delitem(ctx.__dict__, 'reads', raising=False)
+
+
+def _patch_reads(mp):
+    _cold_contexts(mp)
+    mp.setattr(NetworkContext, 'reads', property(_reads_the_converse))
+
+
+def _pool_oracle(pool):
+    """test_every_table_a_build_computes_matches_the_sweeps at one pool."""
+    return lambda: \
+        test_network.test_every_table_a_build_computes_matches_the_sweeps(
+            pool)
 
 
 def _patch_anticonfluence(mp):
@@ -366,6 +428,12 @@ FAULTS = {
         ('9',),
         (test_network.test_timeouts_dia_kind_takes_the_best_successor,
          _seeded_timeouts)),
+    'a leaf table reading a box at [d]_|_ as unresolved': (
+        lambda mp: _cold_contexts(mp, _LeavesBlindToBoxBottom), (),
+        (_seeded_timeouts, _pool_oracle(test_network.BUILD_POOL))),
+    'a flag gain re-reading the converse direction': (
+        _patch_reads, ('9',),
+        (_seeded_timeouts, _pool_oracle(test_network.BUILD_POOL))),
     'anticonfluence that always holds': (
         _patch_anticonfluence, ('8',),
         (test_network.test_anticonfluence_matches_quadruple_oracle,

@@ -735,9 +735,10 @@ def _oracle_timeouts(n):
 @contextmanager
 def _tables_checked_against_the_oracle():
     """Inside the block, compare every table compute_timeouts builds with
-    the oracle. Yields a list that gets, per table started from a parent's,
-    what made its network: 'graft' or 'amalgamate' inside finishing, a
-    'draft' of finishing's saturation, or the tag a caller set."""
+    the oracle and with the table of a parentless copy over a cold context.
+    Yields a list that gets, per table started from a parent's, what made
+    its network: 'graft' or 'amalgamate' inside finishing, a 'draft' of
+    finishing's saturation, or the tag a caller set."""
     seeded = []
     real = network.compute_timeouts
 
@@ -746,7 +747,9 @@ def _tables_checked_against_the_oracle():
         fresh = '_timeouts' not in n.__dict__
         out = real(n)
         if fresh:
-            assert out == _oracle_timeouts(n)
+            cold = Network(NetworkContext(n.ctx.sigma), n.edges, n.label,
+                           n.sat)  # no parent, and no leaf kept yet
+            assert out == _oracle_timeouts(n) == real(cold)
             if parent is not None and '_timeouts' in parent.__dict__:
                 seeded.append(n.__dict__.get('made_by', 'draft'))
         return out
@@ -830,6 +833,89 @@ def test_every_constructor_hands_its_parent_to_the_timeouts():
                 _grow_and_tabulate(ctx, rng, 8)
     assert set(seeded) == {'phase', 'saturate', 'draft', 'graft',
                            'amalgamate'}
+
+
+# the build workload's pool of perfbench/workloads.py, (formula, how many of
+# its seeds in atoms_by_duty order, None for all), and a cover pool whose
+# bodies reach the nabla clause, boxes over an or and [d]_|_
+CORPUS_DEFS = {chi.name: chi for chi in (
+    FixpointConnective(name, arity, parse(body, {}))
+    for name, arity, body in (
+        ('rf', 1, 'q | <F>x'), ('rb', 1, 'q | <B>x'), ('sf', 1, '[F]x | q'),
+        ('sb', 1, '[B]x | q'), ('nf', 2, 'q1 | nablaF{x, q2}'),
+        ('nb', 2, 'q1 | nablaB{x, ~q2}'),
+        ('n3', 2, 'q1 | nablaF{x, q2, <B>q1}'),
+        ('nx', 1, 'q | nablaB{x, x | q}'), ('bx', 1, 'q1 | [F](x | <F>x)'),
+        ('bf', 1, 'q | nablaF{x}')))}
+BUILD_POOL = (('#rf(p)', None), ('#sf(p)', 8), ('#sb(<F>p)', 9),
+              ('#rf(p) & #rb(q)', 7), ('#sf(q) & #rf(p)', 9),
+              ('#rf(p) & #rb(p) & #rf(q)', 3))
+COVER_POOL = (('#nf(p, ~p)', 6), ('#nb(~p, q)', 6), ('#n3(<F>p, q)', 4),
+              ('#nx(<B>q)', 4), ('#bx(p | q)', 6), ('#bf(~p)', 6),
+              ('#sb(#nf(p, q))', 4))
+
+
+def _build_pool(pool):
+    """Build each formula of pool from its first seeds, as flatmu build
+    --all picks them, over one fresh context per formula."""
+    for text, take in pool:
+        f = parse(text, CORPUS_DEFS)
+        ctx = ctx_for(f)
+        fi = ctx.sigma.index_of(f)
+        for seed in [a for a in ctx.atoms_by_duty if a >> fi & 1][:take]:
+            construct.build(ctx, seed)
+
+
+@pytest.mark.parametrize('pool', [BUILD_POOL, COVER_POOL],
+                         ids=['build', 'cover'])
+def test_every_table_a_build_computes_matches_the_sweeps(pool):
+    with _tables_checked_against_the_oracle() as seeded:
+        _build_pool(pool)
+    assert {'draft', 'amalgamate'} <= set(seeded)
+
+
+def _restricted_alike(a, b, xs, direction):
+    """equp or eqdown as restrict reads it: equal restricted structures."""
+    gen = upgen if direction == 'F' else downgen
+    return restrict(a, a.label.keys() - gen(a, xs)).structure() == \
+        restrict(b, b.label.keys() - gen(b, xs)).structure()
+
+
+@pytest.mark.parametrize('pool', [BUILD_POOL, COVER_POOL],
+                         ids=['build', 'cover'])
+def test_equality_outside_a_cone_matches_the_restricted_networks(pool):
+    # every call the builds make, and every network they build against the
+    # one it grew from, both ways at its first node and at each node of
+    # the parent that gained a flag, where links and witnesses attach
+    pairs, calls = [], [0]
+    real_eq, real_timeouts = network._eq_outside, network.compute_timeouts
+
+    def eq_outside(a, b, xs, direction):
+        calls[0] += 1
+        got = real_eq(a, b, xs, direction)
+        assert got == _restricted_alike(a, b, xs, direction)
+        return got
+
+    def timeouts(n):
+        if isinstance(n.__dict__.get('_parent'), Network):
+            pairs.append((n._parent, n))
+        return real_timeouts(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, '_eq_outside', eq_outside)
+        mp.setattr(network, 'compute_timeouts', timeouts)
+        mp.setattr(construct, 'compute_timeouts', timeouts)
+        _build_pool(pool)
+    verdicts = []
+    for base, grown in pairs:
+        for xs in {base.nodes[0]} | network._touched(grown, base) & \
+                base.label.keys():
+            for direction in 'FB':
+                for a, b in ((base, grown), (grown, base), (grown, grown)):
+                    verdicts.append(network._eq_outside(a, b, xs, direction))
+                    assert verdicts[-1] == \
+                        _restricted_alike(a, b, xs, direction)
+    assert calls[0] and True in verdicts and False in verdicts
 
 
 FOCUS_R = Sharp(REACH, (Q,))
