@@ -303,7 +303,7 @@ class DeferralTable:
         self.deferrals = tuple(deferrals)
         self.d = len(deferrals)
 
-    @property
+    @cached_property
     def multiplicity(self) -> int:
         return max(1, self.d)
 

@@ -84,6 +84,10 @@ def _saturate(draft, u, direction, ids, budget):
     inside a finishing cone, which must not reach across the network.
     """
     ctx = draft.ctx
+    members = ctx.dia_members(draft.label[u], direction)
+    if not members and (not budget or len(draft.nodes) <= budget.max_nodes):
+        draft.sat[direction].add(u)  # no diamond: nothing to witness
+        return
     d = ctx.table.multiplicity
     pool = {}
     for w in draft.nbrs[direction][u]:
@@ -92,7 +96,7 @@ def _saturate(draft, u, direction, ids, budget):
     frozen = draft.sat[CONVERSE[direction]]
     # u's neighbours, the ones it has now and the ones linked below
     taken = set(draft.nbrs[direction][u])
-    for _, child_i in ctx.dia_members(draft.label[u], direction):
+    for _, child_i in members:
         family = None
         have = 0
         for bits in sorted(pool):
@@ -457,20 +461,20 @@ def repair_all(n, budget=None):
     """One pass over the current nodes: saturate both ways, then finish
     every active deferral. Returns (network, log of repairs)."""
     budget = budget or Budget()
-    todo = n.nodes
+    todo = n.label.keys()
     n, log = _saturate_all(n, budget)
     tt = compute_timeouts(n)
-    for u in todo:
-        for did in range(n.ctx.table.d):
-            if (u, did) in tt and tt[u, did] is None:
-                n = finish_deferral(n, u, did, budget)
-                tt = compute_timeouts(n)
-                log.append('mu %d/%d' % (u, did))
-    todo = set(todo)
-    leftovers = [d for d in find_defects(n) if d.node in todo]
-    if leftovers:
+    # the pairs open at the input nodes, in order; a finished pair stays so
+    for u, did in sorted(pair for pair, steps in tt.items()
+                         if steps is None and pair[0] in todo):
+        if tt[u, did] is None:
+            n = finish_deferral(n, u, did, budget)
+            tt = compute_timeouts(n)
+            log.append('mu %d/%d' % (u, did))
+    if todo - (n.sat['F'] & n.sat['B']) or None in tt.values() and todo & {
+            u for (u, _), steps in tt.items() if steps is None}:
         raise InvariantError('repairs left defects at the input nodes: %r'
-                             % (leftovers,))
+                             % [e for e in find_defects(n) if e.node in todo])
     return n, log
 
 
@@ -494,7 +498,8 @@ class ConstructionReport:
 
 def _radius(n):
     """Largest k with no defect within k undirected steps of the seed."""
-    defective = {d.node for d in find_defects(n)}
+    defective = n.label.keys() - (n.sat['F'] & n.sat['B']) | {
+        u for (u, _), steps in compute_timeouts(n).items() if steps is None}
     if not defective:
         return None
     dist, order = {n.nodes[0]: 0}, [n.nodes[0]]
@@ -514,7 +519,8 @@ def build(ctx, seed, budget=None) -> ConstructionReport:
     n = Network(ctx, frozenset(), {0: seed},
                 {'F': frozenset(), 'B': frozenset()})
     rounds = []
-    while find_defects(n):
+    while None in compute_timeouts(n).values() or \
+            len(n.sat['F']) + len(n.sat['B']) < 2 * len(n.label):
         if len(rounds) == budget.max_rounds:
             return ConstructionReport('radius', n, _radius(n), rounds,
                                       'round budget exhausted')

@@ -11,15 +11,15 @@ pair with no finite resolution is a defect, as is any node missing a
 saturation flag. A worklist settles each table from the table of the
 sub-network it grew from, re-reading only the clauses whose inputs changed.
 
-A Draft grows a network in place and freezes into one Network, handing
-it the caches it kept; only this module fills a Network's caches.
+A Draft grows a network in place (a one-node cone is read and grown with
+no walk) and freezes into one Network, handing it the caches it kept;
+only this module fills a Network's caches, and no code edits a Network.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -270,8 +270,9 @@ class Draft:
     tuple: what Network.nbrs would compute, and all it keeps of the edges.
     With link set and a separated start it keeps the start's cones too,
     each fresh node taking the next bit, so witnesses may be linked across
-    the network; otherwise cones is None. A draft that raises is dropped,
-    and the network it started from is left as it was.
+    the network; otherwise cones is None. up[a] holds a and down[b] holds
+    b, so a cone of one bit is that node, read and grown with no walk. A
+    draft that raises is dropped, and its start is left as it was.
     """
 
     def __init__(self, n, link=True):
@@ -290,15 +291,21 @@ class Draft:
     def _attach(self, a, b):
         """Add the new edge a->b, growing the cones above a and below b."""
         for nbrs, x, y in ((self.nbrs['F'], a, b), (self.nbrs['B'], b, a)):
-            i = bisect(nbrs[x], y)
-            nbrs[x] = nbrs[x][:i] + (y,) + nbrs[x][i:]
+            vs = nbrs[x] + (y,)  # a fresh y tops the tuple: no sort
+            nbrs[x] = vs if len(vs) < 2 or vs[-2] < y else tuple(sorted(vs))
         if self.cones is not None:
             down, up = self.cones
             below, above = down[b], up[a]
-            for x in members(above, self.nodes):
-                down[x] |= below
-            for y in members(below, self.nodes):
-                up[y] |= above
+            if above & above - 1:
+                for x in members(above, self.nodes):
+                    down[x] |= below
+            else:  # up[a] is a alone
+                down[a] |= below
+            if below & below - 1:
+                for y in members(below, self.nodes):
+                    up[y] |= above
+            else:  # down[b] is b alone
+                up[b] |= above
 
     def link(self, u, w, direction):
         """Make w a new direction-neighbour of u when no node above the
@@ -306,8 +313,9 @@ class Draft:
         graph separated (see Network.separated); say whether. Needs cones."""
         a, b = orient(u, w, direction)
         down, up = self.cones
-        below = down[b]
-        if any(down[x] & below for x in members(up[a], self.nodes)):
+        below, above = down[b], up[a]  # a alone in above: one AND
+        if any(down[x] & below for x in members(above, self.nodes)) \
+                if above & above - 1 else down[a] & below:
             return False
         self._attach(a, b)
         return True
@@ -410,8 +418,11 @@ def is_anticonfluent(n: Network) -> bool:
     meet again.
 
     One pass each way: below[v] holds the nodes that share a descendant
-    with v, above[v] those that share an ancestor.
+    with v, above[v] those that share an ancestor. The verdict is kept on
+    n, as its timeouts are.
     """
+    if '_anticonfluent' in n.__dict__:
+        return n._anticonfluent
     down, up = n.cones
     order = sorted(n.nodes, key=lambda v: up[v].bit_count())
     above, below = {}, {}
@@ -424,26 +435,31 @@ def is_anticonfluent(n: Network) -> bool:
         below[v] = up[v]
         for s in succ[v]:
             below[v] |= below[s]
-    return not any(above[v] & below[v] & ~(down[v] | up[v]) for v in order)
+    n._anticonfluent = not any(above[v] & below[v] & ~(down[v] | up[v])
+                               for v in order)
+    return n._anticonfluent
 
 
 # ---------------------------------------------------------------------------
 # containment and generated subsets
 
 def _is_contained(a: Network, b: Network) -> bool:
+    """a is b restricted to a's nodes, flags only added: a's edges are
+    b's edges between a's nodes (every edge of a joins two of them)."""
     here = a.label.keys()
-    return a.label.items() <= b.label.items() \
-        and a.edges == {e for e in b.edges if e[0] in here and e[1] in here} \
+    return a.label.items() <= b.label.items() and a.edges <= b.edges \
+        and not any(x in here and y in here for x, y in b.edges - a.edges) \
         and a.sat['F'] <= b.sat['F'] and a.sat['B'] <= b.sat['B']
 
 
 def is_subnetwork(a: Network, b: Network) -> bool:
     """Containment plus frozen frontiers: saturated nodes of a keep their
-    complete neighbourhoods inside a."""
+    complete neighbourhoods inside a, which for a contained a is the same
+    neighbour tuple in both."""
     _same_ctx(a, b)
     return _is_contained(a, b) and all(
-        v in a.label for d, flags in a.sat.items() for u in flags
-        for v in b.nbrs[d][u])
+        a.nbrs[d][u] == b.nbrs[d][u] for d, flags in a.sat.items()
+        for u in flags)
 
 
 def union(networks) -> Network:
@@ -513,9 +529,8 @@ def eqdown(a: Network, b: Network, xs) -> bool:
 
 def _is_cofinal(a: Network, b: Network, direction) -> bool:
     _same_ctx(a, b)
-    if not _is_contained(a, b):
-        return False
-    return all(v in a.label for u in a.label for v in b.nbrs[direction][u])
+    return _is_contained(a, b) and all(
+        v in a.label for u in a.label for v in b.nbrs[direction][u])
 
 
 def is_down_cofinal(a: Network, b: Network) -> bool:
@@ -734,14 +749,12 @@ class Defect:
 
 
 def find_defects(n: Network):
-    """n's defects, diamonds first, as a fresh list; cached on n."""
-    if getattr(n, '_defects', None) is None:
-        unresolved = sorted(pair for pair, steps
-                            in compute_timeouts(n).items() if steps is None)
-        n._defects = tuple(Defect('dia' + d, u) for d in DIRECTIONS
-                           for u in n.nodes if u not in n.sat[d]) \
-            + tuple(Defect('mu', *pair) for pair in unresolved)
-    return list(n._defects)
+    """n's defects as a fresh list: each missing flag, then each unresolved
+    pair of its timeout table. construct reads those two itself."""
+    unresolved = sorted(pair for pair, steps in compute_timeouts(n).items()
+                        if steps is None)
+    return [Defect('dia' + d, u) for d in DIRECTIONS for u in n.nodes
+            if u not in n.sat[d]] + [Defect('mu', *p) for p in unresolved]
 
 
 # ---------------------------------------------------------------------------

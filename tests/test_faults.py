@@ -34,6 +34,22 @@ taking the min over neighbours passes it. Only row 11 has no fault here:
 it compares two `python -m flatmu` children, which a monkeypatch in this
 process cannot reach.
 
+Three sit on the build's repair path, and no selftest row catches the
+first two. A one-node Draft._attach that leaves up[b] as it was (the
+head of a new edge, with no descendants, never learns what is above it)
+fails the link oracle of test_construct and the #rf(p) pin. A
+containment test that skips the scan of the new edges fails only
+test_network's hand-made pair and its drawn breaks: every pair the
+builds check is a genuine extension. A build loop reading only the
+timeout table fails row 10: a seed with no open deferral reads as
+perfect before any round. Its other half, a loop reading only the flags,
+is no fault that any check can catch. A round that adds a node leaves
+some node without a flag, since a fresh node gains its flag away from
+its parent only by growing fresh nodes beyond it, and a round that adds
+none leaves every node without a defect, as repair_all checks; so the
+flags alone end the loop where the table would, and a test pins the
+bytes it builds instead.
+
 Two sit in what compute_timeouts re-reads. A flag gain that re-reads the
 converse direction's clauses fails row 9, again as a raise: a deferral
 finished toward the new flag still reads open. No row catches a leaf
@@ -61,9 +77,9 @@ import test_construct
 import test_network
 import test_semantics
 import test_syntax
-from flatmu import acceptance, construct, network, semantics, syntax
+from flatmu import acceptance, cli, construct, network, semantics, syntax
 from flatmu.cli import main
-from flatmu.closure import fl_closure
+from flatmu.closure import fl_closure, is_atom
 from flatmu.network import Draft, NetworkContext
 from flatmu.semantics import LaneBatch
 from flatmu.syntax import (
@@ -259,6 +275,78 @@ def _pool_oracle(pool):
             pool)
 
 
+def _attach_keeping_a_lone_up(self, a, b):
+    """Draft._attach whose one-node path below the new edge leaves up[b]
+    as it was: a head with no descendants never learns what is above
+    it, so a later link from it may close a second path."""
+    for nbrs, x, y in ((self.nbrs['F'], a, b), (self.nbrs['B'], b, a)):
+        nbrs[x] = tuple(sorted(nbrs[x] + (y,)))
+    if self.cones is not None:
+        down, up = self.cones
+        below, above = down[b], up[a]
+        for x in network.members(above, self.nodes):
+            down[x] |= below
+        if below & below - 1:
+            for y in network.members(below, self.nodes):
+                up[y] |= above
+
+
+def _link_oracle():
+    """test_a_draft_links_as_the_oracle_does at two draws: one fresh leaf
+    each way below a one-node start."""
+    for direction in 'FB':
+        test_construct.test_a_draft_links_as_the_oracle_does.hypothesis \
+            .inner_test(ids=[0], pairs=[], steps=[('leaf', 0, 0, direction)])
+
+
+def _contained_without_the_new_edges(a, b):
+    """network._is_contained with no scan of b's new edges: an edge that
+    b adds between two nodes of a goes unseen."""
+    return a.label.items() <= b.label.items() and a.edges <= b.edges \
+        and a.sat['F'] <= b.sat['F'] and a.sat['B'] <= b.sat['B']
+
+
+def _flags_missing(n):
+    return len(n.sat['F']) + len(n.sat['B']) < 2 * len(n.label)
+
+
+def _table_open(n):
+    return None in network.compute_timeouts(n).values()
+
+
+def _patch_build(defective):
+    """Patch every module that holds construct.build with a copy whose
+    loop runs while defective(n) holds, in place of its test of both the
+    flags and the timeout table."""
+    def build(ctx, seed, budget=None):
+        budget = budget or construct.Budget()
+        if not is_atom(seed, ctx.sigma):
+            raise ValueError('seed is not an atom of the closure')
+        n = network.Network(ctx, frozenset(), {0: seed},
+                            {'F': frozenset(), 'B': frozenset()})
+        rounds = []
+        while defective(n):
+            if len(rounds) == budget.max_rounds:
+                return construct.ConstructionReport(
+                    'radius', n, construct._radius(n), rounds,
+                    'round budget exhausted')
+            try:
+                n, log = construct.repair_all(n, budget)
+            except construct.Stuck as e:
+                return construct.ConstructionReport(
+                    'stuck', n, construct._radius(n), rounds, str(e))
+            except construct.BudgetExceeded as e:
+                return construct.ConstructionReport(
+                    'radius', n, construct._radius(n), rounds, str(e))
+            rounds.append(log)
+        return construct.ConstructionReport('perfect', n, None, rounds)
+
+    def apply(mp):
+        for module in (construct, acceptance, cli, test_construct):
+            mp.setattr(module, 'build', build)
+    return apply
+
+
 def _patch_anticonfluence(mp):
     for module in (network, acceptance, construct, test_network):
         mp.setattr(module, 'is_anticonfluent', lambda n: True)
@@ -434,6 +522,18 @@ FAULTS = {
     'a flag gain re-reading the converse direction': (
         _patch_reads, ('9',),
         (_seeded_timeouts, _pool_oracle(test_network.BUILD_POOL))),
+    'a one-node attach keeping up[b]': (
+        lambda mp: mp.setattr(Draft, '_attach', _attach_keeping_a_lone_up),
+        (), (_link_oracle, _pinned_build('#rf(p)'))),
+    'containment without the scan of the new edges': (
+        lambda mp: mp.setattr(network, '_is_contained',
+                              _contained_without_the_new_edges), (),
+        (test_network.test_subnetwork_requires_induced_edges_and_equal_labels,
+         test_network.test_containment_refuses_each_way_of_breaking_it)),
+    'a build loop reading only the timeout table': (
+        _patch_build(_table_open), ('10',),
+        (test_construct.test_build_over_a_letter_is_a_two_chain,
+         test_construct.test_build_every_p_atom_reaches_perfect)),
     'anticonfluence that always holds': (
         _patch_anticonfluence, ('8',),
         (test_network.test_anticonfluence_matches_quadruple_oracle,
@@ -444,9 +544,26 @@ FAULTS = {
 @pytest.mark.parametrize('name', FAULTS)
 def test_a_seeded_fault_fails_its_named_checks(name, monkeypatch):
     apply, rows, oracles = FAULTS[name]
+    # what test_network records while its pools build stays unfaulted
+    monkeypatch.setattr(test_network, '_ASKED', {})
     apply(monkeypatch)
     assert [(r.ident, r.passed) for r in acceptance.run_all(only=rows)] \
         == [(ident, False) for ident in rows]
     for oracle in oracles:
         with pytest.raises(AssertionError):
             oracle()
+
+
+def test_a_build_loop_reading_only_the_flags_builds_the_same_bytes(
+        monkeypatch):
+    # no fault: a round that adds a node leaves some node without a flag
+    # (a fresh node gains its flag away from its parent only by growing
+    # fresh nodes beyond it), and a round that adds none leaves its input
+    # nodes, which are all the nodes, without a defect, as repair_all
+    # checks; so the flags alone end the loop where the table would
+    _patch_build(_flags_missing)(monkeypatch)
+    want = json.loads(test_network.BENCH_EXPECTED.read_text())['build']
+    assert test_network._build_pool(test_network.BUILD_POOL) == \
+        {text: want[text]['sha256'] for text, _ in test_network.BUILD_POOL}
+    for formula in ('#nf(p, ~p)', '#nb(~p, ~p)', test_cli.DEEP_GRAFT):
+        _pinned_build(formula)()

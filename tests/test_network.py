@@ -1,15 +1,19 @@
+import hashlib
 import json
 import random
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatmu import closure, construct, network
-from flatmu.acceptance import _amalgam_candidates, _grow_network
+from flatmu.acceptance import (
+    _amalgam_candidates, _brute_anticonfluent, _grow_network,
+)
 from flatmu.closure import coherent, enumerate_atoms, fl_closure
 from flatmu.construct import (
     Budget, BudgetExceeded, Stuck, _saturate_all, finish_deferral, saturate,
@@ -23,7 +27,7 @@ from flatmu.network import (
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var, box,
-    nabla, parse,
+    nabla, parse, to_string,
 )
 
 CHI1 = FixpointConnective('chi1', 1, parse('[F]x | q', {}))
@@ -847,6 +851,8 @@ CORPUS_DEFS = {chi.name: chi for chi in (
         ('n3', 2, 'q1 | nablaF{x, q2, <B>q1}'),
         ('nx', 1, 'q | nablaB{x, x | q}'), ('bx', 1, 'q1 | [F](x | <F>x)'),
         ('bf', 1, 'q | nablaF{x}')))}
+BENCH_EXPECTED = Path(__file__).resolve().parent.parent / 'perfbench' / \
+    'expected.json'
 BUILD_POOL = (('#rf(p)', None), ('#sf(p)', 8), ('#sb(<F>p)', 9),
               ('#rf(p) & #rb(q)', 7), ('#sf(q) & #rf(p)', 9),
               ('#rf(p) & #rb(p) & #rf(q)', 3))
@@ -857,13 +863,33 @@ COVER_POOL = (('#nf(p, ~p)', 6), ('#nb(~p, q)', 6), ('#n3(<F>p, q)', 4),
 
 def _build_pool(pool):
     """Build each formula of pool from its first seeds, as flatmu build
-    --all picks them, over one fresh context per formula."""
+    --all picks them, over one fresh context per formula. Returns, per
+    formula, the sha256 of the bytes flatmu build --all would print for
+    those seeds, as perfbench/expected.json records them."""
+    out = {}
     for text, take in pool:
         f = parse(text, CORPUS_DEFS)
         ctx = ctx_for(f)
         fi = ctx.sigma.index_of(f)
-        for seed in [a for a in ctx.atoms_by_duty if a >> fi & 1][:take]:
-            construct.build(ctx, seed)
+        seeds = [a for a in ctx.atoms_by_duty if a >> fi & 1][:take]
+        reports = {seed: construct.build(ctx, seed).to_json()
+                   for seed in seeds}
+        runs = [{'atom': a, 'report': reports[a]} for a in sorted(seeds)]
+        printed = json.dumps({'formula': to_string(f), 'runs': runs},
+                             indent=2, sort_keys=True) + '\n'
+        out[text] = hashlib.sha256(printed.encode()).hexdigest()
+    return out
+
+
+def test_a_corpus_build_makes_no_defect(monkeypatch):
+    # the build loop, repair_all's postcondition and _radius read the flags
+    # and the timeout table; Defect is made only to name a failure
+    def refuse(*args):
+        raise AssertionError('a build made a Defect')
+    monkeypatch.setattr(network, 'Defect', refuse)
+    want = json.loads(BENCH_EXPECTED.read_text())['build']
+    assert _build_pool(BUILD_POOL) == \
+        {text: want[text]['sha256'] for text, _ in BUILD_POOL}
 
 
 @pytest.mark.parametrize('pool', [BUILD_POOL, COVER_POOL],
@@ -916,6 +942,115 @@ def test_equality_outside_a_cone_matches_the_restricted_networks(pool):
                     assert verdicts[-1] == \
                         _restricted_alike(a, b, xs, direction)
     assert calls[0] and True in verdicts and False in verdicts
+
+
+def _contained_by_restrict(a, b):
+    """_is_contained as restrict reads it: b cut down to a's nodes has a's
+    labels and edges, and at least a's flags."""
+    if not a.label.keys() <= b.label.keys():
+        return False
+    cut = restrict(b, a.label)
+    return cut.label == a.label and cut.edges == a.edges and \
+        a.sat['F'] <= cut.sat['F'] and a.sat['B'] <= cut.sat['B']
+
+
+def _subnetwork_by_restrict(a, b):
+    """is_subnetwork read off b's edges: contained, and no edge of b leaves
+    a at a node of a saturated on that edge's side."""
+    return _contained_by_restrict(a, b) and all(
+        (x not in a.sat['F'] or y in a.label) and
+        (y not in a.sat['B'] or x in a.label) for x, y in b.edges)
+
+
+_ASKED = {}
+
+
+def _asked_while_building(pool):
+    """(pairs, networks): every (a, b) that is_subnetwork or _is_contained
+    is asked about while pool builds (finish_deferral's and amalgamate's
+    checks), and every network whose anticonfluence construct asks. Kept
+    per pool for the whole test run, as the builds are the same each time."""
+    if pool not in _ASKED:
+        pairs, nets = [], []
+
+        def recorded(fn, out):
+            def record(*args):
+                out.append(args if len(args) > 1 else args[0])
+                return fn(*args)
+            return record
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name, out in ((network, 'is_subnetwork', pairs),
+                                      (network, '_is_contained', pairs),
+                                      (construct, 'is_anticonfluent', nets)):
+                mp.setattr(module, name,
+                           recorded(getattr(module, name), out))
+            _build_pool(pool)
+        _ASKED[pool] = pairs, nets
+    return _ASKED[pool]
+
+
+@pytest.mark.parametrize('pool', [BUILD_POOL, COVER_POOL],
+                         ids=['build', 'cover'])
+def test_containment_matches_the_restricted_networks(pool):
+    # each pair the builds check, and the same pair the other way round
+    pairs, _ = _asked_while_building(pool)
+    verdicts = set()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            got = network._is_contained(x, y)
+            verdicts.add(got)
+            assert got == _contained_by_restrict(x, y)
+            assert is_subnetwork(x, y) == _subnetwork_by_restrict(x, y)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize('pool', [BUILD_POOL, COVER_POOL],
+                         ids=['build', 'cover'])
+def test_every_kept_anticonfluence_verdict_matches_brute_force(pool):
+    _, nets = _asked_while_building(pool)
+    for n in nets:
+        assert n._anticonfluent == _brute_anticonfluent(n.nodes, n.edges)
+    assert nets
+
+
+BREAKS = ('relabel', 'drop a flag', 'join two old nodes',
+          'a new neighbour at a saturated node')
+
+
+@given(data=st.data(), how=st.sampled_from(BREAKS))
+@settings(max_examples=120, deadline=None)
+def test_containment_refuses_each_way_of_breaking_it(data, how):
+    pairs = [(a, b) for pool in (BUILD_POOL, COVER_POOL)
+             for a, b in _asked_while_building(pool)[0]
+             if len(a.nodes) > 1 and a.sat['F'] | a.sat['B']]
+    base, ext = data.draw(st.sampled_from(pairs))
+    assert is_subnetwork(base, ext)
+    label, edges = dict(ext.label), set(ext.edges)
+    sat = {d: set(flags) for d, flags in ext.sat.items()}
+    flagged = sorted((d, u) for d, flags in base.sat.items() for u in flags)
+    if how == 'relabel':
+        u = data.draw(st.sampled_from(base.nodes))
+        label[u] = data.draw(st.sampled_from(
+            [a for a in ext.ctx.atoms if a != label[u]]))
+    elif how == 'drop a flag':
+        d, u = data.draw(st.sampled_from(flagged))
+        sat[d].discard(u)
+    elif how == 'join two old nodes':
+        edges.add(data.draw(st.sampled_from(
+            [e for e in product(base.nodes, repeat=2)
+             if e[0] != e[1] and e not in base.edges])))
+    else:
+        d, u = data.draw(st.sampled_from(flagged))
+        w = max(ext.nodes) + 1
+        label[w] = data.draw(st.sampled_from(ext.ctx.atoms))
+        edges.add(orient(u, w, d))
+    broken = Network(ext.ctx, frozenset(edges), label,
+                     {d: frozenset(flags) for d, flags in sat.items()})
+    contained = how == BREAKS[-1]
+    assert network._is_contained(base, broken) == contained == \
+        _contained_by_restrict(base, broken)
+    assert not is_subnetwork(base, broken)
+    assert not _subnetwork_by_restrict(base, broken)
 
 
 FOCUS_R = Sharp(REACH, (Q,))
