@@ -13,8 +13,8 @@ Failures and anchors still name a frame by its index in the walk over
 all sizes and a lane by its valuation index within that frame. Scalar
 anchors re-evaluate a stride of lanes on int masks over the lane's own
 KripkeModel, which checks what differs between the carriers: the edge
-planes, lane decoding, valuation lookup. Checks 2 and 4 run their random
-models as lanes too, one batch per size; checks 1 and 3 on int masks.
+planes, lane decoding, valuation lookup. Checks 2 and 4 pack the random
+draw into lanes, one batch per size; checks 1 and 3 run it on int masks.
 
 A mutation hook lets the harness test itself: run_all(mutate=name)
 deliberately corrupts one input of the named row, which must then fail.
@@ -137,29 +137,33 @@ def _anchors(offset, batch, pick):
             yield offset + f, lane, i
 
 
-def _random_models():
-    rng = random.Random(1729)
-    out = []
+def _random_draw():
+    """The 500 random models in draw order, as (states, model_lanes row)."""
+    rng, draw = random.Random(1729), []
     for _ in range(500):
-        states = rng.choice((5, 6))
-        edges = [(i, j) for i in range(states) for j in range(states)
-                 if rng.random() < 0.28]
-        val = {nm: {w for w in range(states) if rng.random() < 0.5}
-               for nm in ('p', 'q')}
-        out.append(KripkeModel(states, edges, val))
-    return out
+        s = rng.choice((5, 6))
+        odds = (0.28,) * (s * s) + (0.5,) * (2 * s)
+        draw.append((s, ''.join(['01'[rng.random() < t] for t in odds])))
+    return draw
+
+
+def _random_models():
+    return [KripkeModel(n, [divmod(b, n) for b in range(n * n) if r[b] == '1'],
+                        {nm: [w for w in range(n) if r[at + w] == '1']
+                         for nm, at in (('p', n * n), ('q', n * n + n))})
+            for n, r in _random_draw()]
 
 
 def _sweep(check):
     """check(offset, batch) on every frame up to four states, with p and q
-    on lanes, then check(None, batch) with the random models as lanes, one
-    batch per size. Returns how many frames and random models it ran."""
+    on lanes, then check(None, batch) per size of the random draw, lane i
+    its i-th model of that size. Returns the frames and models it ran."""
     for offset, batch in _batches(('p', 'q')):
         check(offset, batch)
-    randoms = _random_models()
+    draw = _random_draw()
     for n in (5, 6):
-        check(None, model_lanes([m for m in randoms if m.states == n]))
-    return offset + batch.frames.stop, len(randoms)
+        check(None, model_lanes(n, 'pq', [row for s, row in draw if s == n]))
+    return offset + batch.frames.stop, len(draw)
 
 
 def _first_split(offset, batch, a, b):
@@ -173,7 +177,7 @@ def _where(offset, m, a, b):
     """Where truth sets a and b split: a frame's lane, or a random model."""
     if offset is None:
         split, n = m.somewhere(a ^ b), m.states
-        draw = [k for k, r in enumerate(_random_models()) if r.states == n]
+        draw = [k for k, (s, _) in enumerate(_random_draw()) if s == n]
         return 'random model %d (%d states)' % (
             draw[(split & -split).bit_length() - 1], n)
     fi, lane = _first_split(offset, m, a, b)
@@ -340,8 +344,8 @@ def check_approximants():
             stages[chi, theta] = forms
 
     def bounded(offset, m):
-        memo = {}
         for (chi, theta), forms in stages.items():
+            memo = {}   # stage formulas hit only within their own pair
             fix = eval_bits(Sharp(chi, (theta,)), m, None, memo)
             outside = m.full_mask ^ fix
             for k, form in enumerate(forms[:6]):

@@ -120,22 +120,28 @@ class NetworkContext:
     @cached_property
     def _viable(self):
         """Lanes of the greatest atom set in which every diamond of every
-        member has a coherent partner in the set holding its child. It
-        reads each atom's diamonds once, so it keeps none in dia_members."""
+        member has a coherent partner in the set holding its child. Atoms
+        alike in the bits _partners reads share one call per direction."""
         order, having = self._lanes
-        needs = {}  # needed lanes -> lanes of the atoms that need them
-        for k, a in enumerate(order):
-            for direction in DIRECTIONS:
-                partners = self._partners(a, direction)
-                for dia_i, child_i in self.sigma.dia_pairs[direction]:
-                    if a >> dia_i & 1:
-                        lanes = partners & having[child_i]
-                        needs[lanes] = needs.get(lanes, 0) | 1 << k
-        alive, before = (1 << len(order)) - 1, 0
+        alive, needs, before = (1 << len(order)) - 1, [], 0
+        for direction in DIRECTIONS:
+            pairs = self.sigma.dia_pairs[direction]
+            read = sum(1 << i for i, _ in pairs) | sum(
+                1 << c for _, c in self.sigma.dia_pairs[CONVERSE[direction]])
+            for group in {a & read for a in order}:
+                partners, atoms = self._partners(group, direction), alive
+                for i in members(read, range(len(self.sigma))):
+                    atoms &= having[i] if group >> i & 1 else ~having[i]
+                wants = [partners & having[child_i]
+                         for dia_i, child_i in pairs if group >> dia_i & 1]
+                if all(alive & lanes for lanes in wants):
+                    needs.append((atoms, wants))
+                else:   # doomed at once: no needs kept
+                    alive &= ~atoms
         while alive != before:
             before = alive
-            for lanes, atoms in needs.items():
-                if not alive & lanes:
+            for atoms, wants in needs:
+                if not all(alive & lanes for lanes in wants):
                     alive &= ~atoms
         return alive
 

@@ -1,16 +1,16 @@
 """Kripke models and formula evaluation.
 
-One evaluator, eval_bits, computes truth sets as bitmasks over states: an
-int mask on a KripkeModel, and on a LaneBatch, one model per lane, an int
-of state-major bit planes (model_lanes packs models of one size; a
-FrameBatch lane is one frame under one joint valuation). Union, equality
-and complement are plain int operations; each carrier answers <d>
-(image), and a LaneBatch keeps each image it computes for its own life.
-Complement is full_mask ^ x: every truth set is a subset of full_mask,
-and XOR reads a wide int once where & ~ builds its negation first.
-Fixpoint connectives are evaluated by Kleene iteration from the empty
-set, which converges within |W| rounds by positivity of the body; each
-round runs the connective's plan.
+One evaluator, eval_bits, computes truth sets as bitmasks over states:
+an int mask on a KripkeModel, and on a LaneBatch, one model per lane, an
+int of state-major bit planes (model_lanes packs models of one size from
+bit rows; a FrameBatch lane is one frame under one joint valuation).
+Union, equality and complement are plain int operations; each carrier
+answers <d> (image), and a LaneBatch keeps each image it computes for
+its own life. Complement is full_mask ^ x: every truth set is a subset
+of full_mask, and XOR reads a wide int once where & ~ builds its
+negation first. Fixpoint connectives are evaluated by Kleene iteration
+from the empty set, which converges within |W| rounds by positivity of
+the body; each round runs the connective's plan.
 """
 
 from __future__ import annotations
@@ -401,16 +401,16 @@ class LaneBatch:
                             for w in range(self.states))) & self._lanes
 
 
-def model_lanes(models):
-    """Models of one size and letters as a LaneBatch; lane i is models[i]."""
-    n, width = models[0].states, len(models)
-    planes = lambda xs: [sum((x >> w & 1) << i for i, x in enumerate(xs))
-                         for w in range(n)]
-    rows = [planes([m.nbr_masks['F'][v] for m in models]) for v in range(n)]
-    vals = {k: sum(p << w * width for w, p in enumerate(planes(
-        [m.valuation_mask(k) for m in models]))) for k in models[0]._valuation}
-    return LaneBatch(n, width, (1 << n * width) - 1, vals,
-                     dict(F=rows, B=tuple(zip(*rows))))
+def model_lanes(n, names, rows):
+    """Models on n states as a LaneBatch; lane i is rows[i], a '0'/'1'
+    string of the edges (v, w) row-major, then each name's states."""
+    # column c of the rows, read from the last row, is bit c's plane
+    cols = [''.join(col) for col in zip(*reversed(rows))]
+    edges = [[int(c, 2) for c in cols[v * n:v * n + n]] for v in range(n)]
+    vals = {nm: int(''.join(reversed(cols[at:at + n])), 2)
+            for nm, at in zip(names, range(n * n, len(cols), n))}
+    return LaneBatch(n, len(rows), (1 << n * len(rows)) - 1, vals,
+                     dict(F=edges, B=tuple(zip(*edges))))
 
 
 class FrameBatch(LaneBatch):

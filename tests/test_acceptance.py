@@ -13,8 +13,8 @@ import pytest
 from flatmu import acceptance
 from flatmu.cli import main
 from flatmu.semantics import (
-    LaneBatch, approximant, axiom_instances, brute_force_sat, eval_bits,
-    model_lanes,
+    KripkeModel, LaneBatch, approximant, axiom_instances, brute_force_sat,
+    eval_bits,
 )
 from flatmu.syntax import Sharp, parse, to_string
 
@@ -163,22 +163,68 @@ def _sweep_formulas():
     return out + instances
 
 
+def swept_random_lanes():
+    """The batches that check 4's sweep checks the random models on, in
+    the order it checks them."""
+    out = []
+
+    def keep(offset, batch):
+        if offset is None:
+            out.append(batch)
+
+    acceptance._sweep(keep)
+    return out
+
+
+def _random_lanes_and_models():
+    """(batch, its lanes' KripkeModels) for each batch of
+    swept_random_lanes."""
+    models = acceptance._random_models()
+    for batch in swept_random_lanes():
+        group = [m for m in models if m.states == batch.states]
+        assert len(batch) == len(group)
+        yield batch, group
+
+
 def _first_lane_off_its_model():
     """(size, lane, formula) of the first lane of the random-model batches
-    that acceptance packs whose truth set differs from eval_bits on that
+    that check 4 sweeps whose truth set differs from eval_bits on that
     lane's own KripkeModel, or None."""
-    formulas, models = _sweep_formulas(), acceptance._random_models()
-    for n in (5, 6):
-        group = [m for m in models if m.states == n]
-        batch = acceptance.model_lanes(group)
-        assert (batch.states, len(batch)) == (n, len(group))
+    formulas = _sweep_formulas()
+    for batch, group in _random_lanes_and_models():
         memo, memos = {}, [{} for _ in group]
         for f in formulas:
             x = eval_bits(f, batch, None, memo)
             for i, m in enumerate(group):
                 if batch.lane(x, i) != eval_bits(f, m, None, memos[i]):
-                    return n, i, to_string(f)
+                    return batch.states, i, to_string(f)
     return None
+
+
+def test_lane_i_of_each_size_is_the_ith_random_model_of_that_size():
+    sizes = []
+    for batch, group in _random_lanes_and_models():
+        n = batch.states
+        sizes.append((n, len(batch)))
+        for i, m in enumerate(group):
+            for d in 'FB':
+                assert [[row[w] >> i & 1 for w in range(n)]
+                        for row in batch._toward[d]] == \
+                    [[m.nbr_masks[d][v] >> w & 1 for w in range(n)]
+                     for v in range(n)]
+            for name in 'pq':
+                assert batch.lane(batch.valuation_mask(name), i) == \
+                    m.valuation_mask(name)
+    assert sizes == [(5, 241), (6, 259)]
+
+
+def test_check_4_constructs_no_kripke_model(monkeypatch):
+    def refused(self, *args):
+        raise AssertionError('a KripkeModel was constructed')
+
+    monkeypatch.setattr(KripkeModel, '__init__', refused)
+    [row] = acceptance.run_all(only={'4'})
+    assert row.passed, row.detail
 
 
 def test_every_random_lane_equals_eval_bits_on_its_own_model():
@@ -190,8 +236,8 @@ def test_the_lane_oracle_catches_swapped_edge_rows(monkeypatch):
     # a packing that swaps F and B passes both rows; the oracle does not
     pack = acceptance.model_lanes
 
-    def swapped(models):
-        batch = pack(models)
+    def swapped(n, names, rows):
+        batch = pack(n, names, rows)
         batch._toward = {'F': batch._toward['B'], 'B': batch._toward['F']}
         return batch
 
@@ -200,14 +246,12 @@ def test_the_lane_oracle_catches_swapped_edge_rows(monkeypatch):
 
 
 def test_a_random_lane_failure_names_the_model_by_its_draw_index():
-    models = acceptance._random_models()
-    six = model_lanes([m for m in models if m.states == 6])
+    five, six = swept_random_lanes()
     full, width = six.full_mask, len(six)
     # lane 7 splits at state 0 and lane 3 at state 5: the lowest lane
     # names the model, not the lowest bit
     cut = full & ~(1 << 7) & ~(1 << 5 * width + 3)
     assert acceptance._where(None, six, full, cut) == \
         'random model 6 (6 states)'
-    five = model_lanes([m for m in models if m.states == 5])
     assert acceptance._where(None, five, 0, 1 << 4 * len(five) + 9) == \
         'random model 22 (5 states)'

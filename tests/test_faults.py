@@ -57,6 +57,12 @@ table that stores a box at [d]_|_ as unresolved; the timeout sweeps and
 the build pool's tables do. Both start every context from an empty leaf
 table, since the shared contexts of test_network keep what earlier tests
 settled, and a leaf table filled before the fault hides it.
+
+One sits where the random draw becomes lanes: p and q planes swapped as
+they are packed. No row of 1-10 catches it. Rows 2 and 4 test laws that
+hold on any model, and rows 1 and 3 run the draw as KripkeModels, not
+as lanes; the lane oracles of test_acceptance, which compare each lane
+with its own model, do.
 """
 
 import hashlib
@@ -72,6 +78,7 @@ from operator import and_, or_
 
 import pytest
 
+import test_acceptance
 import test_cli
 import test_construct
 import test_network
@@ -460,6 +467,16 @@ def _seeded_timeouts():
                 test_network._grow_and_tabulate(ctx, random.Random(seed), 6)
 
 
+def _letters_swapped(real):
+    """model_lanes packing each row's p bits as q's and its q bits as p's."""
+    return lambda n, names, rows: real(n, names[::-1], rows)
+
+
+_LANE_ORACLES = tuple(vars(test_acceptance)[name] for name in (
+    'test_every_random_lane_equals_eval_bits_on_its_own_model',
+    'test_lane_i_of_each_size_is_the_ith_random_model_of_that_size'))
+
+
 # name -> (apply, selftest rows that must fail, Tier-1 oracles that must)
 FAULTS = {
     'image rebuilds its rows in the wrong order': (
@@ -534,6 +551,10 @@ FAULTS = {
         _patch_build(_table_open), ('10',),
         (test_construct.test_build_over_a_letter_is_a_two_chain,
          test_construct.test_build_every_p_atom_reaches_perfect)),
+    'random lanes packed with p and q swapped': (
+        lambda mp: mp.setattr(acceptance, 'model_lanes',
+                              _letters_swapped(acceptance.model_lanes)), (),
+        _LANE_ORACLES),
     'anticonfluence that always holds': (
         _patch_anticonfluence, ('8',),
         (test_network.test_anticonfluence_matches_quadruple_oracle,

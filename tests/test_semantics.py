@@ -6,13 +6,13 @@ from itertools import islice, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_acceptance import swept_random_lanes
 from flatmu import semantics
-from flatmu.acceptance import _random_models
 from flatmu.closure import enumerate_atoms, fl_closure, is_atom
 from flatmu.semantics import (
     CHUNK, _CHUNK_BITS, FrameBatch, KripkeModel, _frame_reps, approximant,
     axiom_instances, brute_force_sat, eval_bits, eval_fixpoint_by_intersection,
-    eval_nabla_via_relation, frame_batches, model_lanes,
+    eval_nabla_via_relation, frame_batches,
 )
 from flatmu.syntax import (
     Bottom, Dia, FixpointConnective, Neg, Or, Sharp, Var,
@@ -548,13 +548,12 @@ def _complement_by_negation(batch, x):
 def _kernel_batches():
     """One-size batches on 1-3 states (8, 160 and 6,656 lanes), the mixed
     first chunk on 1-4 states, the last and partial 4-state chunk, and the
-    selftest's random models as lanes, one batch per size."""
+    random-model batches that check 4 sweeps, one per size."""
     out = [FrameBatch(n, ('p', 'q'), 0) for n in (1, 2, 3)]
     out.append(next(frame_batches(4, ('p', 'q'), 1)))
     total = len(_frame_reps(4)) << 8
     out.append(FrameBatch(4, ('p', 'q'), (total - 1) // CHUNK * CHUNK))
-    randoms = _random_models()
-    out += [model_lanes([m for m in randoms if m.states == n]) for n in (5, 6)]
+    out += swept_random_lanes()
     return tuple(out)
 
 
